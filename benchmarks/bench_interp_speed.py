@@ -59,13 +59,6 @@ from repro.vm.kernel import Machine              # noqa: E402
 
 REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
-# Steady-state warmup tuning: tier up quickly so the shorter runs
-# (Dhrystone medium retires ~284k instructions) measure chain
-# throughput rather than threshold warmup. Thresholds only delay
-# tier-up — they cannot change results, which the fingerprint check
-# below enforces anyway.
-blocks.HOT_THRESHOLD = 2
-chains.CHAIN_THRESHOLD = 2
 APPS = ("dhrystone", "kmeans", "nginx", "redis", "cg", "blackscholes")
 ARCHES = ("x86_64", "aarch64")
 QUANTUM = 4096

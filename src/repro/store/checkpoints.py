@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..criu.dump import dump_process
 from ..criu.images import ImageSet, PagemapEntry, PagemapImage
-from ..errors import StoreError
+from ..errors import ReproError, StoreError
 from ..mem.paging import PAGE_SIZE
 from .chunks import CODECS, ChunkStore, chunk_digest
 from .wal import WriteAheadLog, decode_wal, fold_wal
@@ -154,6 +154,12 @@ class CheckpointStore:
         self.chunks = ChunkStore(codec=codec)
         # checkpoint id -> manifest dict, in registration order
         self._checkpoints: Dict[str, dict] = {}
+        # checkpoint id -> logical_bytes() (a registered manifest never
+        # changes), and their running sum: stats() is read on every
+        # store-backed migration and must not decode a pagemap per
+        # live checkpoint. verify() audits both.
+        self._logical: Dict[str, int] = {}
+        self._logical_total = 0
         self.backend = backend
         self.wal: Optional[WriteAheadLog] = None
         if backend is not None:
@@ -408,7 +414,13 @@ class CheckpointStore:
     def _register(self, checkpoint_id: str, manifest: dict) -> None:
         for ref in self._manifest_refs(checkpoint_id, manifest):
             self.chunks.incref(ref)
+        self._index(checkpoint_id, manifest)
+
+    def _index(self, checkpoint_id: str, manifest: dict) -> None:
+        """Enter a manifest whose references are already counted."""
         self._checkpoints[checkpoint_id] = manifest
+        size = self._logical[checkpoint_id] = self._measure(checkpoint_id)
+        self._logical_total += size
 
     # -- lookup -----------------------------------------------------------
 
@@ -488,9 +500,14 @@ class CheckpointStore:
         """Size of the checkpoint as a *full* (non-delta) image set —
         what a plain scp copy of it would ship. For a group manifest:
         the sum over its members."""
+        self.manifest(checkpoint_id)       # unknown id: typed error
+        return self._logical[checkpoint_id]
+
+    def _measure(self, checkpoint_id: str) -> int:
+        """:meth:`logical_bytes` computed from the stored chunks."""
         manifest = self.manifest(checkpoint_id)
         if manifest.get("kind") == "group":
-            return sum(self.logical_bytes(member)
+            return sum(self._measure(member)
                        for member in manifest["members"])
         meta_bytes = sum(self.chunks.chunk(d).logical_size
                          for d in manifest["meta"].values())
@@ -589,6 +606,7 @@ class CheckpointStore:
         for ref in self._manifest_refs(checkpoint_id, manifest):
             self.chunks.decref(ref)
         del self._checkpoints[checkpoint_id]
+        self._logical_total -= self._logical.pop(checkpoint_id)
 
     def gc(self) -> Tuple[int, int]:
         if not self.durable:
@@ -639,6 +657,15 @@ class CheckpointStore:
                 problems.append(f"chunk {digest[:12]}: over-referenced "
                                 f"({refs} > {want}; {refs - want} "
                                 f"reference(s) unaccounted for)")
+        try:
+            logical = sum(map(self._measure, self._checkpoints))
+        except ReproError:
+            pass                           # unreadable: reported above
+        else:
+            if logical != self._logical_total:
+                problems.append(f"running logical total "
+                                f"{self._logical_total} != {logical} "
+                                f"measured")
         return problems
 
     # -- crash recovery ----------------------------------------------------
@@ -855,15 +882,7 @@ class CheckpointStore:
         """Overwrite a corrupt chunk (memory + disk) with clean bytes,
         re-deriving the codec choice exactly like the original insert
         so repaired stores stay byte-identical to never-damaged ones."""
-        chunk = self.chunks.chunk(digest)
-        codec_name = self.chunks.codec_name
-        payload = CODECS[codec_name].compress(data)
-        if len(payload) >= len(data):
-            codec_name = "raw"
-            payload = bytes(data)
-        chunk.codec = codec_name
-        chunk.payload = payload
-        chunk.logical_size = len(data)
+        self.chunks.reinstall(digest, data)
         if self.durable:
             self.backend.quarantine_chunk(digest)
             self._persist_chunk(digest)
@@ -871,8 +890,7 @@ class CheckpointStore:
     # -- metrics ----------------------------------------------------------
 
     def stats(self) -> dict:
-        logical = sum(self.logical_bytes(cid)
-                      for cid in self._checkpoints)
+        logical = self._logical_total
         physical = self.chunks.physical_bytes()
         return {
             "checkpoints": len(self._checkpoints),
@@ -935,7 +953,7 @@ class CheckpointStore:
                 raise StoreError(f"checkpoint {cid[:12]}: manifest is "
                                  f"not JSON: {exc}") from exc
             # refs were persisted; register without increfing again
-            store._checkpoints[cid] = manifest
+            store._index(cid, manifest)
         return store
 
 

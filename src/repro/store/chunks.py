@@ -105,6 +105,12 @@ class ChunkStore:
                              f"known: {sorted(CODECS)}")
         self.codec_name = codec
         self._chunks: Dict[str, Chunk] = {}
+        # Running totals over ``_chunks`` (stored and uncompressed
+        # bytes), kept so the metrics below — read on every
+        # store-backed migration — never walk the chunk set;
+        # ``verify()`` audits them against a fresh sum.
+        self._physical = 0
+        self._unique = 0
         self.puts = 0       # ensure/put calls
         self.dup_puts = 0   # calls that hit an existing chunk
         # References taken by put() rather than by a manifest (the
@@ -128,16 +134,35 @@ class ChunkStore:
         if digest in self._chunks:
             self.dup_puts += 1
             return digest, False
-        codec_name = self.codec_name
-        payload = CODECS[codec_name].compress(data)
+        self._install(Chunk(digest, *self._encode(data), len(data)))
+        return digest, True
+
+    def _encode(self, data: bytes) -> Tuple[str, bytes]:
+        """``(codec name, payload)`` this store keeps ``data`` as."""
+        payload = CODECS[self.codec_name].compress(data)
         if len(payload) >= len(data):
             # Incompressible: keep raw. Deterministic, so store-backed
             # replay journals stay bit-identical.
-            codec_name = "raw"
-            payload = bytes(data)
-        self._chunks[digest] = Chunk(digest, codec_name, payload,
-                                     len(data))
-        return digest, True
+            return "raw", bytes(data)
+        return self.codec_name, payload
+
+    def _install(self, chunk: Chunk) -> None:
+        self._chunks[chunk.digest] = chunk
+        self._physical += len(chunk.payload)
+        self._unique += chunk.logical_size
+
+    def reinstall(self, digest: str, data: bytes) -> None:
+        """Overwrite a corrupt chunk's payload with clean ``data``
+        (the scrubber's repair), re-deriving the codec choice exactly
+        like the original insert so a repaired store stays
+        byte-identical to a never-damaged one."""
+        chunk = self.chunk(digest)
+        self._physical -= len(chunk.payload)
+        self._unique -= chunk.logical_size
+        chunk.codec, chunk.payload = self._encode(data)
+        chunk.logical_size = len(data)
+        self._physical += len(chunk.payload)
+        self._unique += chunk.logical_size
 
     def put(self, data: bytes) -> str:
         """Insert ``data`` and take one reference (raw-blob use)."""
@@ -182,8 +207,7 @@ class ChunkStore:
                     f"adopt: digest collision on {digest[:12]} — incoming "
                     f"payload differs from the stored chunk")
             return False
-        self._chunks[digest] = Chunk(digest, codec, bytes(payload),
-                                     logical_size)
+        self._install(Chunk(digest, codec, bytes(payload), logical_size))
         return True
 
     # -- retrieval --------------------------------------------------------
@@ -241,8 +265,10 @@ class ChunkStore:
         dead = [d for d, c in self._chunks.items() if c.refs <= 0]
         freed = 0
         for digest in dead:
-            freed += len(self._chunks[digest].payload)
-            del self._chunks[digest]
+            chunk = self._chunks.pop(digest)
+            freed += len(chunk.payload)
+            self._unique -= chunk.logical_size
+        self._physical -= freed
         return len(dead), freed
 
     # -- fsck -------------------------------------------------------------
@@ -269,17 +295,25 @@ class ChunkStore:
                 problems.append(f"chunk {digest[:12]}: logical size "
                                 f"mismatch ({len(data)} != "
                                 f"{chunk.logical_size})")
+        for name, kept, fresh in (
+                ("physical", self._physical,
+                 sum(len(c.payload) for c in self._chunks.values())),
+                ("unique", self._unique,
+                 sum(c.logical_size for c in self._chunks.values()))):
+            if kept != fresh:
+                problems.append(f"chunk store: running {name} total "
+                                f"{kept} != {fresh} stored")
         return problems
 
     # -- metrics ----------------------------------------------------------
 
     def physical_bytes(self) -> int:
         """Bytes actually stored (compressed, deduplicated)."""
-        return sum(len(c.payload) for c in self._chunks.values())
+        return self._physical
 
     def unique_bytes(self) -> int:
         """Uncompressed bytes of the unique chunk set."""
-        return sum(c.logical_size for c in self._chunks.values())
+        return self._unique
 
     def __repr__(self) -> str:
         return (f"<ChunkStore {len(self._chunks)} chunks "

@@ -81,8 +81,7 @@ MAX_BLOCK_INSTRS = 32
 #: :func:`codegen`. Low enough that every loop tiers up almost
 #: immediately; high enough that cold startup/exit code never pays the
 #: ``compile()`` cost. Tests may set this to 0 to force every block
-#: through the generated tier; steady-state benchmarks lower it to
-#: shorten warmup.
+#: through the generated tier.
 HOT_THRESHOLD = 4
 
 _U64M = 0xFFFFFFFFFFFFFFFF
@@ -125,8 +124,8 @@ class Block:
     __slots__ = ("pc", "version", "pcs", "cost_prefix", "body_len",
                  "full", "instrs", "term_instr", "term_cost",
                  "fn", "pfn", "heat", "chain", "chain_m", "chain_heat",
-                 "chain_epoch", "chain_key", "chain_web", "succ_pcs",
-                 "demoted")
+                 "chain_epoch", "plan_epoch", "relink_at", "chain_key",
+                 "chain_web", "succ_pcs", "demoted")
 
     def __init__(self, pc: int, version: int, instrs: List[Instruction],
                  pcs: List[int], cost_prefix: List[int],
@@ -145,8 +144,10 @@ class Block:
         self.heat = 0                      # tier-0 executions so far
         self.chain = None                  # tier-3 chain (or NO_CHAIN)
         self.chain_m = None                # (run, metered label) pair
-        self.chain_heat = 0                # tier-2 dispatches so far
-        self.chain_epoch = -1              # process.hot_epoch at build
+        self.chain_heat = 0                # dispatches while not current
+        self.chain_epoch = -1              # hot_epoch the chain is current at
+        self.plan_epoch = -1               # hot_epoch of the last web plan
+        self.relink_at = 0                 # chain_heat that pays for a compile
         self.chain_key = None              # memoized factory-cache key
         self.chain_web = None              # pcs the chain was built over
         self.succ_pcs = None               # memoized static successors
@@ -233,27 +234,18 @@ def run_thread(machine: "Machine", process: "Process",
                 # boundary, an unlinked exit, or a fault. A chain (or a
                 # no-linkable-successor verdict) is stamped with the
                 # hot epoch it was formed at; tier-up of any block
-                # bumps the epoch, so webs frozen while their
-                # neighbours were still warming get relinked instead
-                # of permanently exiting at once-cold edges.
+                # bumps the epoch, and a chain stamped with an older
+                # one goes through link_chain, which decides whether
+                # growing the web is worth a compile yet — until then
+                # the stale chain keeps serving (it only exits at the
+                # once-cold edges).
                 if chains_on:
                     chain = block.chain
-                    if (chain is not None
-                            and block.chain_epoch == process.hot_epoch):
-                        if chain is not no_chain:
-                            count += chain(thread, regs, remaining)
-                            continue
-                    else:
-                        ch = block.chain_heat + 1
-                        block.chain_heat = ch
-                        if (chain is not None
-                                or ch >= chains.CHAIN_THRESHOLD):
-                            block.chain_epoch = process.hot_epoch
-                            chain = block.chain = chains.build_chain(
-                                process, block, cache)
-                            if chain is not no_chain:
-                                count += chain(thread, regs, remaining)
-                                continue
+                    if block.chain_epoch != process.hot_epoch:
+                        chain = chains.link_chain(process, block, cache)
+                    if chain is not None and chain is not no_chain:
+                        count += chain(thread, regs, remaining)
+                        continue
                 # One call runs the trace — side exits and accounting
                 # included — and returns how many instructions retired;
                 # faults arrive as CpuFault with pc and counters
@@ -266,8 +258,7 @@ def run_thread(machine: "Machine", process: "Process",
             # otherwise the tier-2 partial variant does the same.
             if chains_on:
                 chain = block.chain
-                if (chain is not None and chain is not no_chain
-                        and block.chain_epoch == process.hot_epoch):
+                if chain is not None and chain is not no_chain:
                     run, lab = block.chain_m
                     count += run(thread, regs, remaining, lab)
                     continue
@@ -295,27 +286,55 @@ def run_thread(machine: "Machine", process: "Process",
 
 # -- block compilation ---------------------------------------------------------
 
-#: Upper bound on shared decoded traces. The cache spans every process
-#: and binary the interpreter ever runs, so without a cap a long-lived
-#: cluster simulation (many re-spawns, many rewritten binaries) grows
-#: it without limit; LRU keeps the working set of live binaries and
-#: ages out traces of dead code versions.
+#: Upper bound on each process-global code cache (decoded traces,
+#: tier-2 code objects and factories, tier-3 chain factories). They
+#: span every process and binary the interpreter ever runs, so without
+#: a cap a long-lived cluster simulation (many re-spawns, many
+#: rewritten binaries) grows them without limit; LRU keeps the working
+#: set of live binaries and ages out entries of dead code versions.
 GLOBAL_TRACES_CAP = 4096
+
+
+class LruCache(OrderedDict):
+    """A content-keyed cache evicted least-recently-used past
+    ``GLOBAL_TRACES_CAP``. Eviction is only ever a perf event: every
+    entry can be regenerated from its key's content."""
+
+    evictions = 0
+
+    def lookup(self, key):
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
+
+    def insert(self, key, value) -> None:
+        self[key] = value
+        if len(self) > GLOBAL_TRACES_CAP:
+            self.popitem(last=False)
+            self.evictions += 1
+
 
 #: (exec-page content hash, pc) -> decoded trace metadata, shared by
 #: every process running byte-identical code. Decoded traces are
 #: treated as immutable, so re-spawns of the same binary skip the
-#: whole decode pass. Ordered, LRU-evicted at GLOBAL_TRACES_CAP.
-_GLOBAL_TRACES: OrderedDict = OrderedDict()
+#: whole decode pass.
+_GLOBAL_TRACES = LruCache()
 
-_trace_stats = {"hits": 0, "misses": 0, "evictions": 0}
+_trace_stats = {"hits": 0, "misses": 0}
 
 
 def trace_cache_info() -> dict:
-    """Shared-trace-cache statistics, exposed for benchmarks and tests."""
+    """Statistics of the shared trace cache (``hits``, ``misses``,
+    ``evictions``, ``size``) and of the tier-2 code caches, exposed for
+    benchmarks and tests."""
     info = dict(_trace_stats)
+    info["evictions"] = _GLOBAL_TRACES.evictions
     info["size"] = len(_GLOBAL_TRACES)
     info["cap"] = GLOBAL_TRACES_CAP
+    for name, cache in (("code", _CODE_CACHE), ("factory", _FACTORY_CACHE)):
+        info[f"{name}_size"] = len(cache)
+        info[f"{name}_evictions"] = cache.evictions
     return info
 
 
@@ -364,17 +383,13 @@ def compile_block(process: "Process", pc: int) -> Block:
     ck = _content_key(process)
     if ck is None:
         return Block(pc, process.code_version, *_decode_trace(process, pc))
-    meta = _GLOBAL_TRACES.get((ck, pc))
+    meta = _GLOBAL_TRACES.lookup((ck, pc))
     if meta is None:
         _trace_stats["misses"] += 1
         meta = _decode_trace(process, pc)
-        _GLOBAL_TRACES[(ck, pc)] = meta
-        if len(_GLOBAL_TRACES) > GLOBAL_TRACES_CAP:
-            _GLOBAL_TRACES.popitem(last=False)
-            _trace_stats["evictions"] += 1
+        _GLOBAL_TRACES.insert((ck, pc), meta)
     else:
         _trace_stats["hits"] += 1
-        _GLOBAL_TRACES.move_to_end((ck, pc))
     return Block(pc, process.code_version, *meta)
 
 
@@ -467,7 +482,9 @@ def _decode_trace(process: "Process", pc: int) -> tuple:
 # per-site last-page cache, direct page-store indexing) expanded
 # inline — the generated code makes zero Python calls on the
 # all-fast-path execution of an ALU-only trace, and one ``unpack_from``
-# per memory access that hits its site's cached page. Fault behaviour is identical to interp.step: ``i``
+# per memory access that hits its site's cached page (a miss is one
+# call to ``_load_miss``/``_store_miss``, which refill the site's
+# cache). Fault behaviour is identical to interp.step: ``i``
 # tracks the op index at every potentially-faulting call site, the
 # ``except SegmentationFault`` epilogue accounts the completed prefix
 # and positions ``thread.pc`` at the faulting op before wrapping into
@@ -485,14 +502,37 @@ _MOVK_SHIFTS = {"movk1": 16, "movk2": 32, "movk3": 48}
 #: benchmark iteration, every restore-after-rewrite), and the source
 #: string is a complete description of the specialization, so it is
 #: the cache key.
-_CODE_CACHE: dict = {}
+_CODE_CACHE = LruCache()
 
 #: Trace shape -> the exec'd ``_make`` factory, so a recurring shape
 #: skips source generation *and* exec and only pays the per-process
 #: closure binding. Keyed by content (never object identity).
-_FACTORY_CACHE: dict = {}
+_FACTORY_CACHE = LruCache()
 
 _NO_FACTORY = object()                     # cached "shape unsupported"
+
+
+def _load_miss(aspace, addr: int, base, store) -> tuple:
+    """Slow path of a tier-2 load site: read through the address space
+    (faulting exactly as ``interp.step`` would) and return ``(value,
+    page base, page store)`` — the site's refilled last-page cache, or
+    the old one when the page has no store yet."""
+    value = aspace.read_u64(addr)
+    page = aspace._pages.get(addr - (addr & _PAGE_MASK))
+    if page is None:
+        return value, base, store
+    return value, addr - (addr & _PAGE_MASK), page
+
+
+def _store_miss(aspace, addr: int, value: int, base, store) -> tuple:
+    """Slow path of a tier-2 store site; ``write_u64`` marks the page
+    for dirty tracking. Returns the refilled ``(page base, page
+    store)``."""
+    aspace.write_u64(addr, value)
+    page = aspace._pages.get(addr - (addr & _PAGE_MASK))
+    if page is None:
+        return base, store
+    return addr - (addr & _PAGE_MASK), page
 
 
 def _factory_key(isa_name: str, block: Block, partial: bool) -> tuple:
@@ -519,17 +559,12 @@ def codegen(process: "Process", block: Block, partial: bool = False,
     With ``bind_only=True``, only bind an already-cached factory (a
     cheap closure call); return None rather than generate anything new.
     """
-    aspace = process.aspace
     key = _factory_key(process.isa.name, block, partial)
-    factory = _FACTORY_CACHE.get(key)
+    factory = _FACTORY_CACHE.lookup(key)
     if factory is not None:
         if factory is _NO_FACTORY:
             return None
-        return factory(process, aspace, aspace._pages, aspace.read_u64,
-                       aspace.write_u64, aspace.page, _U64S.pack_into,
-                       _U64S.unpack_from, tuple(block.pcs),
-                       tuple(block.cost_prefix), CpuFault,
-                       SegmentationFault)
+        return _bind(factory, process, block)
     if bind_only:
         return None
     isa = process.isa
@@ -567,11 +602,7 @@ def codegen(process: "Process", block: Block, partial: bool = False,
             f"    v = UPK({s}, o)[0]",
             "else:",
             f"    i = {k}",
-            "    v = RU(a)",
-            "    q = PAGES_GET(a - o)",
-            "    if q is not None:",
-            f"        {p} = a - o",
-            f"        {s} = q",
+            f"    v, {p}, {s} = LM(AS, a, {p}, {s})",
             f"{dest} = v - {_TWO64} if v >> 63 else v",
         ])
 
@@ -584,11 +615,7 @@ def codegen(process: "Process", block: Block, partial: bool = False,
             f"    PK({s}, o, ({value}) & {_U64M})",
             "else:",
             f"    i = {k}",
-            f"    WU(a, {value})",
-            "    q = PAGES_GET(a - o)",
-            "    if q is not None:",
-            f"        {p} = a - o",
-            f"        {s} = q",
+            f"    {p}, {s} = SM(AS, a, {value}, {p}, {s})",
         ])
 
     def account(indent: str, instrs_done: int, cycles_done: int) -> None:
@@ -612,17 +639,14 @@ def codegen(process: "Process", block: Block, partial: bool = False,
             body.append(f"regs[{lr}] = {to_i64(return_to)}")
 
     def fail() -> None:
-        _FACTORY_CACHE[key] = _NO_FACTORY
+        _FACTORY_CACHE.insert(key, _NO_FACTORY)
         return None
 
     for k, instr in enumerate(block.instrs):
         if partial and k:
             # The quantum boundary may land here: account the executed
             # prefix and stop with pc at the next op (never past m).
-            body.append(f"if m == {k}:")
-            account("    ", k, cp[k])
-            body.append(f"    thread.pc = {pcs[k]}")
-            body.append(f"    return {k}")
+            body.append(f"if m == {k}: return PX(thread, {k})")
         op = instr.op
         rd, rn, rm = instr.rd, instr.rn, instr.rm
         imm = instr.imm if instr.imm is not None else 0
@@ -739,11 +763,19 @@ def codegen(process: "Process", block: Block, partial: bool = False,
     elif total == 0:
         return fail()                      # empty trace: nothing to gain
 
-    src = ["def _make(process, AS, pages, RU, WU, PG, PK, UPK, PCS, CP,"
-           " CpuFault, SegmentationFault):",
-           "    PAGES_GET = pages.get"]
-    for h in hots:
-        src.append(f"    {h} = None")
+    src = ["def _make(process, AS, LM, SM, PK, UPK, PCS, CP,"
+           " CpuFault, SegmentationFault):"]
+    if hots:
+        src.append("    " + " = ".join(hots) + " = None")
+    if partial:
+        src.extend([
+            "    def PX(thread, k):",
+            "        thread.instr_count += k",
+            "        process.instr_total += k",
+            "        process.cycle_total += CP[k]",
+            "        thread.pc = PCS[k]",
+            "        return k",
+        ])
     src.append("    def run(thread, regs"
                + (", m):" if partial else "):"))
     if hots:
@@ -773,18 +805,22 @@ def codegen(process: "Process", block: Block, partial: bool = False,
         "    return run",
     ])
     text = "\n".join(src)
-    code = _CODE_CACHE.get(text)
+    code = _CODE_CACHE.lookup(text)
     if code is None:
         code = compile(text, f"<block@{block.pc:#x}>", "exec")
-        _CODE_CACHE[text] = code
+        _CODE_CACHE.insert(text, code)
     ns: dict = {}
     exec(code, ns)
     factory = ns["_make"]
-    _FACTORY_CACHE[key] = factory
-    return factory(process, aspace, aspace._pages, aspace.read_u64,
-                   aspace.write_u64, aspace.page, _U64S.pack_into,
-                   _U64S.unpack_from, tuple(pcs), tuple(cp),
-                   CpuFault, SegmentationFault)
+    _FACTORY_CACHE.insert(key, factory)
+    return _bind(factory, process, block)
+
+
+def _bind(factory, process: "Process", block: Block) -> Handler:
+    """The per-process closure binding of a cached ``_make`` factory."""
+    return factory(process, process.aspace, _load_miss, _store_miss,
+                   _U64S.pack_into, _U64S.unpack_from, tuple(block.pcs),
+                   tuple(block.cost_prefix), CpuFault, SegmentationFault)
 
 
 # Imported last: chains.py refers back to this module's codegen tables

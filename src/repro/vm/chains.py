@@ -56,14 +56,39 @@ Four mechanisms carry the speedup:
   ``(a ^ 2**63) - (b ^ 2**63)`` — one line — and the flags local holds
   that raw difference (only its sign is architectural; it is
   normalized to {-1, 0, 1} when spilled). Every load/store site keeps
-  a folded last-page hit test (``addr - cached_base`` in range); loads
-  additionally share a chain-level *hot VMA* cache (``VL``/``VH``
-  bounds filled in by the slow path), so a load walking a multi-page
-  array skips the full page-table walk on every page of the hot
-  mapping. Stores deliberately do **not** use the VMA cache: a store's
-  first touch of each page must go through ``write_u64`` so dirty-page
-  tracking observes it (the per-site page cache preserves exactly that
-  property; see ``Process.start_dirty_tracking``).
+  a folded last-page hit test (``addr - cached_base`` in range)
+  inline; a miss is one call into the binding's ``load_miss`` /
+  ``store_miss`` closure (:func:`_miss_paths`), which performs the
+  access and hands back the site's refilled cache. Loads additionally
+  share a *hot VMA* there, so a load walking a multi-page array skips
+  the full page-table walk on every page of the hot mapping. Stores
+  deliberately do **not**: a store's first touch of each page must go
+  through ``write_u64`` so dirty-page tracking observes it (the
+  per-site page cache preserves exactly that property; see
+  ``Process.start_dirty_tracking``).
+
+Formation is *amortised* (:func:`link_chain`). ``compile()`` costs
+6–9 µs per generated line at ~210 lines per segment — about 1.5 ms a
+segment, which *executes* in microseconds — and a hot region grows a
+few blocks at a time while it warms up: rebuilding the web at every
+tier-up compiled one 2 → 37-segment redis region 34 times (573
+segments emitted for a final chain of 37). Three rules keep the
+compiler off that path:
+
+* **Stale is not invalid.** A chain bound at an older ``hot_epoch`` is
+  still correct — block contents are immutable per code version — it
+  merely returns to ``run_thread`` at edges that have since become
+  hot. It keeps serving until a rebuild pays.
+* **What pays for a rebuild.** Every bind stamps each member with
+  ``relink_at``: the member may trigger the next *compile* of its web
+  only after ``RELINK_DISPATCHES_PER_SEGMENT`` further stale
+  dispatches per segment of the web just bound, so the compile work a
+  region attracts is proportional to the dispatches it serves.
+* **Bind before build.** Planning a web (a graph walk over memoized
+  keys) is cheap and always allowed; when the planned web's factory
+  is already cached — a fresh process on a warm node, a restored
+  process — it is bound at once whatever the member owes, with zero
+  compiles, exactly as tier-2's ``bind_only`` path does.
 
 Correctness invariants, each inherited from tier-2 and preserved:
 
@@ -116,15 +141,30 @@ if TYPE_CHECKING:
 #: stays tractable for the bytecode compiler.
 MAX_CHAIN_BLOCKS = 64
 
-#: Dispatches of a block's compiled (tier-2) function before chain
-#: formation is attempted. By then every block on the hot path has
-#: itself been through tier-2 warmup, so the successor walk links the
-#: whole loop in one attempt — chain factories are large generated
+#: Dispatches of a block's compiled (tier-2) function before its first
+#: chain is attempted. By then every block on the hot path has itself
+#: been through tier-2 warmup, so the successor walk links most of the
+#: loop in one attempt — chain factories are large generated
 #: functions, so building them for regions that are not genuinely hot
-#: (e.g. short-lived fuzz programs) costs more than it saves. Tests
-#: lower this to force chains; steady-state benchmarks lower it to
-#: shorten warmup.
+#: (e.g. short-lived fuzz programs) costs more than it saves. Only a
+#: block with no chain at all waits on this; growing an existing web
+#: is governed by ``RELINK_DISPATCHES_PER_SEGMENT``. Tests lower it to
+#: force chains.
 CHAIN_THRESHOLD = 8
+
+#: Stale dispatches a member must serve, per segment of the web it was
+#: last bound into, before it may trigger another *compile* of that
+#: web (cached factories bind regardless; see :func:`link_chain`).
+#: Measured on the cold redis/small x86→arm run (143 k instructions;
+#: ``compile()`` at 6–9 µs/line, ~210 lines/segment): 0 (rebuild at
+#: every tier-up) compiles 34 chains / 573 segments and the child,
+#: import included, takes 1.54 s; 2 → 15 / 158, 0.66 s; 4 → 13 / 147,
+#: 0.67 s; 8 → 11 / 94, 0.57 s; 16 … 10**9 compile the same 11 / 94.
+#: Steady-state pass time of the four apps on both ISAs is flat across
+#: 0, 8, 64 and 10**9 (0.46–0.56 s, run-to-run noise), so this is the
+#: smallest value at which a cold run stops paying for rebuilds it is
+#: too short to amortise.
+RELINK_DISPATCHES_PER_SEGMENT = 8
 
 #: Cached "this block heads no chain" decision (no linkable successor,
 #: or the block is a drifted duplicate outside the canonical web),
@@ -167,17 +207,26 @@ _LS = LAST_U64_SLOT
 #: chain shape -> (exec'd ``_make`` factory, fault tables). Keyed by
 #: segment *content* (absolute pcs, ops, immediates, terminators), so
 #: every process running byte-identical code shares one compiled chain
-#: and only pays the per-process closure binding.
-_CHAIN_FACTORY_CACHE: dict = {}
+#: and only pays the per-process closure binding. The generated source
+#: is not kept anywhere: the key is already a complete description.
+_CHAIN_FACTORY_CACHE = _b.LruCache()
 
 #: Counters for the bench harness (see ``chain_cache_info``).
-chain_stats = {"built": 0, "bound": 0, "unlinked": 0}
+chain_stats = {"built": 0, "bound": 0, "unlinked": 0,
+               "segments_emitted": 0, "lines_emitted": 0,
+               "relinks_deferred": 0}
 
 
 def chain_cache_info() -> dict:
-    """Chain-compiler statistics, exposed for benchmarks and tests."""
+    """Chain-compiler statistics, exposed for benchmarks and tests:
+    chains compiled (``built``, with the ``segments_emitted`` and
+    generated ``lines_emitted`` they cost), factory bindings
+    (``bound``), refused heads (``unlinked``), rebuilds put off by the
+    relink rule (``relinks_deferred``), and the factory cache's size
+    and LRU ``evictions``."""
     info = dict(chain_stats)
     info["factories"] = len(_CHAIN_FACTORY_CACHE)
+    info["evictions"] = _CHAIN_FACTORY_CACHE.evictions
     return info
 
 
@@ -257,16 +306,71 @@ def _collect_web(cache: dict, version: int, root: "Block",
     return segs
 
 
-def build_chain(process: "Process", head: "Block", cache: dict):
-    """Link the canonical hot web around ``head`` into one chain,
-    returning ``head``'s entry handler ``chain(thread, regs, budget)
-    -> retired`` — or :data:`NO_CHAIN` when ``head`` should stay on
+def link_chain(process: "Process", head: "Block", cache: dict):
+    """``run_thread``'s hook for a compiled block whose chain is not
+    current — never attempted, or stamped with an older hot epoch.
+    Counts the dispatch and returns what should serve it: a chain
+    entry handler ``chain(thread, regs, budget) -> retired`` (fresh,
+    or the stale one while its rebuild is deferred), :data:`NO_CHAIN`,
+    or None (still warming towards ``CHAIN_THRESHOLD``).
+
+    A stale chain is *incomplete*, not wrong: block contents are
+    immutable per code version, so it merely exits at edges that have
+    since become hot. Rebuilding it is therefore an investment, not an
+    obligation, and is made in the cheapest way that offers itself:
+
+    * the web did not grow — restamp the epoch, keep the chain;
+    * the planned web's factory is already cached (a fresh process on
+      a warm node, a restored process) — bind it at once, no compile;
+    * otherwise compile it, but only once ``head`` has served
+      ``RELINK_DISPATCHES_PER_SEGMENT`` stale dispatches for every
+      segment of the web it was last bound into (``relink_at``). Until
+      then the stale chain keeps serving and the web is re-planned
+      only when the hot epoch moves again.
+
+    A bind from the cache restarts the count like a compile does.
+    Without that, every process on a warming node grows its webs in a
+    slightly different order and each order mints its own intermediate
+    factories: the four-app, two-ISA mix still compiled 2 chains a
+    pass after eight passes, against none from the fourth pass on.
+    """
+    heat = head.chain_heat = head.chain_heat + 1
+    chain = head.chain
+    if chain is None and heat < CHAIN_THRESHOLD:
+        return None
+    epoch = process.hot_epoch
+    owing = heat < head.relink_at
+    if owing and head.plan_epoch == epoch:
+        return chain
+    head.plan_epoch = epoch
+    plan = _plan_chain(process, head, cache)
+    if plan is None:
+        chain_stats["unlinked"] += 1
+        head.chain_epoch = epoch
+        head.chain = NO_CHAIN
+        return NO_CHAIN
+    segs, key = plan
+    if (chain is not None and chain is not NO_CHAIN
+            and head.chain_web == tuple(blk.pc for blk in segs)):
+        # The web did not actually grow: the bound chain is still the
+        # right one, and current again until the next tier-up event.
+        head.chain_epoch = epoch
+        return chain
+    entry = _CHAIN_FACTORY_CACHE.lookup(key)
+    if entry is None:
+        if owing:
+            chain_stats["relinks_deferred"] += 1
+            return chain
+        entry = _compile_chain(process.isa, segs, key)
+    return _bind_chain(process, head, segs, entry)
+
+
+def _plan_chain(process: "Process", head: "Block", cache: dict):
+    """The canonical hot web around ``head`` and its factory-cache
+    key, as ``(segs, key)`` — or None when ``head`` should stay on
     tier-2 (no in-chain edge exists, or ``head`` is outside the
-    canonical web). Every linked block is given its own entry handler
-    into the same compiled trampoline, and every *interior* pc of
-    every segment is registered in ``process.chain_entries`` as a
-    metered resume point, so a quantum boundary parked mid-trace
-    re-enters the chain instead of seeding a duplicate trace.
+    canonical web). Cheap: a graph walk over memoized successor lists
+    and memoized per-block keys; nothing is emitted or compiled.
 
     The segment set and order are *canonicalized*: because backward
     branches terminate traces (see :func:`_decode_trace`), every
@@ -283,82 +387,75 @@ def build_chain(process: "Process", head: "Block", cache: dict):
     (usually immediately, through the member's ``chain_entries``
     resume point at this very pc).
     """
-    version = process.code_version
-    segs = _collect_web(cache, version, head, MAX_CHAIN_BLOCKS)
+    segs = _collect_web(cache, process.code_version, head, MAX_CHAIN_BLOCKS)
     if len(segs) > 1:
         for blk in segs:
             if blk is not head and head.pc in blk.pcs[1:]:
-                # ``head`` starts at an *interior* pc of another web
-                # member: it is a quantum-drift duplicate — a mid-trace
-                # suffix compiled when a quantum boundary once parked
-                # inside that member. Chaining it would mint one
-                # near-duplicate factory per drift phase; refused, it
-                # executes on tier-2 until control re-enters the web's
-                # chain (usually immediately, through the member's
-                # chain_entries resume point at this very pc).
-                chain_stats["unlinked"] += 1
-                return NO_CHAIN
+                return None                # quantum-drift duplicate
         segs.sort(key=lambda blk: blk.pc)
-    web = tuple(blk.pc for blk in segs)
-    existing = head.chain
-    if (existing is not None and existing is not NO_CHAIN
-            and head.chain_web == web):
-        # Epoch-driven relink, but the web did not actually grow: the
-        # bound chain is still the right one (block contents are
-        # immutable per code version). The caller already restamped
-        # the epoch, so the walk is not repeated until the next
-        # tier-up event.
-        return existing
-    labels: Dict[int, int] = {blk.pc: j for j, blk in enumerate(segs)}
-    ret_targets: Set[int] = set()
-    for blk in segs:
-        for k, instr in enumerate(blk.instrs):
-            if instr.op == "call":
-                ret_targets.add(blk.pcs[k] + instr.size)
-    linked = len(segs) > 1 or any(
-        t in labels for t in _static_successors(segs[0])) or (
-        segs[0].term_instr is not None and segs[0].term_instr.op == "ret"
-        and segs[0].pc in ret_targets)
-    if not linked:
-        chain_stats["unlinked"] += 1
-        return NO_CHAIN
+    else:
+        # A lone block chains only if it loops onto itself: a static
+        # back-edge, or a ``ret`` to its own call-return head.
+        term = head.term_instr
+        if head.pc not in _static_successors(head) and not (
+                term is not None and term.op == "ret"
+                and head.pc in _ret_targets(segs)):
+            return None
+    isa_name = process.isa.name
+    return segs, (isa_name, tuple(_seg_key(isa_name, blk) for blk in segs))
 
-    isa = process.isa
-    key = (isa.name, "chain", tuple(_seg_key(isa.name, blk)
-                                    for blk in segs))
-    entry = _CHAIN_FACTORY_CACHE.get(key)
-    if entry is None:
-        text, consts = _emit_chain(isa, segs, labels, ret_targets)
-        code = _b._CODE_CACHE.get(text)
-        if code is None:
-            code = compile(text, f"<chain@{segs[0].pc:#x}>", "exec")
-            _b._CODE_CACHE[text] = code
-        ns: dict = {}
-        exec(code, ns)
-        entry = (ns["_make"], consts)
-        _CHAIN_FACTORY_CACHE[key] = entry
-        chain_stats["built"] += 1
+
+def _ret_targets(segs) -> Set[int]:
+    """Call return addresses inside the web: the candidates a ``ret``
+    terminator's dynamic link-back compares its popped pc against."""
+    return {blk.pcs[k] + instr.size for blk in segs
+            for k, instr in enumerate(blk.instrs) if instr.op == "call"}
+
+
+def _compile_chain(isa, segs, key):
+    """Emit and compile the chain over ``segs``; returns (and caches
+    under ``key``) its ``(factory, fault tables)`` entry. The generated
+    text is not retained: ``key`` already names the chain by content."""
+    text, consts = _emit_chain(isa, segs)
+    ns: dict = {}
+    exec(compile(text, f"<chain@{segs[0].pc:#x}>", "exec"), ns)
+    entry = (ns["_make"], consts)
+    _CHAIN_FACTORY_CACHE.insert(key, entry)
+    chain_stats["built"] += 1
+    chain_stats["segments_emitted"] += len(segs)
+    chain_stats["lines_emitted"] += text.count("\n") + 1
+    return entry
+
+
+def _bind_chain(process: "Process", head: "Block", segs, entry):
+    """Bind ``entry``'s factory to ``process`` and hand every segment
+    block its own entry handler into the one compiled trampoline;
+    returns ``head``'s. Every *interior* pc of every segment is
+    registered in ``process.chain_entries`` as a metered resume point,
+    so a quantum boundary parked mid-trace re-enters the chain instead
+    of seeding a duplicate trace."""
     factory, (fpcs, foff, fcoff, segcp) = entry
     chain_stats["bound"] += 1
-    aspace = process.aspace
-    run = factory(process, aspace._pages, aspace.read_u64, aspace.write_u64,
-                  aspace.find_vma, _cast_page, _U64S.unpack_from,
+    run = factory(process, *_miss_paths(process.aspace),
                   fpcs, foff, fcoff, segcp, CpuFault, SegmentationFault)
     epoch = process.hot_epoch
     entries = process.chain_entries
     nsegs = len(segs)
-    result = NO_CHAIN
+    web = tuple(blk.pc for blk in segs)
+    debt = RELINK_DISPATCHES_PER_SEGMENT * nsegs   # see link_chain
+    result = None
     for j, blk in enumerate(segs):
         enter = run if j == 0 else _entry_handler(run, j)
-        if blk.pc == head.pc:
+        if blk is head:
             result = enter
         # Overwrite, don't keep: an existing handler on a member block
-        # was built at an older hot epoch (or in the same pass) and the
+        # was bound at an older hot epoch (or in the same pass) and the
         # fresh web is at least as complete.
         blk.chain = enter
         blk.chain_m = (run, nsegs + j)
         blk.chain_epoch = epoch
         blk.chain_web = web
+        blk.relink_at = blk.chain_heat + debt
         # Interior pcs (and the terminator's own pc) resume through
         # the metered arm; the successor pc past a trace's end is the
         # next block's business, not a resume point of this one.
@@ -367,6 +464,60 @@ def build_chain(process: "Process", head: "Block", cache: dict):
         for k in range(1, lim):
             entries[pcs[k]] = (run, nsegs + j, k)
     return result
+
+
+def _miss_paths(aspace):
+    """The two slow paths every memory site of one chain binding
+    shares, as closures ``load_miss(addr, base, view) -> (value, base,
+    view)`` and ``store_miss(addr, value, base, view) -> (base,
+    view)``: perform the access through the address space (faulting
+    exactly as ``interp.step`` would) and return the site's refilled
+    last-page cache — or the old one when the page has no store yet.
+
+    Loads also share a *hot VMA* (``lo``/``hi``, filled in here): a
+    full-word access inside its bounds is known readable, so one
+    page-dict probe replaces the whole ``read_u64`` walk on every page
+    of the hot mapping. Missing pages still take the walk — under lazy
+    post-copy an absent store is not proof of zeros. Stores
+    deliberately do not use it: the first touch of every page per
+    binding must reach ``write_u64`` so dirty-page tracking marks it
+    (chains are dropped when tracking starts, like tier-2 blocks).
+    """
+    pages_get = aspace._pages.get
+    read_u64 = aspace.read_u64
+    write_u64 = aspace.write_u64
+    find_vma = aspace.find_vma
+    unpack_from = _U64S.unpack_from
+    lo, hi = 1, 0
+
+    def load_miss(a, base, view):
+        nonlocal lo, hi
+        a &= _U64M
+        o = a & _PM
+        if lo <= a and a + 8 <= hi and o <= _LS:
+            page = pages_get(a - o)
+            if page is None:
+                return read_u64(a), base, view
+            return unpack_from(page, o)[0], a - o, _cast_page(page)
+        value = read_u64(a)
+        vma = find_vma(a)
+        if vma is not None and vma.readable and a + 8 <= vma.end:
+            lo = vma.start
+            hi = vma.end
+        page = pages_get(a - o)
+        if page is None:
+            return value, base, view
+        return value, a - o, _cast_page(page)
+
+    def store_miss(a, value, base, view):
+        a &= _U64M
+        write_u64(a, value)
+        page = pages_get(a - (a & _PM))
+        if page is None:
+            return base, view
+        return a - (a & _PM), _cast_page(page)
+
+    return load_miss, store_miss
 
 
 def _entry_handler(run, label: int):
@@ -473,8 +624,9 @@ def _off(base: str, imm: int) -> str:
     return f"{base} - {-imm}" if imm < 0 else f"{base} + {imm}"
 
 
-def _emit_chain(isa, segs, labels: Dict[int, int],
-                ret_targets: Set[int]) -> Tuple[str, tuple]:
+def _emit_chain(isa, segs) -> Tuple[str, tuple]:
+    labels: Dict[int, int] = {blk.pc: j for j, blk in enumerate(segs)}
+    ret_targets = _ret_targets(segs)
     abi = isa.abi
     sp = isa.reg(abi.stack_pointer)
     fp = isa.reg(abi.frame_pointer)
@@ -493,12 +645,6 @@ def _emit_chain(isa, segs, labels: Dict[int, int],
 
     def emit(depth: int, text: str) -> None:
         body.append((depth, text))
-
-    def spill_lines(depth: int) -> None:
-        for idx in spilled:
-            emit(depth, f"regs[{idx}] = "
-                        f"r{idx} - {_TWO64} if r{idx} >> 63 else r{idx}")
-        emit(depth, "thread.flags = (f > 0) - (f < 0)")
 
     def new_site() -> Tuple[str, str]:
         pair = (f"p{len(sites) // 2}", f"s{len(sites) // 2}")
@@ -521,61 +667,28 @@ def _emit_chain(isa, segs, labels: Dict[int, int],
         # a plain subscript on the page's ``'Q'``-cast memoryview — no
         # struct call, no tuple. ``addr`` is deliberately unmasked (one
         # AND saved per access) — a wrapped address falls off the fast
-        # path and is masked in the slow arm, as do the (compiler-never-
-        # emitted) misaligned words. Misses consult the chain's hot VMA
-        # (``VL``/``VH``): a full-word access inside its bounds is known
-        # readable, so one page-dict probe replaces the whole read_u64
-        # walk (missing pages still take the walk: under lazy post-copy
-        # an absent store is not proof of zeros).
+        # path and is masked in the slow path, as do the (compiler-never-
+        # emitted) misaligned words. A miss is one call into the
+        # binding's ``load_miss`` closure (see :func:`_miss_paths`),
+        # which hands back the value and the site's refilled cache;
+        # ``i`` is set first, so a fault inside it finds its table row.
         p, s = new_site()
-        fi = fault_index(pc, off, coff)
         emit(depth, f"if not (o := {addr} - {p}) & {~_LS}:")
         emit(depth + 1, f"{dest} = {s}[o >> 3]")
         emit(depth, "else:")
-        emit(depth + 1, f"a = (o + {p}) & {_U64M}")
-        emit(depth + 1, f"o = a & {_PM}")
-        emit(depth + 1, f"if VL <= a and a + 8 <= VH and o <= {_LS}:")
-        emit(depth + 2, "q = PAGES_GET(a - o)")
-        emit(depth + 2, "if q is None:")
-        emit(depth + 3, f"i = {fi}")
-        emit(depth + 3, f"{dest} = RU(a)")
-        emit(depth + 2, "else:")
-        emit(depth + 3, f"{dest} = UPK(q, o)[0]")
-        emit(depth + 3, f"{p} = a - o")
-        emit(depth + 3, f"{s} = MQ(q)")
-        emit(depth + 1, "else:")
-        emit(depth + 2, f"i = {fi}")
-        emit(depth + 2, f"{dest} = RU(a)")
-        emit(depth + 2, "q = PAGES_GET(a - o)")
-        emit(depth + 2, "if q is not None:")
-        emit(depth + 3, f"{p} = a - o")
-        emit(depth + 3, f"{s} = MQ(q)")
-        emit(depth + 2, "w = FV(a)")
-        emit(depth + 2,
-             "if w is not None and w.readable and a + 8 <= w.end:")
-        emit(depth + 3, "VL = w.start")
-        emit(depth + 3, "VH = w.end")
+        emit(depth + 1, f"i = {fault_index(pc, off, coff)}")
+        emit(depth + 1, f"{dest}, {p}, {s} = LM(o + {p}, {p}, {s})")
 
     def write(depth: int, pc: int, off: int, coff: int,
               addr: str, value: str) -> None:
-        # Same folded hit test as ``read``. Stores keep only the
-        # per-site page cache: the first touch of every page per
-        # binding must reach write_u64 so dirty-page tracking marks it
-        # (chains are dropped when tracking starts, exactly like tier-2
-        # blocks).
+        # Same folded hit test as ``read``; the miss goes through the
+        # binding's ``store_miss`` closure.
         p, s = new_site()
-        fi = fault_index(pc, off, coff)
         emit(depth, f"if not (o := {addr} - {p}) & {~_LS}:")
         emit(depth + 1, f"{s}[o >> 3] = {value}")
         emit(depth, "else:")
-        emit(depth + 1, f"a = (o + {p}) & {_U64M}")
-        emit(depth + 1, f"o = a & {_PM}")
-        emit(depth + 1, f"i = {fi}")
-        emit(depth + 1, f"WU(a, {value})")
-        emit(depth + 1, "q = PAGES_GET(a - o)")
-        emit(depth + 1, "if q is not None:")
-        emit(depth + 2, f"{p} = a - o")
-        emit(depth + 2, f"{s} = MQ(q)")
+        emit(depth + 1, f"i = {fault_index(pc, off, coff)}")
+        emit(depth + 1, f"{p}, {s} = SM(o + {p}, {value}, {p}, {s})")
 
     def transition(depth: int, target: int, add_n: int, add_c: int) -> None:
         """Leave the current segment for ``target``: enter the fast arm
@@ -696,11 +809,8 @@ def _emit_chain(isa, segs, labels: Dict[int, int],
                 emit(d, f"x = r{rn} - {_TWO64} if r{rn} >> 63 else r{rn}")
                 emit(d, f"y = r{rm} - {_TWO64} if r{rm} >> 63 else r{rm}")
                 emit(d, "if y == 0:")
+                emit(d + 1, f"i = {fault_index(pcs[k], k, cp[k])}")
                 emit(d + 1, f"thread.pc = {pcs[k]}")
-                spill_lines(d + 1)
-                emit(d + 1, f"thread.instr_count += n + {k}")
-                emit(d + 1, f"process.instr_total += n + {k}")
-                emit(d + 1, f"process.cycle_total += c + {cp[k]}")
                 emit(d + 1, f"raise CpuFault(thread, {msg!r})")
                 emit(d, "v = abs(x) // abs(y)" if op == "sdiv"
                      else "v = abs(x) % abs(y)")
@@ -785,19 +895,20 @@ def _emit_chain(isa, segs, labels: Dict[int, int],
     emit_dispatch(0, 2 * nsegs, 0)
 
     # -- assemble ----------------------------------------------------------
-    src = ["def _make(process, pages, RU, WU, FV, MQ, UPK, PCS, OFF, COFF,"
-           " SEGCP, CpuFault, SegmentationFault):",
-           "    PAGES_GET = pages.get"]
+    # Every way out — a ``break`` with ``pc`` set, or a fault — leaves
+    # through the one ``finally`` epilogue, which spills the register
+    # locals and accounts ``n``/``c``; the fault arms only move the
+    # three to the faulting op first, via the flat fault tables.
+    src = ["def _make(process, LM, SM, PCS, OFF, COFF, SEGCP, CpuFault,"
+           " SegmentationFault):"]
     for j in range(nsegs):
         src.append(f"    CP{j} = SEGCP[{j}]")
-    for cell in sites:
-        cold = _COLD_PAGE if cell[0] == "p" else None
-        src.append(f"    {cell} = {cold}")
-    src.append("    VL = 1")
-    src.append("    VH = 0")
+    if sites:
+        src.append("    " + " = ".join(sites[0::2]) + f" = {_COLD_PAGE}")
+        src.append("    " + " = ".join(sites[1::2]) + " = None")
     src.append("    def run(thread, regs, budget, L=0, K=0):")
     if sites:
-        src.append("        nonlocal " + ", ".join(sites + ["VL", "VH"]))
+        src.append("        nonlocal " + ", ".join(sites))
     for idx in used:
         src.append(f"        r{idx} = regs[{idx}] & {_U64M}")
     src.append("        f = thread.flags")
@@ -806,40 +917,36 @@ def _emit_chain(isa, segs, labels: Dict[int, int],
     src.append("        n = 0")
     src.append("        c = 0")
     src.append("        i = 0")
+    src.append("        pc = thread.pc")   # bound even on a BaseException
     src.append("        try:")
     src.append("            while 1:")
     for depth, text in body:
         src.append("                " + "    " * depth + text)
-    src.append("        except CpuFault:")
-    src.append("            raise")        # div: accounted + spilled inline
-    if sites:
-        handlers = (
-            ("        except SegmentationFault as exc:",
-             "            raise CpuFault(thread, str(exc)) from exc"),
-            ("        except Exception:",  # e.g. a dead lazy-page server
-             "            raise"),
-        )
-        for opener, reraise in handlers:
-            src.append(opener)
-            src.append("            thread.pc = PCS[i]")
-            for idx in spilled:
-                src.append(f"            regs[{idx}] = "
-                           f"r{idx} - {_TWO64} if r{idx} >> 63 else r{idx}")
-            src.append("            thread.flags = (f > 0) - (f < 0)")
-            src.append("            k = n + OFF[i]")
-            src.append("            thread.instr_count += k")
-            src.append("            process.instr_total += k")
-            src.append("            process.cycle_total += c + COFF[i]")
-            src.append(reraise)
-    src.append("        thread.pc = pc")
+    if fpcs:
+        src.extend([
+            "        except SegmentationFault as exc:",
+            "            pc = thread.pc = PCS[i]",
+            "            n += OFF[i]",
+            "            c += COFF[i]",
+            "            raise CpuFault(thread, str(exc)) from exc",
+            "        except Exception:",   # div by zero, dead lazy-page server
+            "            pc = PCS[i]",
+            "            n += OFF[i]",
+            "            c += COFF[i]",
+            "            raise",
+        ])
+    src.append("        finally:")
+    src.append("            thread.pc = pc")
     for idx in spilled:
-        src.append(f"        regs[{idx}] = "
+        src.append(f"            regs[{idx}] = "
                    f"r{idx} - {_TWO64} if r{idx} >> 63 else r{idx}")
-    src.append("        thread.flags = (f > 0) - (f < 0)")
-    src.append("        thread.instr_count += n")
-    src.append("        process.instr_total += n")
-    src.append("        process.cycle_total += c")
-    src.append("        return n")
-    src.append("    return run")
+    src.extend([
+        "            thread.flags = (f > 0) - (f < 0)",
+        "            thread.instr_count += n",
+        "            process.instr_total += n",
+        "            process.cycle_total += c",
+        "        return n",
+        "    return run",
+    ])
     segcp = tuple(tuple(blk.cost_prefix) for blk in segs)
     return "\n".join(src), (tuple(fpcs), tuple(foff), tuple(fcoff), segcp)

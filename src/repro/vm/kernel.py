@@ -51,9 +51,10 @@ class Process:
         # first-touch writes or execute pre-rewrite code.
         self.chain_entries: Dict[int, tuple] = {}
         self.code_version = 0
-        # Bumped whenever a block tiers up to a compiled trace; tier-3
-        # chains stamped with an older epoch relink on next dispatch so
-        # webs formed mid-warmup grow to cover newly-hot successors.
+        # Bumped whenever a block tiers up to a compiled trace; a
+        # tier-3 chain stamped with an older epoch is stale (still
+        # correct, possibly incomplete) and chains.link_chain decides
+        # when growing its web is worth a compile.
         self.hot_epoch = 0
         # Content hash of the executable pages, computed lazily by the
         # superblock engine to share decoded traces across processes

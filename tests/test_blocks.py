@@ -13,15 +13,18 @@ Covers the engine's three safety-critical contracts:
 
 import pytest
 
+from repro.apps.registry import get_app
 from repro.binfmt.stackmaps import KIND_ENTRY
 from repro.compiler import compile_source
-from repro.core.migration import exe_path_for, install_program
+from repro.core.migration import (MigrationPipeline, exe_path_for,
+                                  install_program)
 from repro.core.policies.live_update import LiveUpdatePolicy
 from repro.core.policies.stack_shuffle import StackShufflePolicy
 from repro.core.rewriter import ProcessRewriter
 from repro.core.runtime import DapperRuntime
 from repro.criu.restore import restore_process
-from repro.isa import get_isa
+from repro.isa import ARM_ISA, X86_ISA, get_isa
+from repro.replay import record_run
 from repro.vm import Machine, blocks, chains
 from repro.vm.cpu import ThreadStatus
 from repro.vm.interp import CpuFault
@@ -209,14 +212,16 @@ class TestEngineParity:
         assert _fingerprint(process) == _fingerprint(ref)
 
 
+ENGINE_FLAGS = {"interp": dict(block_engine=False),
+                "blocks": dict(chain_engine=False),
+                "chains": dict()}
+
+
 def _run_engine(program, name, arch, quantum, engine):
     """One run under the named tier; returns the full observable record
     (including any fault message and per-thread park state)."""
     isa = get_isa(arch)
-    flags = {"interp": dict(block_engine=False),
-             "blocks": dict(chain_engine=False),
-             "chains": dict()}[engine]
-    machine = Machine(isa, quantum=quantum, **flags)
+    machine = Machine(isa, quantum=quantum, **ENGINE_FLAGS[engine])
     install_program(machine, program)
     process = machine.spawn_process(exe_path_for(name, arch))
     fault = None
@@ -279,16 +284,64 @@ class TestChainParity:
 
     @pytest.mark.parametrize("arch", ARCHES)
     @pytest.mark.parametrize("source,name", [
-        ("DIVZERO", "divzero"), ("WILD", "wild")])
+        ("DIVZERO", "divzero"), ("WILD", "wild"), ("WILDLOAD", "wildload")])
     def test_fault_parity_mid_chain(self, arch, source, name, monkeypatch):
-        """A div-by-zero or segfault raised from inside a linked chain
-        must surface the identical fault text and leave the identical
+        """A div-by-zero or a segfault (store and load: the outlined
+        miss paths) raised from inside a linked chain must surface the
+        identical fault text and leave the identical
         retired-instruction state as per-step execution."""
         program = compile_source(globals()[source + "_SOURCE"], name)
         ref = _run_engine(program, name, arch, 64, "interp")
         assert ref[4] is not None            # the fault really fired
         _force_chains(monkeypatch)
         assert _run_engine(program, name, arch, 64, "chains") == ref
+
+    @pytest.mark.parametrize("arch", ARCHES)
+    def test_dirty_set_parity_with_chains(self, arch, counter_program,
+                                          monkeypatch):
+        """Dirty tracking sees every page a chain writes: each store
+        site's first touch of a page goes through its binding's
+        ``store_miss`` into ``write_u64``, so the harvested set — and
+        the state the slice stopped in — match per-step execution."""
+        def tracked(engine):
+            machine = Machine(get_isa(arch), **ENGINE_FLAGS[engine])
+            install_program(machine, counter_program)
+            process = machine.spawn_process(exe_path_for("counter", arch))
+            machine.step_all(2500)
+            process.start_dirty_tracking()
+            machine.step_all(2500)
+            dirty = process.harvest_dirty_pages()
+            assert dirty and not process.exited
+            return (dirty, process.instr_total, process.cycle_total,
+                    sorted((t.pc, t.instr_count, tuple(t.regs))
+                           for t in process.threads.values()))
+
+        ref = tracked("interp")
+        _force_chains(monkeypatch)
+        built = chains.chain_cache_info()["bound"]
+        assert tracked("chains") == ref
+        assert chains.chain_cache_info()["bound"] > built
+
+    def test_lazy_absent_page_parity_with_chains(self, counter_program,
+                                                 counter_reference_output,
+                                                 monkeypatch):
+        """Under lazy post-copy an absent page is not proof of zeros:
+        a chain load that misses on one takes the ``read_u64`` walk
+        (and the page-server fetch) exactly as per-step does."""
+        def lazily(engine):
+            flags = ENGINE_FLAGS[engine]
+            pipeline = MigrationPipeline(Machine(X86_ISA, **flags),
+                                         Machine(ARM_ISA, **flags),
+                                         counter_program)
+            result = pipeline.run_and_migrate(2500, lazy=True)
+            assert result.combined_output() == counter_reference_output
+            return (_fingerprint(result.process),
+                    result.page_server.pages_served)
+
+        ref = lazily("interp")
+        assert ref[1] >= 1
+        _force_chains(monkeypatch)
+        assert lazily("chains") == ref
 
     def test_invalidation_drops_chains_and_entries(self, counter_program,
                                                    monkeypatch):
@@ -303,6 +356,123 @@ class TestChainParity:
         process.aspace.write_code(thread.pc, b"\x06" * 16)
         assert process.block_cache == {}
         assert process.chain_entries == {}
+
+
+def _cold_code_caches(monkeypatch):
+    """Empty process-global code caches, as a fresh interpreter has."""
+    monkeypatch.setattr(chains, "_CHAIN_FACTORY_CACHE", blocks.LruCache())
+    monkeypatch.setattr(blocks, "_FACTORY_CACHE", blocks.LruCache())
+    monkeypatch.setattr(blocks, "_CODE_CACHE", blocks.LruCache())
+
+
+def _chain_counters(run):
+    """``chain_cache_info()`` counter deltas over ``run()``."""
+    before = chains.chain_cache_info()
+    result = run()
+    after = chains.chain_cache_info()
+    return result, {key: after[key] - before[key] for key in chains.chain_stats}
+
+
+class TestChainFormation:
+    """The relink policy: a chain bound at an older hot epoch is
+    incomplete, never wrong, so rebuilding it is deferred until it
+    pays — and skipped outright when the factory is already cached."""
+
+    def test_cold_run_compiles_a_third_of_eager_rebuild(self, monkeypatch):
+        """The ``cold_cli`` shape — redis/small on x86_64, migrated to
+        aarch64 after 20k steps, run to exit, default thresholds. Eager
+        relinking compiled 34 chains / 573 segments here."""
+        _cold_code_caches(monkeypatch)
+        program = get_app("redis").compile("small")
+
+        def cold():
+            pipeline = MigrationPipeline(Machine(X86_ISA), Machine(ARM_ISA),
+                                         program)
+            return pipeline.run_and_migrate(20000)
+
+        result, spent = _chain_counters(cold)
+        assert result.process.exit_code == 0
+        assert 0 < spent["built"] <= 34 // 3
+        assert spent["segments_emitted"] <= 573 // 3
+        assert spent["lines_emitted"] > spent["segments_emitted"]
+        assert spent["relinks_deferred"] > 0
+
+    @pytest.mark.parametrize("arch", ARCHES)
+    def test_digests_identical_whatever_the_relink_debt(self, arch,
+                                                        monkeypatch):
+        """Per-step, tier-2 and tier-3 digest streams agree at quantum
+        7 and 64 with the relink constant at 0 (rebuild at every epoch:
+        the old eager rule) and at 10**9 (never rebuild: stale chains
+        serve to the end) — a stale chain is merely incomplete."""
+        def digests(engine, quantum):
+            return record_run(PHASED_SOURCE, "phased", arch=arch,
+                              engine=engine, quantum=quantum
+                              ).journal.digest_stream()
+
+        spent = {}
+        for quantum in (7, 64):
+            ref = digests("interp", quantum)
+            assert digests("blocks", quantum) == ref
+            for debt in (0, 10 ** 9):
+                _cold_code_caches(monkeypatch)
+                monkeypatch.setattr(chains, "RELINK_DISPATCHES_PER_SEGMENT",
+                                    debt)
+                stream, spent[quantum, debt] = _chain_counters(
+                    lambda: digests("chains", quantum))
+                assert stream == ref
+                assert spent[quantum, debt]["built"] > 0
+        # Quantum 64 dispatches whole traces, so the extremes differ.
+        eager, never = spent[64, 0], spent[64, 10 ** 9]
+        assert eager["relinks_deferred"] == 0 < never["relinks_deferred"]
+        assert eager["segments_emitted"] > never["segments_emitted"]
+
+    @pytest.mark.parametrize("arch", ARCHES)
+    def test_warm_node_binds_without_compiling(self, arch, monkeypatch):
+        """Bind before build: once a node's caches hold a binary's
+        webs, a new process of it reaches its predecessor's final webs
+        with zero compiles, whatever its members still owe. (The cold
+        process warms tier-2, which changes the order webs grow in, so
+        the second may still compile some; the third must not.)"""
+        _cold_code_caches(monkeypatch)
+        program = compile_source(PHASED_SOURCE, "phased")
+
+        def run():
+            machine, process = _spawn(program, arch)
+            machine.run_process(process)
+            return process
+
+        def webs(process):
+            return {pc: block.chain_web
+                    for pc, block in process.block_cache.items()
+                    if block.chain not in (None, chains.NO_CHAIN)}
+
+        cold, spent_cold = _chain_counters(run)
+        second, spent = _chain_counters(run)
+        assert spent["built"] < spent_cold["built"]
+        third, spent = _chain_counters(run)
+        assert spent["built"] == 0 and spent["bound"] > 0
+        assert webs(third) == webs(second) != {}
+        assert (_fingerprint(cold) == _fingerprint(second)
+                == _fingerprint(third))
+
+    def test_code_caches_are_bounded_and_chains_keep_no_source(
+            self, counter_program, counter_reference_output, monkeypatch):
+        """Tier-2 and chain caches share the trace cache's LRU bound
+        (eviction is a perf event only), and a chain's generated text
+        is not held anywhere once compiled."""
+        _cold_code_caches(monkeypatch)
+        _force_chains(monkeypatch)
+        monkeypatch.setattr(blocks, "GLOBAL_TRACES_CAP", 4)
+        machine, process = _spawn(counter_program, "x86_64", "counter")
+        machine.run_process(process)
+        assert process.stdout() == counter_reference_output
+        info = blocks.trace_cache_info()
+        assert info["code_size"] <= 4 and info["factory_size"] <= 4
+        assert info["code_evictions"] > 0 and info["factory_evictions"] > 0
+        chain_info = chains.chain_cache_info()
+        assert 0 < chain_info["factories"] <= 4
+        assert not any("def run(thread, regs, budget" in text
+                       for text in blocks._CODE_CACHE)
 
 
 class TestDemotion:
@@ -386,6 +556,34 @@ func main() -> int {
     }
     p = p + 123456789;
     *p = acc;
+    return 0;
+}
+"""
+
+WILDLOAD_SOURCE = WILD_SOURCE.replace("*p = acc;", "acc = acc + *p;")
+
+# A loop whose web keeps growing after its first chain is built: each
+# guarded arm only turns hot sixty iterations after the last.
+PHASED_SOURCE = """
+global int acc;
+func bump(int i) -> int { acc = acc + i; return acc; }
+func twist(int i) -> int {
+    if (i % 3 == 0) { return bump(i) * 2; }
+    return i - 1;
+}
+func main() -> int {
+    int i;
+    i = 0;
+    while (i < 360) {
+        acc = acc + twist(i);
+        if (i > 60) { acc = acc ^ i; }
+        if (i > 120) { acc = acc - bump(i); }
+        if (i > 180) { acc = acc + (i / 7); }
+        if (i > 240) { acc = acc - twist(i + 1); }
+        if (i > 300) { acc = acc * 3; }
+        i = i + 1;
+    }
+    print(acc);
     return 0;
 }
 """

@@ -261,6 +261,46 @@ class TestCheckpointStore:
         assert stats["physical_bytes"] < stats["logical_bytes"]
         assert stats["dedup_ratio"] > 1.0
 
+    def test_stats_totals_are_kept_not_recomputed(self, parked, tmp_path):
+        """stats() reads running totals (it sits on the store-backed
+        migrate path); they track put / put_group / delete / gc /
+        load_dir exactly, and verify() catches books that drifted."""
+        machine, process, runtime = parked
+        store = CheckpointStore()
+
+        def fresh(s):
+            chunks = list(s.chunks)
+            return (sum(s._measure(cid) for cid in s.checkpoint_ids()),
+                    sum(len(c.payload) for c in chunks),
+                    sum(c.logical_size for c in chunks))
+
+        def kept(s):
+            stats = s.stats()
+            return (stats["logical_bytes"], stats["physical_bytes"],
+                    stats["unique_bytes"])
+
+        ckpt = IncrementalCheckpointer(store, process, runtime=runtime)
+        root = ckpt.checkpoint().checkpoint_id
+        advance(machine, runtime)
+        leaf = ckpt.checkpoint().checkpoint_id
+        gid = store.put_group([root, leaf])
+        assert store.logical_bytes(gid) == (store.logical_bytes(root)
+                                            + store.logical_bytes(leaf))
+        assert kept(store) == fresh(store)
+        store.save_dir(str(tmp_path))
+        assert kept(CheckpointStore.load_dir(str(tmp_path))) == kept(store)
+        store.delete(gid)
+        store.delete(leaf)
+        store.gc()
+        assert kept(store) == fresh(store)
+        assert store.stats()["logical_bytes"] == store.logical_bytes(root)
+        assert store.verify() == []
+        store._logical_total += 1
+        store.chunks._physical += 1
+        problems = store.verify()
+        assert any("running logical total" in p for p in problems)
+        assert any("running physical total" in p for p in problems)
+
 
 class TestGroupManifestChains:
     """A group manifest pins its members like a parent link: deleting
