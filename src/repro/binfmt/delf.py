@@ -93,7 +93,13 @@ class Segment:
 
 
 class DelfBinary:
-    """A linked, loadable program image for one ISA."""
+    """A linked, loadable program image for one ISA.
+
+    A binary obtained from :meth:`Machine.load_binary` (``process.binary``,
+    a restore's ``ctx.binary``) is the node's one parse of that file,
+    shared by every process running it: treat it as read-only. To change
+    a program, build a new binary and write it over the path.
+    """
 
     def __init__(self, *, arch: str, entry: int, source_name: str,
                  text: bytes, data: bytes, symtab: SymbolTable,

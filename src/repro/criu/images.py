@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .. import wire
 from ..errors import ImageFormatError, MemoryError_, WireError
@@ -105,6 +105,10 @@ class InventoryImage:
         #: checkpoint id this dump is a delta against ("" = full dump)
         self.parent = parent
 
+    def copy(self) -> "InventoryImage":
+        return InventoryImage(self.pid, self.arch, self.source_name,
+                              self.tids, self.lazy, self.parent)
+
     def to_bytes(self) -> bytes:
         return _wrap("inventory", _INVENTORY_SCHEMA.encode({
             "pid": self.pid, "arch": self.arch,
@@ -150,6 +154,10 @@ class CoreImage:
         #: dwarf register number -> signed value
         self.regs = dict(regs)
 
+    def copy(self) -> "CoreImage":
+        return CoreImage(self.tid, self.arch, self.pc, self.flags,
+                         self.tls_base, self.status, self.regs)
+
     def to_bytes(self) -> bytes:
         numbers = sorted(self.regs)
         return _wrap("core", _CORE_SCHEMA.encode({
@@ -192,6 +200,11 @@ class MmImage:
         self.vmas = list(vmas)
         self.heap_end = heap_end
 
+    def copy(self) -> "MmImage":
+        return MmImage([Vma(v.start, v.end, v.prot, v.name, v.file_backed,
+                            v.file_path, v.file_offset)
+                        for v in self.vmas], self.heap_end)
+
     def to_bytes(self) -> bytes:
         return _wrap("mm", _MM_SCHEMA.encode({
             "vmas": [v.to_dict() for v in self.vmas],
@@ -225,6 +238,9 @@ class FilesImage:
     def __init__(self, exe_path: str, exe_arch: str):
         self.exe_path = exe_path
         self.exe_arch = exe_arch
+
+    def copy(self) -> "FilesImage":
+        return FilesImage(self.exe_path, self.exe_arch)
 
     def to_bytes(self) -> bytes:
         return _wrap("files", _FILES_SCHEMA.encode({
@@ -308,6 +324,10 @@ class PagemapImage:
                 out.append(entry.vaddr + i * PAGE_SIZE)
         return out
 
+    def copy(self) -> "PagemapImage":
+        return PagemapImage([PagemapEntry(e.vaddr, e.nr_pages, e.flags)
+                             for e in self.entries])
+
     def to_bytes(self) -> bytes:
         return _wrap("pagemap", _PAGEMAP_SCHEMA.encode({
             "entries": [e.to_dict() for e in self.entries]}))
@@ -327,12 +347,28 @@ class PagemapImage:
 # -- the image set ------------------------------------------------------------------
 
 class ImageSet:
-    """One checkpoint: named image files, loadable from / savable to tmpfs."""
+    """One checkpoint: named image files, loadable from / savable to tmpfs.
+
+    ``files`` holds the encoded bytes and is the only truth: digests,
+    saves and transfers read it and nothing else. The typed accessors
+    decode a file the first time it is asked for and keep the result
+    beside the ``bytes`` object it came from; a later call decodes again
+    unless ``files[name]`` *is* still that object. Stored blobs are
+    immutable, so identity means unchanged content — and every way of
+    changing a file (``set_*``, assigning into ``files``, a chaos
+    injector swapping in a corrupted copy) installs a different object,
+    which misses. A blob that fails to decode is never remembered: it
+    raises on every call. Each call returns its own copy, so mutating a
+    returned image changes nothing until it is written back with
+    ``set_*``.
+    """
 
     def __init__(self, files: Optional[Dict[str, bytes]] = None):
         self.files: Dict[str, bytes] = dict(files or {})
+        #: file name -> (the blob that was decoded, the decoded image)
+        self._decoded: Dict[str, Tuple[bytes, object]] = {}
 
-    # typed accessors (parse on demand, write back explicitly)
+    # typed accessors (decode once per blob, write back explicitly)
 
     def _blob(self, name: str) -> bytes:
         try:
@@ -341,23 +377,33 @@ class ImageSet:
             raise ImageFormatError(
                 f"image set has no {name}") from None
 
+    def _section(self, name: str, kind):
+        """The memoised decode of ``files[name]`` — shared, so for
+        reading only; the public accessors hand out copies of it."""
+        blob = self._blob(name)
+        hit = self._decoded.get(name)
+        if hit is None or hit[0] is not blob:
+            hit = self._decoded[name] = (blob, kind.from_bytes(blob))
+        return hit[1]
+
     def inventory(self) -> InventoryImage:
-        return InventoryImage.from_bytes(self._blob("inventory.img"))
+        return self._section("inventory.img", InventoryImage).copy()
 
     def core(self, tid: int) -> CoreImage:
-        return CoreImage.from_bytes(self._blob(f"core-{tid}.img"))
+        return self._section(f"core-{tid}.img", CoreImage).copy()
 
     def cores(self) -> List[CoreImage]:
-        return [self.core(tid) for tid in self.inventory().tids]
+        tids = self._section("inventory.img", InventoryImage).tids
+        return [self.core(tid) for tid in tids]
 
     def mm(self) -> MmImage:
-        return MmImage.from_bytes(self._blob("mm.img"))
+        return self._section("mm.img", MmImage).copy()
 
     def files_img(self) -> FilesImage:
-        return FilesImage.from_bytes(self._blob("files.img"))
+        return self._section("files.img", FilesImage).copy()
 
     def pagemap(self) -> PagemapImage:
-        return PagemapImage.from_bytes(self._blob("pagemap.img"))
+        return self._section("pagemap.img", PagemapImage).copy()
 
     def pages(self) -> bytes:
         return self._blob("pages-1.img")
@@ -390,7 +436,7 @@ class ImageSet:
         checkpoint store's parent chain instead.
         """
         index = 0           # counts only pages with data in pages-1.img
-        for entry in self.pagemap().entries:
+        for entry in self._section("pagemap.img", PagemapImage).entries:
             span = entry.nr_pages * PAGE_SIZE
             if entry.vaddr <= vaddr < entry.vaddr + span:
                 if entry.in_parent:
@@ -403,7 +449,7 @@ class ImageSet:
 
     def is_delta(self) -> bool:
         """True when this image set is an incremental (delta) dump."""
-        return self.pagemap().is_delta()
+        return self._section("pagemap.img", PagemapImage).is_delta()
 
     def total_bytes(self) -> int:
         return sum(len(v) for v in self.files.values())

@@ -9,8 +9,7 @@ anything is built.
 
 from __future__ import annotations
 
-from ...binfmt.delf import DelfBinary
-from ...errors import RestoreError
+from ...errors import KernelError, RestoreError
 from ..images import FilesImage
 from .base import CheckpointPlugin, DumpContext, RestoreContext
 
@@ -36,8 +35,8 @@ class FilesPlugin(CheckpointPlugin):
             raise RestoreError(
                 f"executable {files_img.exe_path!r} not present "
                 f"on {machine.name}")
-        binary = DelfBinary.from_bytes(machine.tmpfs.read(files_img.exe_path))
-        if binary.arch != machine.isa.name:
+        try:
+            ctx.binary = machine.load_binary(files_img.exe_path)
+        except KernelError as exc:
             raise RestoreError(
-                f"binary {files_img.exe_path!r} is {binary.arch}")
-        ctx.binary = binary
+                f"binary {files_img.exe_path!r} rejected: {exc}") from exc

@@ -111,7 +111,7 @@ def _write_pages(process, pages: List[int], images: ImageSet,
         flags = PE_PARENT if base in in_parent else 0
         if flags == 0:
             data = process.aspace.page(base)
-            blob += bytes(data) if data is not None else bytes(PAGE_SIZE)
+            blob += data if data is not None else bytes(PAGE_SIZE)
         if (run_start is not None and flags == run_flags
                 and base == run_start + run_len * PAGE_SIZE):
             run_len += 1
@@ -150,7 +150,7 @@ def _build_address_space(images: ImageSet, binary) -> AddressSpace:
     # Overlay every dumped page (stacks, data, heap, TLS, and the
     # rewritten execution-context code pages).
     pagemap = images.pagemap()
-    pages = images.pages()
+    pages = memoryview(images.pages())
     expected = pagemap.data_pages() * PAGE_SIZE
     if len(pages) < expected:
         raise RestoreError(

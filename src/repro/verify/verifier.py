@@ -448,7 +448,7 @@ class ImageVerifier:
         each mismatch names the repair source pass 3 will use."""
         check = self._tick(report)
         offset = 0
-        pages = images.pages()
+        pages = memoryview(images.pages())      # page slices copy nothing
         text_vmas = [v for v in mm.vmas if v.file_backed]
         for entry in pagemap.entries:
             if entry.in_parent:
@@ -552,7 +552,7 @@ class ImageVerifier:
         check = self._tick(report)
         text_vmas = [v for v in mm.vmas if v.file_backed]
         offset = 0
-        pages = images.pages()
+        pages = memoryview(images.pages())
         for entry in images.pagemap().entries:
             if entry.in_parent:
                 continue
@@ -660,7 +660,7 @@ def _page_offsets(images: ImageSet) -> Dict[int, int]:
 def image_page_digests(images: ImageSet) -> Dict[int, str]:
     """vaddr -> chunk digest for every data page: the sender-side
     manifest a receiving verifier checks the arrived bytes against."""
-    pages = images.pages()
+    pages = memoryview(images.pages())
     return {vaddr: page_digest(pages[off:off + PAGE_SIZE])
             for vaddr, off in _page_offsets(images).items()}
 

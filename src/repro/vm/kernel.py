@@ -160,12 +160,25 @@ class Machine:
         self.tmpfs.write(path, binary.to_bytes())
         return path
 
-    def spawn_process(self, path: str) -> Process:
-        """Load a DELF from tmpfs and start it (main thread at entry)."""
-        binary = DelfBinary.from_bytes(self.tmpfs.read(path))
+    def load_binary(self, path: str) -> DelfBinary:
+        """The parsed executable at ``path``, checked against this ISA.
+
+        Every exec on this node — :meth:`spawn_process` and the CRIU
+        restore path — comes through here, and the parse (stackmaps,
+        frames, symbol table) is served from the tmpfs page cache
+        (:meth:`TmpFs.parsed`): it happens once per installed file, not
+        once per process. The returned binary is shared by every process
+        running it and is read-only.
+        """
+        binary = self.tmpfs.parsed(path, DelfBinary.from_bytes)
         if binary.arch != self.isa.name:
             raise KernelError(
                 f"binary is {binary.arch}, machine is {self.isa.name}")
+        return binary
+
+    def spawn_process(self, path: str) -> Process:
+        """Load a DELF from tmpfs and start it (main thread at entry)."""
+        binary = self.load_binary(path)
         pid = self.next_pid
         self.next_pid += 1
         process = Process(pid, binary, path, self)

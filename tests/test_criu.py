@@ -14,6 +14,7 @@ from repro.criu.restore import restore_process
 from repro.errors import (CheckpointError, ImageFormatError, RestoreError)
 from repro.isa import X86_ISA
 from repro.mem.paging import PAGE_SIZE, page_align_down
+from repro.mem.vma import Vma
 from repro.vm import Machine
 
 
@@ -60,6 +61,113 @@ class TestImageEncoding:
         files = FilesImage("/bin/app.x86_64", "x86_64")
         copy = FilesImage.from_bytes(files.to_bytes())
         assert copy.exe_path == "/bin/app.x86_64"
+
+
+class DecodeCount:
+    """Counts ``from_bytes`` calls of one image class."""
+
+    def __init__(self, monkeypatch, kind):
+        self.calls = 0
+        from_bytes = kind.from_bytes.__func__
+
+        def counted(cls, blob):
+            self.calls += 1
+            return from_bytes(cls, blob)
+
+        monkeypatch.setattr(kind, "from_bytes", classmethod(counted))
+
+
+class TestImageSetDecodesOnce:
+    """``ImageSet`` remembers a decode only while ``files[name]`` is the
+    very blob it decoded, and never lets a caller's edits leak."""
+
+    def _images(self):
+        images = ImageSet()
+        images.set_inventory(InventoryImage(7, "x86_64", "app", [1, 2]))
+        images.set_core(CoreImage(1, "x86_64", 0x400100, 0, 0x2000,
+                                  "trapped", {7: 123}))
+        images.set_core(CoreImage(2, "x86_64", 0x400200, 0, 0x3000,
+                                  "trapped", {7: 456}))
+        images.set_mm(MmImage([Vma(0x1000, 0x3000, 0b101, "code")],
+                              0x500000))
+        images.set_pagemap(PagemapImage([PagemapEntry(0x1000, 2)]))
+        images.set_files_img(FilesImage("/bin/app.x86_64", "x86_64"))
+        images.set_pages(b"a" * PAGE_SIZE + b"b" * PAGE_SIZE)
+        return images
+
+    def test_repeat_accessors_decode_once(self, monkeypatch):
+        images = self._images()
+        cores = DecodeCount(monkeypatch, CoreImage)
+        pagemaps = DecodeCount(monkeypatch, PagemapImage)
+        for _ in range(3):
+            assert [c.tid for c in images.cores()] == [1, 2]
+            assert images.page_at(0x2000) == b"b" * PAGE_SIZE
+            assert not images.is_delta()
+        assert (cores.calls, pagemaps.calls) == (2, 1)
+
+    def test_mutating_a_returned_image_is_invisible(self):
+        images = self._images()
+        before = dict(images.files)
+        core = images.core(1)
+        core.pc = 0
+        core.regs[7] = -1
+        mm = images.mm()
+        mm.heap_end = 0
+        mm.vmas[0].end = 0x9000
+        mm.vmas.append(Vma(0x7000, 0x8000, 0b110, "stack:1"))
+        pagemap = images.pagemap()
+        pagemap.entries[0].nr_pages = 99
+        pagemap.entries.append(PagemapEntry(0x9000, 1))
+        inventory = images.inventory()
+        inventory.tids.append(3)
+        files_img = images.files_img()
+        files_img.exe_path = "/bin/other"
+        assert images.core(1).pc == 0x400100
+        assert images.core(1).regs == {7: 123}
+        assert (images.mm().heap_end, len(images.mm().vmas),
+                images.mm().vmas[0].end) == (0x500000, 1, 0x3000)
+        assert [(e.vaddr, e.nr_pages) for e in images.pagemap().entries] \
+            == [(0x1000, 2)]
+        assert images.inventory().tids == [1, 2]
+        assert images.files_img().exe_path == "/bin/app.x86_64"
+        assert images.files == before
+        images.set_core(core)                   # ...until written back
+        assert images.core(1).regs == {7: -1}
+
+    def test_every_way_of_replacing_a_blob_decodes_afresh(self, monkeypatch):
+        images = self._images()
+        assert images.core(1).pc == 0x400100
+        cores = DecodeCount(monkeypatch, CoreImage)
+        images.set_core(CoreImage(1, "x86_64", 0x400300, 0, 0, "trapped", {}))
+        assert images.core(1).pc == 0x400300
+        assert cores.calls == 1
+        other = CoreImage(1, "x86_64", 0x400400, 0, 0, "trapped", {})
+        images.files["core-1.img"] = other.to_bytes()
+        assert images.core(1).pc == 0x400400
+        assert cores.calls == 2
+        # An equal-content copy is a different object: decoded again.
+        images.files["core-1.img"] = bytes(bytearray(other.to_bytes()))
+        assert images.core(1).pc == 0x400400
+        assert cores.calls == 3
+        flipped = bytearray(images.files["core-1.img"])
+        flipped[-1] ^= 0x40                     # what a chaos injector does
+        images.files["core-1.img"] = bytes(flipped)
+        assert images.core(1).to_bytes() == bytes(flipped)
+        assert cores.calls == 4
+        del images.files["core-1.img"]
+        with pytest.raises(ImageFormatError):
+            images.core(1)
+
+    def test_a_blob_that_fails_to_decode_raises_every_time(self):
+        images = self._images()
+        good = images.files["mm.img"]
+        assert images.mm().heap_end == 0x500000
+        images.files["mm.img"] = good[:-1]
+        for _ in range(3):
+            with pytest.raises(ImageFormatError):
+                images.mm()
+        images.files["mm.img"] = good
+        assert images.mm().heap_end == 0x500000
 
 
 class TestDump:

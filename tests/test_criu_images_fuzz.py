@@ -20,15 +20,19 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from test_wire import same_decode
+
+from repro.apps import all_apps
 from repro.core.migration import exe_path_for, install_program
 from repro.core.runtime import DapperRuntime
+from repro.criu import images as images_mod
 from repro.criu.images import (PE_PARENT, CoreImage, FilesImage,
                                ImageSet, InventoryImage, MmImage,
                                PagemapEntry, PagemapImage)
 from repro.criu.restore import restore_process
 from repro.errors import (ImageFormatError, RestoreError, VerifyError,
                           WireError)
-from repro.isa import X86_ISA
+from repro.isa import ARM_ISA, X86_ISA
 from repro.mem.vma import Vma
 from repro.verify import image_page_digests, verify_images
 from repro.vm import Machine
@@ -259,3 +263,80 @@ class TestMutatedSetsAreContained:
         process = restore_process(machine, images)
         machine.run_process(process)
         assert process.exit_code == 0
+
+
+@pytest.fixture(scope="module")
+def registry_dumps():
+    """A real dump of every registry app on both ISAs:
+    ``(label, ImageSet)`` pairs."""
+    dumps = []
+    for spec in all_apps():
+        program = spec.compile("small")
+        for isa in (X86_ISA, ARM_ISA):
+            machine = Machine(isa, name="src")
+            install_program(machine, program)
+            process = machine.spawn_process(
+                exe_path_for(spec.name, isa.name))
+            machine.step_all(3000)
+            runtime = DapperRuntime(machine, process)
+            runtime.pause_at_equivalence_points()
+            dumps.append((f"{spec.name}/{isa.name}", runtime.checkpoint()))
+    return dumps
+
+
+def _wire_sections(images):
+    """``(file name, typed class, wire schema)`` for the sections the
+    migration path decodes over and over."""
+    yield "inventory.img", InventoryImage, images_mod._INVENTORY_SCHEMA
+    yield "mm.img", MmImage, images_mod._MM_SCHEMA
+    yield "pagemap.img", PagemapImage, images_mod._PAGEMAP_SCHEMA
+    for tid in images.inventory().tids:
+        yield f"core-{tid}.img", CoreImage, images_mod._CORE_SCHEMA
+
+
+class TestRealImagesThroughTheCodec:
+    """The fused wire codec on what it is actually fed: it must read
+    and write every real image exactly as the field-at-a-time codec
+    did, and fail on a cut one with the same error."""
+
+    def test_decode_encode_is_byte_identical(self, registry_dumps):
+        for label, images in registry_dumps:
+            for name, kind, schema in _wire_sections(images):
+                blob = images.files[name]
+                assert kind.from_bytes(blob).to_bytes() == blob, \
+                    (label, name)
+                fields = same_decode(schema, blob[4:])
+                assert schema.encode(dict(fields)) == blob[4:], (label, name)
+
+    def test_accessor_then_setter_leaves_every_byte_alone(
+            self, registry_dumps):
+        for label, images in registry_dumps:
+            before = dict(images.files)
+            copy = ImageSet(before)
+            copy.set_inventory(copy.inventory())
+            copy.set_mm(copy.mm())
+            copy.set_pagemap(copy.pagemap())
+            copy.set_files_img(copy.files_img())
+            for core in copy.cores():
+                copy.set_core(core)
+            assert copy.files == before, label
+            assert copy.content_digest() == images.content_digest()
+
+    def test_truncation_at_every_offset(self, registry_dumps):
+        """Outside, a cut image is an ImageFormatError (or, cut between
+        two optional fields, a shorter valid image); inside, the wire
+        layer says WireTruncated or WireError exactly where the
+        reference decoder does (``same_decode`` compares class and
+        message)."""
+        for label, images in registry_dumps:
+            for name, kind, schema in _wire_sections(images):
+                blob = images.files[name]
+                for cut in range(len(blob)):
+                    piece = blob[:cut]
+                    wire_failed = cut < 4 or isinstance(
+                        same_decode(schema, piece[4:]), tuple)
+                    try:
+                        kind.from_bytes(piece)
+                    except ImageFormatError:
+                        continue
+                    assert not wire_failed, (label, name, cut)

@@ -7,9 +7,13 @@ combined output must be byte-identical to a native run.
 
 import pytest
 
+from repro import wire
+from repro.apps import get_app
+from repro.binfmt.delf import DelfBinary
 from repro.core.migration import (MigrationPipeline, exe_path_for,
                                   install_program)
 from repro.core.policies.cross_isa import CrossIsaPolicy
+from repro.core.rerandomize import PeriodicRerandomizer
 from repro.core.rewriter import ProcessRewriter
 from repro.core.runtime import DapperRuntime
 from repro.criu.restore import restore_process
@@ -173,3 +177,152 @@ class TestImagesAfterRewrite:
         from repro.core.tlsmod import tls_block_address
         block = tls_block_address(thread.tp, "aarch64")
         assert block % 8 == 0
+
+
+class DecodeCounter:
+    """Counts what the serialisation layer is asked to do: top-level
+    ``Schema.decode`` calls outside a binary parse (= image files
+    decoded; nested messages don't count) and ``DelfBinary.from_bytes``
+    calls (= full executable parses)."""
+
+    def __init__(self, monkeypatch):
+        self.images = 0
+        self.parses = 0
+        self._depth = 0
+        schema_decode = wire.Schema.decode
+        from_bytes = DelfBinary.from_bytes.__func__
+
+        def decode(schema, data):
+            if self._depth == 0:
+                self.images += 1
+            self._depth += 1
+            try:
+                return schema_decode(schema, data)
+            finally:
+                self._depth -= 1
+
+        def parse(cls, blob):
+            self.parses += 1
+            self._depth += 1            # its decodes are not image files
+            try:
+                return from_bytes(cls, blob)
+            finally:
+                self._depth -= 1
+
+        monkeypatch.setattr(wire.Schema, "decode", decode)
+        monkeypatch.setattr(DelfBinary, "from_bytes", classmethod(parse))
+
+    def reset(self):
+        self.images = self.parses = 0
+
+
+class TestDecodeOnce:
+    """The migration path parses each thing it is handed once. These
+    are counts, not timings: a regression is a diff."""
+
+    @pytest.mark.parametrize("app", ["redis", "swaptions"])
+    def test_warm_pingpong_decode_budget(self, app, monkeypatch):
+        """Per migration: at most two decodes per image file (the dumped
+        set, then whatever the rewrite replaced) and no executable
+        parse. Measured: redis 9 decodes over 6 files, swaptions 15
+        over 9 (was 31 and 46, plus one full parse, when every accessor
+        and every restore parsed from scratch)."""
+        program = get_app(app).compile("small")
+        x86 = Machine(X86_ISA, name="x86")
+        arm = Machine(ARM_ISA, name="arm")
+        there = MigrationPipeline(x86, arm, program)
+        back = MigrationPipeline(arm, x86, program)
+        process = there.start()
+        x86.step_all(3000)
+        result = there.migrate(process)          # warms arm's exec cache
+        arm.step_all(500)
+        process = back.migrate(result.process).process
+        x86.step_all(500)
+        counter = DecodeCounter(monkeypatch)
+        for pipe, machine in ((there, arm), (back, x86)):
+            counter.reset()
+            result = pipe.migrate(process)
+            process = result.process
+            assert counter.parses == 0
+            assert 0 < counter.images <= 2 * len(result.images.files)
+            machine.step_all(500)
+        x86.run_process(process)
+        assert process.exit_code == 0
+
+    def test_second_restore_parses_no_binary(self, counter_program,
+                                             monkeypatch):
+        src = Machine(X86_ISA, name="src")
+        install_program(src, counter_program)
+        process = src.spawn_process(exe_path_for("counter", "x86_64"))
+        src.step_all(2500)
+        runtime = DapperRuntime(src, process)
+        runtime.pause_at_equivalence_points()
+        images = runtime.checkpoint()
+        dst = Machine(X86_ISA, name="dst")
+        install_program(dst, counter_program)
+        counter = DecodeCounter(monkeypatch)
+        first = restore_process(dst, images)
+        assert counter.parses == 1
+        second = restore_process(dst, images)
+        assert counter.parses == 1
+        assert second.binary is first.binary
+        other = Machine(X86_ISA, name="other")     # caches are per machine
+        install_program(other, counter_program)
+        assert restore_process(other, images).binary is not first.binary
+        assert counter.parses == 2
+
+    def test_restore_sees_an_overwritten_executable(self, counter_program):
+        """install_program over a live path (a live update, a shuffle
+        epoch) must reach the next restore, equal content or not."""
+        src = Machine(X86_ISA, name="src")
+        install_program(src, counter_program)
+        process = src.spawn_process(exe_path_for("counter", "x86_64"))
+        src.step_all(2500)
+        runtime = DapperRuntime(src, process)
+        runtime.pause_at_equivalence_points()
+        images = runtime.checkpoint()
+        dst = Machine(X86_ISA, name="dst")
+        install_program(dst, counter_program)
+        before = restore_process(dst, images).binary
+        install_program(dst, counter_program)       # same bytes, new file
+        same = restore_process(dst, images).binary
+        assert same.to_bytes() == before.to_bytes()
+        path = exe_path_for("counter", "x86_64")
+        binary = counter_program.binary("x86_64")
+        marked = DelfBinary.from_bytes(binary.to_bytes())
+        marked.extra_sections[".note"] = b"v2"
+        dst.tmpfs.write(path, marked.to_bytes())
+        assert restore_process(dst, images).binary.extra_sections == \
+            {".note": b"v2"}
+
+    def test_loaded_binaries_are_never_written(self, counter_program,
+                                               counter_reference_output):
+        """Every process on a node shares one parsed binary per path, so
+        nothing may mutate it: a ping-pong and a stack-shuffle epoch
+        leave its serialisation unchanged."""
+        x86 = Machine(X86_ISA, name="x86")
+        arm = Machine(ARM_ISA, name="arm")
+        there = MigrationPipeline(x86, arm, counter_program)
+        back = MigrationPipeline(arm, x86, counter_program)
+        process = there.start()
+        loaded = [(machine, exe_path_for("counter", machine.isa.name))
+                  for machine in (x86, arm)]
+        before = [machine.load_binary(path) for machine, path in loaded]
+        assert process.binary is before[0]
+        x86.step_all(1200)
+        first = there.migrate(process)
+        arm.step_all(600)
+        second = back.migrate(first.process)
+        assert first.process.binary is before[1]
+        assert second.process.binary is before[0]
+        rerand = PeriodicRerandomizer(x86, second.process,
+                                      counter_program.binary("x86_64"),
+                                      interval_steps=600, seed=3)
+        assert rerand.run_to_completion() == 0
+        assert len(rerand.epochs) >= 1
+        assert (first.output_before + second.output_before
+                + rerand.output()) == counter_reference_output
+        for (machine, path), binary in zip(loaded, before):
+            assert machine.load_binary(path) is binary
+            assert binary.to_bytes() == counter_program.binary(
+                machine.isa.name).to_bytes()

@@ -63,6 +63,43 @@ class TestTmpfs:
         src.copy_tree("/img", dst, "/other")
         assert dst.read("/other/a") == b"x"
 
+    def test_parsed_follows_the_stored_object(self):
+        """One parse per stored file: kept while ``read`` returns the
+        same object, redone after a rewrite (equal content or not),
+        dropped with the file, never kept for a parse that failed."""
+        fs = TmpFs()
+        calls = []
+
+        def parse(data):
+            calls.append(data)
+            if data == b"bad":
+                raise ValueError("bad")
+            return [data]
+
+        fs.write("/bin/a", b"one")
+        first = fs.parsed("/bin/a", parse)
+        assert fs.parsed("/bin/a", parse) is first
+        assert len(calls) == 1
+        fs.write("/bin/a", bytearray(b"one"))       # same content, new file
+        second = fs.parsed("/bin/a", parse)
+        assert second == first and second is not first
+        fs.write("/bin/a", b"two")
+        assert fs.parsed("/bin/a", parse) == [b"two"]
+        assert len(calls) == 3
+        fs.write("/bin/a", b"bad")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                fs.parsed("/bin/a", parse)
+        assert len(calls) == 5
+        fs.write("/bin/b", b"other")
+        fs.parsed("/bin/b", parse)
+        assert set(fs._parsed) <= {"/bin/a", "/bin/b"}   # one per live path
+        fs.remove("/bin/a")
+        fs.remove("/bin/b")
+        assert fs._parsed == {}
+        with pytest.raises(Exception):
+            fs.parsed("/bin/a", parse)
+
 
 class TestBasicExecution:
     def test_exit_code(self):
@@ -123,8 +160,31 @@ class TestBasicExecution:
         machine = Machine(X86_ISA)
         machine.tmpfs.write("/bin/t.aarch64",
                             program.binary("aarch64").to_bytes())
-        with pytest.raises(KernelError):
-            machine.spawn_process("/bin/t.aarch64")
+        for _ in range(2):          # the arch check is not cached away
+            with pytest.raises(KernelError):
+                machine.spawn_process("/bin/t.aarch64")
+
+    def test_spawn_shares_one_parse_and_sees_an_overwrite(self):
+        v1 = compile_source("func main() -> int { return 1; }", "t")
+        v2 = compile_source("func main() -> int { return 2; }", "t")
+        machine, other = Machine(X86_ISA), Machine(X86_ISA)
+        path = exe_path_for("t", "x86_64")
+        install_program(machine, v1)
+        install_program(other, v1)
+        first = machine.spawn_process(path)
+        assert machine.spawn_process(path).binary is first.binary
+        assert machine.load_binary(path) is first.binary
+        assert other.load_binary(path) is not first.binary   # per machine
+        install_program(machine, v2)                 # a live update
+        updated = machine.spawn_process(path)
+        assert updated.binary is not first.binary
+        machine.run_process(updated)
+        machine.run_process(first)
+        assert (first.exit_code, updated.exit_code) == (1, 2)
+        machine.tmpfs.remove(path)
+        assert path not in machine.tmpfs._parsed
+        with pytest.raises(Exception):
+            machine.load_binary(path)
 
 
 THREAD_SOURCE = """

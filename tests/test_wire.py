@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro import wire
-from repro.errors import WireError
+from repro.errors import WireError, WireTruncated
 
 
 class TestVarint:
@@ -52,15 +52,39 @@ class TestZigzag:
         assert wire.zigzag_encode(1) == 2
         assert wire.zigzag_encode(-2) == 3
 
-    @given(st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1))
+    @given(st.integers(min_value=-(2 ** 64), max_value=2 ** 64))
     def test_roundtrip_property(self, value):
         assert wire.zigzag_decode(wire.zigzag_encode(value)) == value
 
-    @given(st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1))
+    @given(st.integers(min_value=-(2 ** 64), max_value=2 ** 64))
     def test_signed_varint_roundtrip(self, value):
         data = wire.encode_signed_varint(value)
         decoded, _ = wire.decode_signed_varint(data)
         assert decoded == value
+
+    def test_upper_half_of_u64_survives_a_schema_roundtrip(self):
+        """Python ints have no 64-bit sign bit: 2**63 used to come back
+        as -(2**63) - 1, i.e. an address or register in the upper half
+        of the u64 space restored as a different, negative number."""
+        schema = wire.Schema("t", [wire.field(1, "x", "int"),
+                                   wire.field(2, "xs", "int", repeated=True)])
+        for value in (2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64,
+                      -(2 ** 63) - 1, -(2 ** 64)):
+            assert wire.zigzag_encode(value) >= 0
+            obj = {"x": value, "xs": [value, -value]}
+            assert schema.decode(schema.encode(obj)) == obj
+
+    def test_in_range_bytes_unchanged(self):
+        """Golden vectors written at the commit before the fix: every
+        value in the signed 64-bit range encodes to the same bytes."""
+        golden = {
+            0: "00", -1: "01", 1: "02", 63: "7e", -64: "7f", 64: "8001",
+            2 ** 31: "8080808010", -(2 ** 31): "ffffffff0f",
+            2 ** 63 - 1: "feffffffffffffffff01",
+            -(2 ** 63): "ffffffffffffffffff01",
+        }
+        for value, want in golden.items():
+            assert wire.encode_signed_varint(value).hex() == want
 
 
 class TestFields:
@@ -235,3 +259,180 @@ class TestDecoderFuzz:
             OUTER.decode(data)
         except WireError:
             pass
+
+
+# -- the fused Schema codec against the field-at-a-time helpers ----------------
+
+def reference_encode(schema, obj):
+    """``Schema.encode`` as it was before the loops were fused: one
+    ``bytes`` per field from :func:`wire.encode_field`, concatenated."""
+    out = b""
+    for name, value in obj.items():
+        spec = schema.by_name.get(name)
+        if spec is None:
+            raise WireError(f"{schema.name}: unknown field {name!r}")
+        for item in (value if spec.repeated else [value]):
+            if spec.kind == "message":
+                payload = reference_encode(spec.message, item)
+                out += (wire._encode_key(spec.number, wire.WIRE_LEN)
+                        + wire.encode_varint(len(payload)) + payload)
+                continue
+            if spec.kind == "bytes" and isinstance(item, str):
+                item = item.encode("latin-1")
+            out += wire.encode_field(spec.number, item)
+    return out
+
+
+def reference_decode(schema, data):
+    """``Schema.decode`` as it was before the loops were fused: fields
+    from the :func:`wire.iter_fields` generator, typed one at a time.
+    The order of the checks here *is* the error precedence the fused
+    loop must keep."""
+    obj = {}
+    for number, wire_type, raw in wire.iter_fields(data):
+        spec = schema.by_number.get(number)
+        if spec is None:
+            raise WireError(f"{schema.name}: unexpected field number {number}")
+        if spec.kind == "int":
+            if wire_type != wire.WIRE_VARINT:
+                raise WireError(f"{schema.name}.{spec.name}: expected varint")
+            value = raw
+        elif wire_type != wire.WIRE_LEN:
+            raise WireError(
+                f"{schema.name}.{spec.name}: expected length-delimited")
+        elif spec.kind == "bytes":
+            value = raw
+        elif spec.kind == "str":
+            try:
+                value = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise WireError(
+                    f"{schema.name}.{spec.name}: invalid utf-8") from exc
+        else:
+            value = reference_decode(spec.message, raw)
+        if spec.repeated:
+            obj.setdefault(spec.name, []).append(value)
+        else:
+            obj[spec.name] = value
+    for spec in schema.by_number.values():
+        if spec.repeated and spec.name not in obj:
+            obj[spec.name] = []
+    return obj
+
+
+def outcome(decode, schema, data):
+    """What a decoder did with ``data``: the ordered fields, or the
+    exact exception class and message."""
+    try:
+        return list(decode(schema, data).items())
+    except WireError as exc:
+        return type(exc), str(exc)
+
+
+def same_decode(schema, data):
+    got = outcome(lambda s, d: s.decode(d), schema, data)
+    assert got == outcome(reference_decode, schema, data), data.hex()
+    return got
+
+
+#: OUTER plus a two-byte key (field 20), which the one-byte fast path
+#: for keys must hand to the general varint reader
+WIDE = wire.Schema("wide", [
+    wire.field(1, "name", "str"),
+    wire.field(2, "count", "int"),
+    wire.field(3, "blob", "bytes"),
+    wire.field(4, "items", "message", repeated=True, message=NESTED),
+    wire.field(5, "numbers", "int", repeated=True),
+    wire.field(20, "far", "int"),
+])
+
+GOLDEN_OBJ = {"name": "héllo", "count": -7, "blob": bytes(range(130)),
+              "items": [{"x": 1, "tag": "a"}, {"x": -(2 ** 40), "tag": ""},
+                        {}],
+              "numbers": [0, -1, 127, 128, 2 ** 63 - 1, -(2 ** 63)]}
+
+#: OUTER.encode(GOLDEN_OBJ), written at the commit before the fusion
+GOLDEN_HEX = (
+    "0a0668c3a96c6c6f100d1a8201" + bytes(range(130)).hex()
+    + "22050802120161220908ffffffffff3f12002200"
+    + "2800280128fe0128800228feffffffffffffffff0128ffffffffffffffffff01")
+
+
+class TestFusedCodec:
+    def test_golden_bytes(self):
+        assert OUTER.encode(GOLDEN_OBJ).hex() == GOLDEN_HEX
+        decoded = OUTER.decode(bytes.fromhex(GOLDEN_HEX))
+        assert decoded == {**GOLDEN_OBJ,
+                           "items": [{"x": 1, "tag": "a"},
+                                     {"x": -(2 ** 40), "tag": ""}, {}]}
+        assert OUTER.encode(decoded).hex() == GOLDEN_HEX
+
+    def test_decode_keeps_wire_order_then_absent_repeated(self):
+        data = OUTER.encode({"numbers": [1], "count": 2, "name": "n"})
+        assert list(OUTER.decode(data)) == ["numbers", "count", "name",
+                                            "items"]
+
+    def test_error_precedence(self):
+        key = wire._encode_key
+        cases = [
+            # a cut value beats the unknown field number it belongs to
+            (key(9, wire.WIRE_VARINT) + b"\x80", WireTruncated),
+            (key(9, wire.WIRE_LEN) + b"\x05ab", WireTruncated),
+            # an unsupported wire type beats everything after the key
+            (wire.encode_varint((9 << 3) | 5), WireError),
+            # over-long beats truncated: the 11th continuation byte
+            (key(2, wire.WIRE_VARINT) + b"\x80" * 11, WireError),
+            (key(2, wire.WIRE_VARINT) + b"\x80" * 10, WireTruncated),
+            # known number, wrong wire type, both ways
+            (key(2, wire.WIRE_LEN) + b"\x01a", WireError),
+            (key(1, wire.WIRE_VARINT) + b"\x02", WireError),
+            # a two-byte key: truncated, then unknown, then fine
+            (b"\xa0", WireTruncated),
+            (wire.encode_varint(21 << 3) + b"\x02", WireError),
+        ]
+        for data, want in cases:
+            got = same_decode(WIDE, data)
+            assert got[0] is want, (data.hex(), got)
+        assert same_decode(WIDE, key(20, wire.WIRE_VARINT) + b"\x03")[0] \
+            == ("far", -2)
+
+    def test_truncation_at_every_offset_matches_reference(self):
+        full = WIDE.encode({**GOLDEN_OBJ, "far": 2 ** 64})
+        for cut in range(len(full) + 1):
+            same_decode(WIDE, full[:cut])
+
+    def test_value_type_picks_the_wire_type(self):
+        """Mistyped values encode exactly as they always did."""
+        for obj in ({"count": "text"}, {"name": 5}, {"blob": "latin\xe9"},
+                    {"count": True}, {"blob": bytearray(b"ab")},
+                    {"numbers": [True, "x", b"y"]}):
+            assert OUTER.encode(obj) == reference_encode(OUTER, obj)
+        for obj in ({"count": 1.5}, {"bogus": 1}, {"items": [{"nope": 1}]}):
+            with pytest.raises(WireError) as new:
+                OUTER.encode(obj)
+            with pytest.raises(WireError) as old:
+                reference_encode(OUTER, obj)
+            assert str(new.value) == str(old.value)
+
+    @given(st.lists(st.integers(-(2 ** 64), 2 ** 64), max_size=12),
+           st.binary(max_size=200), st.text(max_size=32),
+           st.lists(st.tuples(st.integers(-(2 ** 64), 2 ** 64),
+                              st.text(max_size=8)), max_size=4))
+    def test_encode_matches_reference(self, numbers, blob, name, items):
+        obj = {"name": name, "blob": blob, "numbers": numbers,
+               "items": [{"x": x, "tag": tag} for x, tag in items]}
+        data = OUTER.encode(obj)
+        assert data == reference_encode(OUTER, obj)
+        assert OUTER.decode(data) == obj
+
+    @given(st.binary(max_size=96))
+    def test_decode_matches_reference_on_garbage(self, data):
+        same_decode(WIDE, data)
+
+    @given(st.lists(st.tuples(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 20]),
+                              st.sampled_from([0, 0, 2, 2, 1, 5]),
+                              st.binary(max_size=12)), max_size=5))
+    def test_decode_matches_reference_on_plausible_fields(self, parts):
+        data = b"".join(wire.encode_varint((number << 3) | wire_type) + tail
+                        for number, wire_type, tail in parts)
+        same_decode(WIDE, data)
