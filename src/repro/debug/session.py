@@ -56,11 +56,11 @@ from ..errors import (CheckpointError, DebugError, MemoryError_,
                       ReproError)
 from ..isa import get_isa
 from ..replay import journal as jn
-from ..replay.digest import machine_digest
+from ..replay.digest import DigestState
 from ..replay.divergence import bisect_last_transition
 from ..replay.engine import Replayer, _compile
 from ..replay.journal import Journal
-from ..replay.recorder import FlightRecorder, ReplayObserver, _OutputHash
+from ..replay.recorder import FlightRecorder, ReplayObserver
 from ..store import CheckpointStore
 from ..vm.kernel import Machine, Process
 from .snapshots import Position, SnapshotIndex, WorldSnapshot
@@ -254,6 +254,9 @@ class DebugSession:
 
         # -- phase 2 world --------------------------------------------
         self.machines: List[Machine] = []
+        #: digest leaves of the current world (a seek builds a new
+        #: world, so it clears them)
+        self._digest_state = DigestState()
         self._pos: Position = (0, 0)
         self.seek(self.start_position())
 
@@ -404,6 +407,7 @@ class DebugSession:
             snap.restore(machines, self.store)
             start = snap.position[0]
         self.machines = machines
+        self._digest_state.clear()
         for k in range(start, ei):
             self._apply_event(k)
         if micro:
@@ -972,11 +976,7 @@ class DebugSession:
         return out
 
     def current_digest(self) -> bytes:
-        hashes: Dict[int, bytes] = {}
-        for machine in self.machines:
-            for process in machine.processes.values():
-                hashes[id(process)] = _OutputHash().fold(process.output)
-        return machine_digest(self.machines, hashes)
+        return self._digest_state.digest(self.machines)
 
     def verify_digest(self, digest_index: int) -> bool:
         """Seek to a recorded digest point and check the reconstructed

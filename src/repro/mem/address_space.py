@@ -38,6 +38,10 @@ class AddressSpace:
         self._pages: Dict[int, bytearray] = {}
         self._starts: List[int] = []      # sorted VMA starts, parallel to vmas
         self._hot_vma: Optional[Vma] = None
+        #: bumped by every layout change (``map``/``unmap``/``grow_vma``
+        #: all pass through ``_reindex``); the flight recorder's digest
+        #: memo re-packs the VMA list only when this moved.
+        self.layout_version = 0
         #: post-copy restore support: called with a page-aligned address
         #: on first touch of a page with no backing store; returning bytes
         #: installs them (a remote page-server fetch), returning None
@@ -81,6 +85,7 @@ class AddressSpace:
         self.vmas.sort(key=lambda v: v.start)
         self._starts = [v.start for v in self.vmas]
         self._hot_vma = None
+        self.layout_version += 1
 
     def map(self, vma: Vma) -> Vma:
         """Insert a VMA; overlapping an existing mapping is an error."""
@@ -111,6 +116,11 @@ class AddressSpace:
             else:
                 kept.append(vma)
         self.vmas = kept
+        self._reindex()
+
+    def grow_vma(self, vma: Vma, end: int) -> None:
+        """Extend ``vma`` in place to ``end`` (``sbrk`` growing the heap)."""
+        vma.end = end
         self._reindex()
 
     def find_vma(self, addr: int) -> Optional[Vma]:

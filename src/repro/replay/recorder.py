@@ -25,13 +25,12 @@ workhorse:
 
 from __future__ import annotations
 
-import hashlib
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..errors import ReproError
-from ..mem.paging import PAGE_SIZE, page_align_down
+from ..mem.paging import page_align_down
 from . import journal as jn
-from .digest import DIGEST_SIZE, capture_state, machine_digest
+from .digest import DigestState
 
 if TYPE_CHECKING:
     from ..vm.cpu import ThreadContext
@@ -80,9 +79,12 @@ class ReplayStop(ReproError):
 class BitFlip:
     """Flip bit ``bit`` of the byte at ``addr`` after slice ``at_slice``.
 
-    The flip is applied directly to the page store (bypassing VMA
-    protection checks, like a cosmic ray would) at the scheduling-slice
-    boundary, which is a deterministic, engine-independent point.
+    The flip bypasses VMA protection checks (like a cosmic ray would)
+    but not the address space: an untouched page is materialized the
+    way any first write does it (so a lazy post-copy page is paged in
+    first) and the page is marked dirty. It lands at the
+    scheduling-slice boundary, a deterministic, engine-independent
+    point.
     """
 
     def __init__(self, at_slice: int, addr: int, bit: int = 0):
@@ -97,16 +99,15 @@ class BitFlip:
         base = page_align_down(self.addr)
         for machine in machines:
             for pid in sorted(machine.processes):
-                process = machine.processes[pid]
-                store = process.aspace._pages.get(base)
-                if store is None:
-                    # Materialize a mapped-but-untouched page so the
-                    # flip lands even on lazily-backed zero pages.
-                    if process.aspace.find_vma(self.addr) is None:
-                        continue
-                    store = bytearray(PAGE_SIZE)
-                    process.aspace._pages[base] = store
-                store[self.addr - base] ^= 1 << self.bit
+                aspace = machine.processes[pid].aspace
+                if aspace.page(base) is None \
+                        and aspace.find_vma(self.addr) is None:
+                    continue
+                # A mapped-but-untouched page is materialized by the
+                # write, so the flip lands even on lazily-backed pages.
+                byte = aspace.read(self.addr, 1, check=False)[0]
+                aspace.write(self.addr, bytes([byte ^ (1 << self.bit)]),
+                             check=False)
                 self.fired = True
                 return True
         return False
@@ -123,23 +124,6 @@ class BitFlip:
                    header.get("fault_bit", 0))
 
 
-class _OutputHash:
-    """Incrementally maintained hash of one process's stdout stream."""
-
-    __slots__ = ("h", "consumed")
-
-    def __init__(self):
-        self.h = hashlib.blake2b(digest_size=DIGEST_SIZE)
-        self.consumed = 0
-
-    def fold(self, chunks: List[str]) -> bytes:
-        if len(chunks) > self.consumed:
-            for chunk in chunks[self.consumed:]:
-                self.h.update(chunk.encode("utf-8", "surrogatepass"))
-            self.consumed = len(chunks)
-        return self.h.copy().digest()
-
-
 class FlightRecorder:
     """Journals one run of one or more machines.
 
@@ -148,6 +132,14 @@ class FlightRecorder:
     :meth:`finalize`). ``record_syscalls`` journals every syscall's
     number, arguments and result — cheap, and it turns a divergence in
     kernel interaction into an immediately visible journal diff.
+
+    Digests go through one long-lived :class:`~repro.replay.digest.
+    DigestState` (``digest_state``), so a digest re-hashes only the
+    pages whose bytes changed since the previous one; every memoised
+    leaf is re-validated exactly, so the stream is bit-identical to
+    from-scratch digests. A process's leaves (and the only reference
+    the recorder holds to it) are dropped when it is killed, the rest
+    at :meth:`finalize`.
     """
 
     def __init__(self, journal: Optional[jn.Journal] = None,
@@ -171,8 +163,7 @@ class FlightRecorder:
         self.digest_count = 0
         self.snapshot: Optional[Dict] = None
         self.finalized = False
-        self._output_hashes: Dict[int, bytes] = {}
-        self._output_state: Dict["Process", _OutputHash] = {}
+        self.digest_state = DigestState()
 
     # -- wiring -----------------------------------------------------------
 
@@ -196,8 +187,11 @@ class FlightRecorder:
         """One scheduling slice retired ``executed`` instructions."""
         self.slices += 1
         self.instructions += executed
-        self.journal.append(jn.EV_SCHED, pid=process.pid, tid=thread.tid,
-                            instr=self.instructions, a=budget, b=executed)
+        # Built in place: Journal.append's per-field None filter is
+        # measurable at one event per slice.
+        self.journal.events.append(
+            {"kind": jn.EV_SCHED, "pid": process.pid, "tid": thread.tid,
+             "instr": self.instructions, "a": budget, "b": executed})
         fault = self.fault
         if fault is not None and not fault.fired \
                 and self.slices >= fault.at_slice:
@@ -243,6 +237,7 @@ class FlightRecorder:
             self.observer.after_event(self, event)
 
     def on_kill(self, machine: "Machine", process: "Process") -> None:
+        self.digest_state.forget(process)
         event = self.journal.append(jn.EV_EXIT, pid=process.pid,
                                     a=process.exit_code
                                     if process.exit_code is not None else -9)
@@ -275,30 +270,27 @@ class FlightRecorder:
 
     # -- digests and stop points ------------------------------------------
 
-    def _fold_outputs(self) -> Dict[int, bytes]:
-        for machine in self.machines:
-            for process in machine.processes.values():
-                state = self._output_state.get(process)
-                if state is None:
-                    state = self._output_state[process] = _OutputHash()
-                self._output_hashes[id(process)] = state.fold(process.output)
-        return self._output_hashes
-
     def current_digest(self) -> bytes:
-        return machine_digest(self.machines, self._fold_outputs())
+        return self.digest_state.digest(self.machines)
+
+    def capture_state(self) -> Dict:
+        """Byte-exact snapshot of the attached machines (see
+        :meth:`~repro.replay.digest.DigestState.capture`)."""
+        return self.digest_state.capture(self.machines)
 
     def _emit_digest(self) -> None:
         digest = self.current_digest()
         index = self.digest_count
         self.digest_count += 1
-        self.journal.append(jn.EV_DIGEST, a=index, instr=self.instructions,
-                            payload=digest)
+        self.journal.events.append(
+            {"kind": jn.EV_DIGEST, "a": index, "instr": self.instructions,
+             "payload": digest})
         if self.stop_at_digest is not None \
                 and self.digest_count > self.stop_at_digest:
             self._stop()
 
     def _stop(self) -> None:
-        self.snapshot = capture_state(self.machines)
+        self.snapshot = self.capture_state()
         raise ReplayStop(self.slices, self.digest_count - 1)
 
     def finalize(self, exit_code: Optional[int] = None) -> jn.Journal:
@@ -308,4 +300,5 @@ class FlightRecorder:
             self._emit_digest()
             self.journal.append(jn.EV_END, instr=self.instructions,
                                 a=exit_code if exit_code is not None else 0)
+            self.digest_state.clear()
         return self.journal

@@ -26,7 +26,6 @@ import threading
 from typing import Dict, List, Optional
 
 from ..errors import JournalError
-from .digest import capture_state
 from .engine import Replayer, ReplayResult
 from .journal import Journal
 from .recorder import FlightRecorder, ReplayObserver
@@ -160,7 +159,7 @@ class ReplaySession(ReplayObserver):
         """Byte-exact :func:`capture_state` snapshot at the pause point."""
         if self.recorder is None:
             return {}
-        return capture_state(self.recorder.machines)
+        return self.recorder.capture_state()
 
     def close(self) -> None:
         """Abandon the run (if still paused) and reap the worker."""

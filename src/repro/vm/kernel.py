@@ -387,7 +387,7 @@ def _sys_sbrk(machine, process, thread, args):
         if heap_vma is None:
             process.aspace.map(Vma(HEAP_BASE, need_end, Prot.RW, name="heap"))
         else:
-            heap_vma.end = need_end
+            process.aspace.grow_vma(heap_vma, need_end)
     process.heap_end = new_end
     return old
 

@@ -313,6 +313,25 @@ class TestDebugSession:
             assert clean.verify_digest(index), \
                 f"digest #{index} does not verify"
 
+    def test_current_digest_rides_the_session_state(self, clean):
+        # one long-lived digest state per reconstructed world: it must
+        # agree with the from-scratch fold across steps (same world,
+        # memo warm) and across seeks (new world, new state)
+        from repro.replay.digest import machine_digest
+        clean.seek(clean.start_position())
+        seen = set()
+        for _ in range(6):
+            clean.step()
+            digest = clean.current_digest()
+            assert digest == machine_digest(clean.machines)
+            assert clean.current_digest() == digest
+            seen.add(digest)
+        assert len(seen) == 6
+        old_world = set(clean._digest_state._leaves)
+        clean.seek_instr(clean.total_instructions // 2)
+        assert clean.current_digest() == machine_digest(clean.machines)
+        assert not old_world & set(clean._digest_state._leaves)
+
     def test_rejects_unsupported_scenarios(self, loop_recording):
         bad = Journal.from_bytes(loop_recording.journal.to_bytes())
         bad.header["scenario"] = "fleet"

@@ -198,3 +198,57 @@ class TestAddressSpace:
         space.map(Vma(0x0, 0x5000, Prot.RW))
         space.write(offset, data)
         assert space.read(offset, len(data)) == data
+
+
+class TestLayoutVersion:
+    """``layout_version`` moves on every VMA-list change and on nothing
+    else — it is the digest memo's validity test for the layout leaf."""
+
+    def _space(self):
+        space = AddressSpace()
+        space.map(Vma(0x1000, 0x5000, Prot.RW, name="data"))
+        return space
+
+    def test_map_unmap_and_grow_bump(self):
+        space = self._space()
+        seen = [space.layout_version]
+        heap = space.map(Vma(0x10000, 0x11000, Prot.RW, name="heap"))
+        seen.append(space.layout_version)
+        space.grow_vma(heap, 0x13000)
+        seen.append(space.layout_version)
+        space.unmap(0x10000, 0x13000)
+        seen.append(space.layout_version)
+        assert seen == sorted(set(seen))        # strictly increasing
+
+    def test_grow_vma_extends_the_mapping(self):
+        space = self._space()
+        heap = space.map(Vma(0x10000, 0x11000, Prot.RW, name="heap"))
+        with pytest.raises(SegmentationFault):
+            space.write_u64(0x11008, 1)
+        space.grow_vma(heap, 0x12000)
+        space.write_u64(0x11008, 1)
+        assert space.read_u64(0x11008) == 1
+
+    def test_page_traffic_does_not_bump(self):
+        space = self._space()
+        before = space.layout_version
+        space.write(0x1100, b"x")
+        space.read(0x2000, 8)
+        space.install_page(0x3000, bytes(PAGE_SIZE))
+        space.drop_page(0x3000)
+        assert space.page(0x4000, create=True) is not None
+        assert space.layout_version == before
+
+    def test_failed_map_does_not_bump(self):
+        space = self._space()
+        before = space.layout_version
+        with pytest.raises(MemoryError_):
+            space.map(Vma(0x2000, 0x3000, Prot.RW))
+        assert space.layout_version == before
+
+    def test_clone_has_its_own_counter(self):
+        space = self._space()
+        copy = space.clone()
+        before = space.layout_version
+        copy.map(Vma(0x10000, 0x11000, Prot.RW))
+        assert space.layout_version == before
