@@ -39,6 +39,7 @@ from ..criu.images import ImageSet
 from ..errors import ImageFormatError, ReproError, RewriteError, VerifyError
 from ..isa import ISAS, get_isa
 from ..mem.paging import PAGE_SIZE
+from ..store.chunks import chunk_digest
 
 PASS_STRUCTURAL = "structural"
 PASS_SEMANTIC = "semantic"
@@ -56,11 +57,9 @@ REPAIRABLE = "repairable"
 ADVISORY = "advisory"
 
 
-def page_digest(data: bytes) -> str:
-    """Digest of one page, identical to the chunk store's addressing —
-    so a manifest's ``[vaddr, digest]`` pairs verify pages directly."""
-    from ..store.chunks import chunk_digest
-    return chunk_digest(data)
+#: Digest of one page: the chunk store's content address itself, so a
+#: manifest's ``[vaddr, digest]`` pairs verify pages directly.
+page_digest = chunk_digest
 
 
 class Finding:

@@ -39,6 +39,11 @@ Correctness invariants (each one is load-bearing):
   (the next quantum compiles a block from there). Round-robin
   interleaving is therefore instruction-for-instruction identical to
   the per-step engine — the cross-ISA migration tests rely on that.
+  The tickless scheduler's undivided sole-thread slice keeps this: a
+  second schedulable entity can only be created by a kernel entry,
+  kernel entries only execute on tier 0, and tier 0 re-checks after
+  every step and ends the slice on the quantum grid exactly as the
+  per-step loop does (``Machine.slice_boundary``).
 * **Invalidation.** The cache is keyed by pc and versioned by
   ``Process.code_version``; ``Process.invalidate_code`` (hooked to every
   privileged ``write_code``) bumps the version and drops all blocks, so
@@ -186,6 +191,10 @@ def run_thread(machine: "Machine", process: "Process",
     no_chain = chains.NO_CHAIN
     eget = process.chain_entries.get
     cget = cache.get
+    # A slice longer than the scheduling quantum is the tickless
+    # scheduler's sole-thread slice (Machine.step_all): it must end on
+    # the quantum grid once a second thread or process exists.
+    undivided = quantum > machine.quantum
     while count < quantum:
         pc = thread.pc
         if chains_on:
@@ -280,6 +289,14 @@ def run_thread(machine: "Machine", process: "Process",
             if (thread.status != running or process.stopped
                     or process.exited):
                 return count
+            if undivided and (len(process.threads) > 1
+                              or len(machine.processes) > 1):
+                # Only a kernel entry can create either, and only this
+                # loop executes kernel entries.
+                quantum = machine.slice_boundary(count, quantum)
+                undivided = False
+                if k > quantum - count:
+                    k = quantum - count
         version = process.code_version
     return count
 

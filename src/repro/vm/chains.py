@@ -155,16 +155,35 @@ CHAIN_THRESHOLD = 8
 #: Stale dispatches a member must serve, per segment of the web it was
 #: last bound into, before it may trigger another *compile* of that
 #: web (cached factories bind regardless; see :func:`link_chain`).
-#: Measured on the cold redis/small x86→arm run (143 k instructions;
-#: ``compile()`` at 6–9 µs/line, ~210 lines/segment): 0 (rebuild at
-#: every tier-up) compiles 34 chains / 573 segments and the child,
-#: import included, takes 1.54 s; 2 → 15 / 158, 0.66 s; 4 → 13 / 147,
-#: 0.67 s; 8 → 11 / 94, 0.57 s; 16 … 10**9 compile the same 11 / 94.
-#: Steady-state pass time of the four apps on both ISAs is flat across
-#: 0, 8, 64 and 10**9 (0.46–0.56 s, run-to-run noise), so this is the
+#: The unit is a real chain exit: the scheduler does not slice a sole
+#: thread (``Machine.step_all``), so a stale chain is re-dispatched
+#: only when it returns at an edge it has not linked, not once per
+#: quantum as when this was first calibrated (at 8). Measured on the
+#: cold redis/small x86→arm child (143 k instructions, 20 k on x86;
+#: ``compile()`` at 6–9 µs/line, ~210 lines/segment), chains /
+#: segments / generated lines, VM phases, child total, peak RSS:
+#:
+#: ====== ================== ====== ======= =======
+#: debt   compiled           VM s   total s RSS MB
+#: ====== ================== ====== ======= =======
+#: 0      26 / 501 / 120 852 1.05   1.20    67.4
+#: 4      14 / 140 / 30 240  0.36   0.51    54.9
+#: 8      14 / 143 / 31 095  0.38   0.53    56.3
+#: 12     16 / 168 / 36 304  0.42   0.56    58.1
+#: 16     15 / 129 / 26 250  0.33   0.48    33.4
+#: 32, 64 15 / 129 / 26 250  0.32   0.47    33.4
+#: 10**9  15 / 129 / 26 250  0.32   0.47    33.4
+#: ====== ================== ====== ======= =======
+#:
+#: Below 16 the aarch64 side, 120 k instructions from exit, compiles
+#: one 9 600-line web (83 ms, +23 MB) it cannot amortise; from 16 up
+#: it never does. The kmeans/small child compiles 13 / 91 / 21 509
+#: in 0.27–0.28 s at 34.9 MB at every value. A steady pass of the
+#: four apps on both ISAs on a warm node is flat across 0, 8, 16, 32,
+#: 64 and 10**9 (fastest of eight 0.204–0.207 s), so this is the
 #: smallest value at which a cold run stops paying for rebuilds it is
 #: too short to amortise.
-RELINK_DISPATCHES_PER_SEGMENT = 8
+RELINK_DISPATCHES_PER_SEGMENT = 16
 
 #: Cached "this block heads no chain" decision (no linkable successor,
 #: or the block is a drifted duplicate outside the canonical web),

@@ -3,6 +3,13 @@
 One :class:`Machine` is one node with one ISA. Scheduling is round-robin
 over runnable threads with a fixed instruction quantum, which makes every
 execution deterministic — the cross-ISA migration tests rely on that.
+
+The scheduler is *tickless where a tick is unobservable*: the quantum is
+the grain at which runnable threads interleave, so while one process
+owns the machine with one thread — nobody to switch to — and no flight
+recorder is journaling slices, that thread is not cut into quanta at
+all (see :meth:`Machine.step_all`). The schedule produced is the one
+the ticking scheduler produces; only the number of wake-ups differs.
 """
 
 from __future__ import annotations
@@ -85,6 +92,15 @@ class Process:
 
     def invalidate_code(self) -> None:
         self.code_version += 1
+        self.drop_code_caches()
+
+    def drop_code_caches(self) -> None:
+        """Forget every predecoded instruction, superblock and chain
+        resume point. Also how a finished process lets go of its
+        generated code: block and chain closures hold the process and
+        the process holds them through these maps, so without this a
+        dead process (closures, chain locals, page views and all) is
+        cyclic garbage only a generation-2 collection reclaims."""
         self.decode_cache.clear()
         self.block_cache.clear()
         self.chain_entries.clear()
@@ -126,7 +142,14 @@ class Process:
 
 
 class Machine:
-    """One simulated node: an ISA, a kernel, a tmpfs, and processes."""
+    """One simulated node: an ISA, a kernel, a tmpfs, and processes.
+
+    ``quantum`` is the interleaving grain: whenever two schedulable
+    entities exist (threads or processes), each runs at most that many
+    instructions before the next gets the CPU, and every slice starts
+    on the quantum grid. It is *not* a wake-up period — a sole thread
+    with no recorder attached runs undivided (:meth:`step_all`).
+    """
 
     def __init__(self, isa, name: str = "node", quantum: int = 64,
                  block_engine: bool = True, chain_engine: bool = True):
@@ -225,18 +248,35 @@ class Machine:
     # -- scheduling ---------------------------------------------------------------
 
     def step_all(self, budget: int) -> int:
-        """Round-robin all runnable threads; returns instructions executed."""
+        """Round-robin all runnable threads; returns instructions executed.
+
+        Every thread runs ``quantum`` instructions per turn, in pid
+        then tid order. A slice boundary is observable in exactly two
+        ways: another entity gets the CPU there, or an attached
+        recorder journals it (``EV_SCHED`` + digest). With one process
+        owning one thread and no recorder neither applies, so that
+        thread is handed the whole remaining budget as one slice.
+
+        Should a second entity appear inside such a long slice (a
+        thread-create syscall, a hook spawning a process — both only
+        ever execute on tier-0 ``interp.step``), the engines end the
+        slice at the quantum-grid boundary the ticking scheduler would
+        have reached (:meth:`slice_boundary`), and the general pass
+        takes over from the same point it always did. Exits, traps,
+        stops and faults end a slice at the instruction they happen
+        on, sliced or not. Per-thread instruction counts, digests and
+        interleavings are therefore identical to slicing every quantum.
+        """
         executed = 0
         processes = self.processes
         quantum = self.quantum
         run = self._run_thread
         while executed < budget:
             # Sole-thread fast loop: with one process owning one
-            # thread, a scheduling pass degenerates to "slice that
+            # thread, a scheduling pass degenerates to "run that
             # thread again", so skip the per-pass snapshot lists. Every
             # condition that could add a schedulable entity (spawn,
-            # fork) or retire this one is re-checked between slices;
-            # the slice stream is identical to the general pass.
+            # fork) or retire this one is re-checked between slices.
             if len(processes) == 1:
                 process = next(iter(processes.values()))
                 if len(process.threads) == 1:
@@ -247,8 +287,8 @@ class Machine:
                            and not process.stopped and not process.exited
                            and thread.runnable()):
                         q = budget - executed
-                        if q > quantum:
-                            q = quantum
+                        if q > quantum and self.recorder is not None:
+                            q = quantum    # journaled: stay on the grid
                         done = run(process, thread, q)
                         executed += done
                         if not done:
@@ -274,16 +314,31 @@ class Machine:
                 break
         return executed
 
+    def slice_boundary(self, count: int, quantum: int) -> int:
+        """Where a slice of up to ``quantum`` instructions that has
+        retired ``count`` must end now that its thread has company:
+        the next multiple of the scheduling quantum (the boundary the
+        ticking scheduler would have reached), never past ``quantum``.
+        A no-op for ordinary slices, which are at most one quantum."""
+        grain = self.quantum
+        return min(quantum, -(-count // grain) * grain)
+
     def _run_thread(self, process: Process, thread: ThreadContext,
                     quantum: int) -> int:
         if self.block_engine:
             count = blocks.run_thread(self, process, thread, quantum)
         else:
             count = 0
-            while (count < quantum and thread.runnable()
+            running = ThreadStatus.RUNNING
+            undivided = quantum > self.quantum
+            threads, processes = process.threads, self.processes
+            while (count < quantum and thread.status == running
                    and not process.stopped and not process.exited):
                 interp.step(self, process, thread)
                 count += 1
+                if undivided and (len(threads) > 1 or len(processes) > 1):
+                    quantum = self.slice_boundary(count, quantum)
+                    undivided = False
         # The recorder sees identical slice streams from both engines:
         # the superblock engine retires instruction-for-instruction
         # identical counts to the per-step loop at every slice boundary.
@@ -322,6 +377,7 @@ class Machine:
         process.exited = True
         if process.exit_code is None:
             process.exit_code = -9
+        process.drop_code_caches()
         self.processes.pop(process.pid, None)
         if self.recorder is not None:
             self.recorder.on_kill(self, process)
@@ -371,6 +427,7 @@ def _sys_exit(machine, process, thread, args):
     process.exit_code = args[0]
     for t in process.threads.values():
         t.status = ThreadStatus.DEAD
+    process.drop_code_caches()
     return 0
 
 

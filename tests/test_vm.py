@@ -1,13 +1,23 @@
 """Tests for the simulated machine: kernel, syscalls, scheduler, ptrace."""
 
+import gc
+import itertools
+import weakref
+
 import pytest
 
+from repro import sysabi
+from repro.apps.registry import all_apps, get_app
 from repro.compiler import compile_source
 from repro.core.migration import exe_path_for, install_program
+from repro.core.runtime import DapperRuntime
 from repro.errors import KernelError, PtraceError
-from repro.isa import ARM_ISA, X86_ISA
+from repro.isa import ARM_ISA, X86_ISA, get_isa
+from repro.replay import record_run
+from repro.replay.digest import DigestState
 from repro.vm import Machine, Tracer
 from repro.vm.cpu import ThreadStatus, to_i64, to_u64
+from repro.vm.interp import CpuFault
 from repro.vm.tmpfs import TmpFs
 
 
@@ -350,3 +360,387 @@ class TestScheduler:
         machine.kill(process)
         assert process.pid not in machine.processes
         assert process.exited
+
+
+# -- tickless scheduling ---------------------------------------------------------
+#
+# A sole thread with no recorder attached runs undivided; everything
+# else is sliced on the quantum grid. The two must be the same schedule.
+# The sliced path is reached the only way the product reaches it — by
+# attaching a recorder — never through a switch.
+
+ENGINES = {"interp": dict(block_engine=False),
+           "blocks": dict(chain_engine=False),
+           "chains": dict()}
+BOTH_ARCHES = ["x86_64", "aarch64"]
+
+
+class Ticks:
+    """A recorder that journals nothing. Its presence alone makes slice
+    boundaries observable, so the scheduler keeps a sole thread on the
+    quantum grid."""
+
+    def __getattr__(self, name):
+        if name.startswith("on_"):
+            return lambda *args, **kwargs: None
+        raise AttributeError(name)
+
+
+class Side:
+    """One machine running one program, with the observables the
+    differential compares after every ``step_all``."""
+
+    def __init__(self, program, arch, engine, ticking, quantum=64):
+        self.machine = Machine(get_isa(arch), quantum=quantum,
+                               **ENGINES[engine])
+        if ticking:
+            self.machine.recorder = Ticks()
+        install_program(self.machine, program)
+        self.path = exe_path_for(program.name, arch)
+        self.process = self.machine.spawn_process(self.path)
+        self.calls = []
+        inner = self.machine._run_thread
+
+        def counted(process, thread, quantum):
+            done = inner(process, thread, quantum)
+            self.calls.append((process.pid, thread.tid, done))
+            return done
+
+        self.machine._run_thread = counted
+        self._digests = DigestState()
+
+    def step(self, budget):
+        """``step_all(budget)`` and everything observable after it; a
+        fault is part of the observation."""
+        try:
+            executed = self.machine.step_all(budget)
+        except CpuFault as exc:
+            executed = str(exc)
+        processes = self.machine.processes.values()
+        return (executed, self._digests.digest([self.machine]),
+                [(p.pid, p.stdout(), p.exit_code, p.instr_total,
+                  p.cycle_total,
+                  [(t.tid, t.status, t.pc, t.instr_count)
+                   for t in p.threads.values()]) for p in processes])
+
+
+def lockstep(program, arch, engine, chunk, quantum=64, prefix=(),
+             prepare=None):
+    """Run ``program`` undivided and ticking side by side, ``chunk``
+    instructions at a time (after the ``prefix`` budgets), and require
+    identical observables after every ``step_all``. Returns both
+    sides."""
+    free = Side(program, arch, engine, ticking=False, quantum=quantum)
+    tick = Side(program, arch, engine, ticking=True, quantum=quantum)
+    if prepare is not None:
+        prepare(free)
+        prepare(tick)
+    for index in itertools.count():
+        budget = prefix[index] if index < len(prefix) else chunk
+        got, want = free.step(budget), tick.step(budget)
+        assert got == want, (
+            f"{program.name}/{arch}/{engine}: diverged in step_all "
+            f"#{index} (budget {budget})")
+        if not got[0] or isinstance(got[0], str) \
+                or not free.machine.has_runnable():
+            break
+    assert tick.machine.has_runnable() == free.machine.has_runnable()
+    return free, tick
+
+
+def _first_spawn_index(program, arch):
+    """1-based index of the instruction (the spawn syscall) that gives
+    the main thread company."""
+    side = Side(program, arch, "interp", ticking=True)
+    while len(side.process.threads) == 1:
+        assert side.machine.step_all(1) == 1
+    return side.process.instr_total
+
+
+SPAWNER_SOURCE = """
+global int total;
+global int mtx;
+
+func worker(int n) {
+    int i;
+    i = 0;
+    while (i < n) {
+        lock(&mtx);
+        total = total + i;
+        unlock(&mtx);
+        i = i + 1;
+    }
+}
+
+func main() -> int {
+    int i; int acc; int t1; int t2;
+    i = 0; acc = 0;
+    while (i < 70) { acc = acc + i * i; i = i + 1; }
+    t1 = spawn(worker, 30);
+    i = 0;
+    while (i < 90) { acc = acc + i; i = i + 1; }
+    t2 = spawn(worker, 20);
+    join(t1);
+    join(t2);
+    print(acc + total);
+    return 0;
+}
+"""
+
+LOOPER_SOURCE = """
+func step(int i) -> int { return i * 3 + 1; }
+
+func main() -> int {
+    int i; int acc;
+    i = 0; acc = 0;
+    while (i < 900) { acc = acc + step(i); i = i + 1; }
+    print(acc);
+    return 7;
+}
+"""
+
+LATE_FAULT_SOURCE = """
+func main() -> int {
+    int i; int d; int acc;
+    i = 0; d = 300; acc = 0;
+    while (i < 400) {
+        d = d - 1;
+        acc = acc + i / d;
+        i = i + 1;
+    }
+    print(acc);
+    return 0;
+}
+"""
+
+
+class TestTicklessDifferential:
+    """Undivided vs sliced, compared by whole-machine digest, per-thread
+    instruction counts, output, exit code and totals after every
+    ``step_all`` — every registry app, both ISAs, all three engines.
+    Deleting the grid-boundary clamp (``Machine.slice_boundary``) makes
+    the thread-creating apps diverge here."""
+
+    @pytest.mark.parametrize("arch", BOTH_ARCHES)
+    @pytest.mark.parametrize("app", [spec.name for spec in all_apps()])
+    def test_every_app_at_chunk_997(self, app, arch):
+        program = get_app(app).compile("small")
+        for engine in ENGINES:
+            free, tick = lockstep(program, arch, engine, 997)
+            assert free.process.exited and free.process.exit_code == 0
+            # the comparison really was tickless against ticking
+            assert len(tick.calls) > len(free.calls)
+            assert max(done for _p, _t, done in tick.calls) <= 64
+
+    @pytest.mark.parametrize("arch", BOTH_ARCHES)
+    @pytest.mark.parametrize("app", ["swaptions", "streamcluster",
+                                     "blackscholes"])
+    def test_thread_creating_apps_at_chunk_100000(self, app, arch):
+        """One ``step_all`` spans the whole sole-thread prologue, the
+        thread creation and the interleaved phase after it."""
+        program = get_app(app).compile("small")
+        for engine in ENGINES:
+            free, _tick = lockstep(program, arch, engine, 100_000)
+            assert len(free.process.threads) > 1
+            assert free.calls[0][2] > 64      # the prologue ran undivided
+            assert free.calls[0][2] % 64 == 0  # ... and ended on the grid
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("quantum", [7, 64])
+    def test_odd_quantum_and_odd_chunks(self, quantum, engine):
+        program = compile_source(SPAWNER_SOURCE, "spawner")
+        for chunk in (100, 997, 100_000):
+            lockstep(program, "x86_64", engine, chunk, quantum=quantum)
+
+
+class TestTicklessBoundaries:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("arch", BOTH_ARCHES)
+    @pytest.mark.parametrize("offset", [0, 1, 62, 63, 64])
+    def test_thread_created_at_slice_offset(self, offset, arch, engine):
+        """The creating syscall is instruction ``offset + 1`` of a long
+        slice: the slice must end on the next multiple of 64 (at the
+        syscall itself for offset 63), where the round-robin pass
+        starts — main again, then the new thread."""
+        program = compile_source(SPAWNER_SOURCE, "spawner")
+        lead = _first_spawn_index(program, arch) - 1 - offset
+        assert lead > 64
+        free, tick = lockstep(program, arch, engine, 50_000, prefix=[lead])
+        want = -(-(offset + 1) // 64) * 64
+        pid = free.process.pid
+        assert free.calls[:4] == [(pid, 1, lead), (pid, 1, want),
+                                  (pid, 1, 64), (pid, 2, 64)]
+        sliced = [call for call in tick.calls if call[2]]
+        assert sum(done for _p, _t, done in sliced[:lead // 64 + 1]) == lead
+        after = sliced[lead // 64 + 1:]
+        assert [tid for _p, tid, _d in after[:want // 64 + 2]] \
+            == [1] * (want // 64) + [1, 2]
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_step_all_retires_exactly_the_budget(self, engine):
+        program = compile_source(LOOPER_SOURCE, "looper")
+        side = Side(program, "x86_64", engine, ticking=False)
+        total = 0
+        for budget in (1, 63, 64, 65, 997, 1000, 4097):
+            assert side.machine.step_all(budget) == budget
+            total += budget
+            assert side.process.instr_total == total
+            assert side.calls[-1][2] == budget    # one undivided slice
+        lockstep(program, "x86_64", engine, 1000,
+                 prefix=[1, 63, 64, 65, 997])
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_exit_inside_a_long_slice(self, engine):
+        program = compile_source(LOOPER_SOURCE, "looper")
+        free, _tick = lockstep(program, "aarch64", engine, 10 ** 7)
+        assert free.process.exit_code == 7
+        assert free.calls == [(free.process.pid, 1,
+                               free.process.instr_total)]
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_fault_inside_a_long_slice(self, engine):
+        program = compile_source(LATE_FAULT_SOURCE, "latefault")
+        free, _tick = lockstep(program, "x86_64", engine, 10 ** 7)
+        assert not free.process.exited
+        assert free.process.instr_total > 64 * 20
+        with pytest.raises(CpuFault, match="division by zero"):
+            free.machine.step_all(1)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_trap_inside_a_long_slice(self, engine):
+        """Parking at an equivalence point ends the slice at the trap,
+        sliced or not: the paused states are identical."""
+        program = compile_source(LOOPER_SOURCE, "looper")
+        sides = [Side(program, "x86_64", engine, ticking=ticking)
+                 for ticking in (False, True)]
+        seen = []
+        for side in sides:
+            assert side.machine.step_all(1500) == 1500
+            tids = DapperRuntime(side.machine, side.process) \
+                .pause_at_equivalence_points()
+            thread = side.process.threads[tids[0]]
+            assert thread.status == ThreadStatus.TRAPPED
+            seen.append((thread.pc, thread.instr_count, side.step(1000)))
+        assert seen[0] == seen[1]
+        assert seen[0][2][0] == 0              # SIGSTOPped: nothing runs
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("lead", [1500, 1531])
+    def test_second_process_spawned_mid_slice(self, lead, engine):
+        """A trap hook resumes the trapped thread and starts a second
+        process: the first finishes its quantum, then the two
+        alternate — from the same grid boundary either way."""
+        program = compile_source(LOOPER_SOURCE, "looper")
+
+        def prepare(side):
+            machine, first = side.machine, side.process
+            flag = first.binary.symtab.address_of(sysabi.DAPPER_FLAG_SYMBOL)
+
+            def hook(process, thread):
+                if len(machine.processes) == 1:
+                    process.aspace.write_u64(flag, 0)
+                    thread.status = ThreadStatus.RUNNING
+                    thread.trap_pc = None
+                    machine.spawn_process(side.path)
+
+            machine.trap_hooks.append(hook)
+            assert machine.step_all(lead) == lead
+            first.aspace.write_u64(flag, 1)
+
+        free, tick = lockstep(program, "x86_64", engine, 100_000,
+                              prepare=prepare)
+        assert len(free.machine.processes) == 2
+        assert all(p.exit_code == 7 for p in free.machine.processes.values())
+        first, second = sorted(free.machine.processes)
+        # lead, then one long slice cut on the grid, then alternation
+        assert free.calls[0] == (first, 1, lead)
+        assert free.calls[1][2] % 64 == 0 and free.calls[1][2] > 0
+        assert [pid for pid, _t, _d in free.calls[2:6]] \
+            == [first, second, first, second]
+        assert all(done <= 64 for _p, _t, done in free.calls[2:])
+        cut = sum(done for _p, _t, done in free.calls[:2])
+        ticked, index = 0, 0
+        while ticked < cut:
+            ticked += tick.calls[index][2]
+            index += 1
+        assert ticked == cut
+        assert tick.calls[index][0] == first       # general pass: pid order
+        assert tick.calls[index + 1][0] == second
+
+
+class TestTicklessIsNotAMode:
+    def test_sole_thread_run_is_a_handful_of_slices(self):
+        """The deterministic guard (wall time cannot gate): a sole
+        thread is woken once per ``step_all``, not once per quantum."""
+        program = get_app("dhrystone").compile("medium")
+        side = Side(program, "x86_64", "chains", ticking=False)
+        side.machine.run_process(side.process)
+        total = side.process.instr_total
+        assert total > 250_000
+        assert len(side.calls) <= total // 1000
+        assert len(side.calls) <= total // 100_000 + 1
+
+    def test_recorded_runs_stay_on_the_grid(self):
+        """With a recorder attached nothing changes: every slice is
+        journaled, none is longer than the quantum, and a sole thread's
+        slices are all full ones until it stops."""
+        recorded = record_run(LOOPER_SOURCE, "looper", arch="x86_64")
+        sched = recorded.journal.sched_stream()
+        assert len(sched) == -(-recorded.journal.instructions() // 64)
+        assert all(budget == 64 for _p, _t, budget, _d in sched)
+        assert all(done == 64 for _p, _t, _b, done in sched[:-1])
+        assert len(recorded.journal.digests()) >= len(sched)
+
+    def test_quantum_is_honoured_once_threads_interleave(self):
+        program = compile_source(SPAWNER_SOURCE, "spawner")
+        for quantum in (7, 64):
+            side = Side(program, "x86_64", "chains", ticking=False,
+                        quantum=quantum)
+            side.machine.run_process(side.process)
+            crowd = next(i for i, call in enumerate(side.calls)
+                         if call[1] != 1)
+            assert all(done <= quantum
+                       for _p, _t, done in side.calls[crowd:])
+            assert all(done % quantum == 0
+                       for _p, _t, done in side.calls[:crowd])
+
+
+class TestFinishedProcessReleasesItsCode:
+    """Block and chain closures hold the process and the process holds
+    them through its caches: a finished process must let go of them
+    itself instead of waiting for a generation-2 collection."""
+
+    def _warm(self):
+        program = compile_source(LOOPER_SOURCE, "looper")
+        side = Side(program, "x86_64", "chains", ticking=False)
+        side.machine.step_all(4000)
+        process = side.process
+        assert not process.exited and process.chain_entries
+        fn = next(b.fn for b in process.block_cache.values()
+                  if b.fn is not None)
+        chain = next(b.chain for b in process.block_cache.values()
+                     if callable(b.chain))
+        return side, weakref.ref(fn), weakref.ref(chain)
+
+    def _released(self, finish):
+        gc.collect()
+        gc.disable()
+        try:
+            side, fn_ref, chain_ref = self._warm()
+            assert fn_ref() is not None and chain_ref() is not None
+            finish(side)
+            assert side.process.exited
+            assert side.process.block_cache == {}
+            assert side.process.chain_entries == {}
+            assert side.process.decode_cache == {}
+            return fn_ref() is None and chain_ref() is None
+        finally:
+            gc.enable()
+
+    def test_exit_drops_generated_code_without_the_collector(self):
+        assert self._released(
+            lambda side: side.machine.run_process(side.process))
+
+    def test_kill_drops_generated_code_without_the_collector(self):
+        assert self._released(
+            lambda side: side.machine.kill(side.process))
