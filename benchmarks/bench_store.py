@@ -15,6 +15,12 @@ plain copy-the-images pipeline:
   throughput of the dir-backend store holding the epoch chain, plus
   the crash-point sweep verdict (every durability site of a ``put``
   killed and recovered; deterministic, so asserted under ``--smoke``),
+* **page hashes** — page-sized blake2b calls one warm delta migration
+  makes, counted (not timed) around ``hashlib.blake2b``: a page is
+  hashed once where it is dumped, once where it arrives by wire
+  (``adopt``) and once by the restore guard over the materialised set
+  — ``put`` and restore reuse those results (deterministic, so
+  asserted under ``--smoke``),
 * store fsck (``verify``) must be clean on both sides, and the
   restored output must be byte-identical on every path.
 
@@ -34,6 +40,7 @@ deterministic, so this is CI-safe (no timing gates).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -44,6 +51,7 @@ from repro.apps.registry import get_app                     # noqa: E402
 from repro.core.migration import MigrationPipeline          # noqa: E402
 from repro.core.runtime import DapperRuntime                # noqa: E402
 from repro.isa import get_isa                               # noqa: E402
+from repro.mem.paging import PAGE_SIZE                      # noqa: E402
 from repro.store import (CheckpointStore,                   # noqa: E402
                          IncrementalCheckpointer)
 from repro.vm.kernel import Machine                         # noqa: E402
@@ -53,6 +61,26 @@ APPS = ("dhrystone", "kmeans")
 WARMUP = 5000
 EPOCH_STEPS = 3000
 EPOCHS = 4
+
+
+class PageHashCount:
+    """Counts page-sized one-shot ``hashlib.blake2b`` calls while
+    active (every page digest in ``src/`` goes through that name)."""
+
+    def __enter__(self):
+        self.pages = 0
+        self._real = real = hashlib.blake2b
+
+        def counted(data=b"", **kwargs):
+            if len(data) == PAGE_SIZE:
+                self.pages += 1
+            return real(data, **kwargs)
+
+        hashlib.blake2b = counted
+        return self
+
+    def __exit__(self, *exc):
+        hashlib.blake2b = self._real
 
 
 def migrate_once(program, use_store, src_store=None, dst_store=None):
@@ -174,7 +202,15 @@ def measure(app_name: str, size: str) -> dict:
 
     src_store, dst_store = CheckpointStore(), CheckpointStore()
     cold = migrate_once(program, True, src_store, dst_store)
-    warm = migrate_once(program, True, src_store, dst_store)
+    with PageHashCount() as hashed:
+        warm = migrate_once(program, True, src_store, dst_store)
+    # The budget: each dumped page once at the source (a fresh process
+    # has no arrival image to compare against, so every page counts as
+    # changed), each page chunk that crossed the wire once on adoption,
+    # and the guard's one pass over the materialised set.
+    pages = warm.images.pagemap().total_pages()
+    shipped = warm.stats["store"]["chunks_shipped"]
+    hash_budget = shipped + pages + pages
 
     for label, result in (("cold", cold), ("warm", warm)):
         if result.combined_output() != plain.combined_output():
@@ -204,6 +240,10 @@ def measure(app_name: str, size: str) -> dict:
             cold.stats["store"]["dedup_ratio"], 2),
         "plain_total_seconds": round(plain.total_seconds, 6),
         "warm_total_seconds": round(warm.total_seconds, 6),
+        "warm_pages": pages,
+        "warm_chunks_shipped": shipped,
+        "warm_page_hashes": hashed.pages,
+        "warm_page_hash_budget": hash_budget,
         "incremental_epochs": epochs,
         "incremental_dedup_ratio": round(
             inc_stats["dedup_ratio"], 2),
@@ -231,7 +271,9 @@ def main() -> int:
               f"({row['cold_ratio']:.0%}) "
               f"warm={row['warm_store_bytes']:6}B "
               f"({row['warm_ratio']:.0%}) "
-              f"dedup={row['store_dedup_ratio']}x")
+              f"dedup={row['store_dedup_ratio']}x "
+              f"page-hashes={row['warm_page_hashes']}"
+              f"/{row['warm_page_hash_budget']}")
         for i, epoch in enumerate(row["incremental_epochs"]):
             kind = "delta" if epoch["delta"] else "full "
             print(f"  epoch {i} {kind} pages="
@@ -253,8 +295,14 @@ def main() -> int:
                 f"{row['full_copy_bytes']}B full copy")
             assert row["durability"]["crash_sweep_ok"], (
                 f"{row['app']}: crash-point sweep failed")
+            assert row["warm_page_hashes"] <= row["warm_page_hash_budget"], (
+                f"{row['app']}: warm delta migration hashed "
+                f"{row['warm_page_hashes']} pages, over the "
+                f"{row['warm_page_hash_budget']} of shipped chunks + "
+                f"changed pages + the guard's one pass")
         print("smoke OK: warm delta < 50% of full copy on every app, "
-              "crash sweep recovered every site")
+              "crash sweep recovered every site, every page hashed at "
+              "most once per boundary it crossed")
 
     record = {
         "benchmark": "store",

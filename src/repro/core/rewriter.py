@@ -22,47 +22,64 @@ from .policy import TransformationPolicy
 
 
 class ImageMemory:
-    """Mutable view over the dumped pages of a checkpoint."""
+    """Mutable, copy-on-write view over the dumped pages of a checkpoint.
+
+    A page stays a slice of the image's immutable ``pages-1.img`` blob
+    until something asks to change it: the first ``write``, ``page()``
+    or ``add_page`` touching it copies it into a private ``bytearray``.
+    Reads copy nothing, so the verifier's stack walk is free, and
+    "untouched" is a fact of construction: :meth:`flush` carries the
+    digests the image's :class:`~repro.mem.leaves.PageLeaves` already
+    hold for untouched pages over to the rewritten image, which
+    therefore hashes only what the policy actually wrote.
+    """
 
     def __init__(self, images: ImageSet):
         self._images = images
+        leaves = self._leaves = images.page_leaves()
+        if leaves.parent_run is not None:
+            raise RewriteError(
+                f"pagemap run at {leaves.parent_run:#x} lives in a parent "
+                f"checkpoint; materialize the delta through the "
+                f"checkpoint store before rewriting")
+        #: untouched pages: vaddr -> offset into the image's page blob
+        self._clean: Dict[int, int] = dict(leaves.offsets)
+        #: touched (written, added or handed out) pages, owned copies
         self._pages: Dict[int, bytearray] = {}
-        pagemap = images.pagemap()
-        blob = images.pages()
-        index = 0
-        for entry in pagemap.entries:
-            if entry.in_parent:
-                raise RewriteError(
-                    f"pagemap run at {entry.vaddr:#x} lives in a parent "
-                    f"checkpoint; materialize the delta through the "
-                    f"checkpoint store before rewriting")
-            for i in range(entry.nr_pages):
-                base = entry.vaddr + i * PAGE_SIZE
-                offset = index * PAGE_SIZE
-                self._pages[base] = bytearray(blob[offset:offset + PAGE_SIZE])
-                index += 1
 
     # -- page-level -------------------------------------------------------
 
     def has_page(self, base: int) -> bool:
-        return base in self._pages
+        return base in self._pages or base in self._clean
 
     def page_bases(self) -> List[int]:
-        return sorted(self._pages)
+        return sorted(self._pages.keys() | self._clean.keys())
 
     def add_page(self, base: int, data: bytes) -> None:
         if len(data) != PAGE_SIZE:
             raise RewriteError("add_page needs exactly one page of data")
+        self._clean.pop(base, None)
         self._pages[base] = bytearray(data)
 
     def drop_page(self, base: int) -> None:
+        self._clean.pop(base, None)
         self._pages.pop(base, None)
 
+    def _own(self, base: int) -> Optional[bytearray]:
+        """The private copy of a dumped page, made on first demand."""
+        store = self._pages.get(base)
+        if store is None:
+            offset = self._clean.pop(base, None)
+            if offset is not None:
+                store = self._pages[base] = bytearray(
+                    self._leaves.blob[offset:offset + PAGE_SIZE])
+        return store
+
     def page(self, base: int) -> bytearray:
-        try:
-            return self._pages[base]
-        except KeyError:
-            raise RewriteError(f"page {base:#x} not in dump") from None
+        store = self._own(base)
+        if store is None:
+            raise RewriteError(f"page {base:#x} not in dump")
+        return store
 
     # -- byte/word-level -----------------------------------------------------
 
@@ -70,13 +87,21 @@ class ImageMemory:
         out = bytearray()
         cursor = addr
         remaining = length
+        blob = self._leaves.blob
         while remaining:
             base = page_align_down(cursor)
             offset = cursor - base
             chunk = min(PAGE_SIZE - offset, remaining)
             store = self._pages.get(base)
-            out += (store[offset:offset + chunk] if store is not None
-                    else b"\x00" * chunk)
+            if store is not None:
+                out += store[offset:offset + chunk]
+            else:
+                start = self._clean.get(base)
+                if start is None:
+                    out += b"\x00" * chunk
+                else:
+                    start += offset
+                    out += blob[start:start + chunk]
             cursor += chunk
             remaining -= chunk
         return bytes(out)
@@ -88,7 +113,7 @@ class ImageMemory:
             base = page_align_down(cursor)
             offset = cursor - base
             chunk = min(PAGE_SIZE - offset, len(view))
-            store = self._pages.get(base)
+            store = self._own(base)
             if store is None:
                 # Writing into a page the dump did not contain (e.g. a
                 # larger destination frame): materialize it as zeros.
@@ -115,11 +140,22 @@ class ImageMemory:
     def flush(self) -> None:
         """Write the page view back into pagemap.img / pages-1.img."""
         entries: List[PagemapEntry] = []
-        blob = bytearray()
+        parts = []          # joined once; untouched pages copy straight
+        known = {}          # vaddr -> digest of pages never touched
+        view = memoryview(self._leaves.blob)    # from the old blob
+        digests = self._leaves.digests
+        clean = self._clean
         run_start = None
         run_len = 0
-        for base in sorted(self._pages):
-            blob += self._pages[base]
+        for base in self.page_bases():
+            offset = clean.get(base)
+            if offset is None:
+                parts.append(self._pages[base])
+            else:
+                parts.append(view[offset:offset + PAGE_SIZE])
+                digest = digests.get(base)
+                if digest is not None:
+                    known[base] = digest
             if run_start is not None and base == run_start + run_len * PAGE_SIZE:
                 run_len += 1
             else:
@@ -130,7 +166,8 @@ class ImageMemory:
         if run_start is not None:
             entries.append(PagemapEntry(run_start, run_len))
         self._images.set_pagemap(PagemapImage(entries))
-        self._images.set_pages(bytes(blob))
+        self._images.set_pages(b"".join(parts))
+        self._images.page_leaves().digests.update(known)
 
 
 class RewriteReport:

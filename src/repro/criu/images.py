@@ -8,6 +8,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import wire
 from ..errors import ImageFormatError, MemoryError_, WireError
+from ..mem.leaves import PageLeaves
 from ..mem.paging import PAGE_SIZE
 from ..mem.vma import Vma
 
@@ -361,12 +362,26 @@ class ImageSet:
     raises on every call. Each call returns its own copy, so mutating a
     returned image changes nothing until it is written back with
     ``set_*``.
+
+    Digests follow the same identity rule. :meth:`page_leaves` keeps the
+    :class:`~repro.mem.leaves.PageLeaves` of ``pagemap.img`` +
+    ``pages-1.img`` (page offsets from one pagemap walk, page digests
+    hashed on first request) for as long as both files are the objects
+    it was built from, and :meth:`content_digest` keeps its value while
+    every file is the object that was hashed. A new ``ImageSet`` — from
+    :meth:`load`, ``ImageSet(dict(files))``, the store's
+    ``materialize`` — starts with neither, so bytes that crossed a
+    boundary are always hashed again.
     """
 
     def __init__(self, files: Optional[Dict[str, bytes]] = None):
         self.files: Dict[str, bytes] = dict(files or {})
         #: file name -> (the blob that was decoded, the decoded image)
         self._decoded: Dict[str, Tuple[bytes, object]] = {}
+        #: (the pagemap blob walked, the leaves of the pages blob)
+        self._leaves: Optional[Tuple[bytes, PageLeaves]] = None
+        #: (the files hashed, as (name, blob) pairs; their digest)
+        self._digest: Optional[Tuple[tuple, str]] = None
 
     # typed accessors (decode once per blob, write back explicitly)
 
@@ -428,6 +443,26 @@ class ImageSet:
 
     # page lookup helpers
 
+    def page_leaves(self) -> PageLeaves:
+        """Page identity of this set's ``pages-1.img`` — shared, and
+        memoised against the identity of the pagemap and pages blobs
+        exactly as :meth:`_section` memoises decodes."""
+        pagemap = self._blob("pagemap.img")
+        pages = self._blob("pages-1.img")
+        hit = self._leaves
+        if hit is None or hit[0] is not pagemap or hit[1].blob is not pages:
+            runs = self._section("pagemap.img", PagemapImage).entries
+            hit = self._leaves = (pagemap, PageLeaves(pages, runs))
+        return hit[1]
+
+    def page_digests(self) -> Dict[int, str]:
+        """``vaddr -> digest`` of every page with data in this set (the
+        sender-side manifest, the chunk store's page addresses); each
+        page is hashed the first time any caller needs it."""
+        leaves = self.page_leaves()
+        digest = leaves.digest
+        return {vaddr: digest(vaddr) for vaddr in leaves.offsets}
+
     def page_at(self, vaddr: int) -> Optional[bytes]:
         """Dumped page contents for a page-aligned address, if present.
 
@@ -435,17 +470,7 @@ class ImageSet:
         (it is a delta dump) and return None — resolve them through the
         checkpoint store's parent chain instead.
         """
-        index = 0           # counts only pages with data in pages-1.img
-        for entry in self._section("pagemap.img", PagemapImage).entries:
-            span = entry.nr_pages * PAGE_SIZE
-            if entry.vaddr <= vaddr < entry.vaddr + span:
-                if entry.in_parent:
-                    return None
-                offset = (index * PAGE_SIZE) + (vaddr - entry.vaddr)
-                return self.pages()[offset:offset + PAGE_SIZE]
-            if not entry.in_parent:
-                index += entry.nr_pages
-        return None
+        return self.page_leaves().page(vaddr)
 
     def is_delta(self) -> bool:
         """True when this image set is an incremental (delta) dump."""
@@ -457,14 +482,24 @@ class ImageSet:
     def content_digest(self) -> str:
         """Order-independent blake2b over every image file — the
         transactional migration pipeline compares source and arrival
-        digests to catch wire corruption before restoring."""
+        digests to catch wire corruption before restoring. One full
+        pass per distinct image: the value is kept while every file is
+        still the object that was hashed."""
+        files = self.files
+        hit = self._digest
+        if (hit is not None and len(hit[0]) == len(files)
+                and all(files.get(name) is blob for name, blob in hit[0])):
+            return hit[1]
         h = hashlib.blake2b(digest_size=16)
-        for name in sorted(self.files):
+        hashed = tuple(sorted(files.items()))
+        for name, blob in hashed:
             h.update(name.encode("utf-8"))
             h.update(b"\x00")
-            h.update(self.files[name])
+            h.update(blob)
             h.update(b"\x01")
-        return h.hexdigest()
+        digest = h.hexdigest()
+        self._digest = (hashed, digest)
+        return digest
 
     # tmpfs I/O
 

@@ -14,6 +14,12 @@ checkpoint store resolves them at materialize time.
 Lazy (post-copy) dumps instead partition populated pages into an eager
 set (stack, TLS, execution context) written here and a lazy remainder
 stashed on the context for the caller's :class:`~repro.criu.PageServer`.
+
+This plugin owns the page section, so it also owns the pages' identity
+(:mod:`repro.mem.leaves`): restore hands the arrived set's leaves to the
+new address space as its ``origin``; dump gives every page that still
+equals its origin slice the digest already known for it and makes the
+image just written the new origin. A page is hashed once per change.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ from ..images import (PE_PARENT, ImageSet, MmImage, PagemapEntry,
                       PagemapImage)
 from .base import CheckpointPlugin, DumpContext, RestoreContext, \
     frozen_in_parent
+
+
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class VmasPlugin(CheckpointPlugin):
@@ -102,16 +111,26 @@ def _partition_pages(process) -> Tuple[Set[int], Set[int]]:
 
 def _write_pages(process, pages: List[int], images: ImageSet,
                  in_parent: FrozenSet[int] = frozenset()) -> None:
+    aspace = process.aspace
+    origin = aspace.origin
+    known = {}              # vaddr -> digest of pages unchanged since origin
     entries: List[PagemapEntry] = []
-    blob = bytearray()
+    parts = []              # page stores, joined once: no regrowing copy
     run_start = None
     run_len = 0
     run_flags = 0
     for base in pages:
         flags = PE_PARENT if base in in_parent else 0
         if flags == 0:
-            data = process.aspace.page(base)
-            blob += data if data is not None else bytes(PAGE_SIZE)
+            data = aspace.page(base)
+            if data is None:
+                parts.append(_ZERO_PAGE)
+            else:
+                parts.append(data)
+                if origin is not None:
+                    digest = origin.unchanged(base, data)
+                    if digest is not None:
+                        known[base] = digest
         if (run_start is not None and flags == run_flags
                 and base == run_start + run_len * PAGE_SIZE):
             run_len += 1
@@ -124,7 +143,9 @@ def _write_pages(process, pages: List[int], images: ImageSet,
     if run_start is not None:
         entries.append(PagemapEntry(run_start, run_len, run_flags))
     images.set_pagemap(PagemapImage(entries))
-    images.set_pages(bytes(blob))
+    images.set_pages(b"".join(parts))
+    leaves = aspace.origin = images.page_leaves()
+    leaves.digests.update(known)
 
 
 def _build_address_space(images: ImageSet, binary) -> AddressSpace:
@@ -149,28 +170,23 @@ def _build_address_space(images: ImageSet, binary) -> AddressSpace:
             f"mm.img describes an invalid layout: {exc}") from exc
     # Overlay every dumped page (stacks, data, heap, TLS, and the
     # rewritten execution-context code pages).
-    pagemap = images.pagemap()
-    pages = memoryview(images.pages())
-    expected = pagemap.data_pages() * PAGE_SIZE
-    if len(pages) < expected:
+    leaves = images.page_leaves()
+    pages = memoryview(leaves.blob)         # page slices copy nothing
+    if len(pages) < leaves.data_bytes:
         raise RestoreError(
             f"pages-1.img holds {len(pages)} bytes but the pagemap "
-            f"claims {pagemap.data_pages()} data page(s) "
-            f"({expected} bytes)")
-    index = 0
-    for entry in pagemap.entries:
-        if entry.in_parent:
+            f"claims {leaves.data_bytes // PAGE_SIZE} data page(s) "
+            f"({leaves.data_bytes} bytes)")
+    if leaves.parent_run is not None:
+        raise RestoreError(
+            f"pagemap run at {leaves.parent_run:#x} references a parent "
+            f"checkpoint — materialize the delta through the "
+            f"checkpoint store first")
+    for base, offset in leaves.offsets.items():
+        if aspace.find_vma(base) is None:
             raise RestoreError(
-                f"pagemap run at {entry.vaddr:#x} references a parent "
-                f"checkpoint — materialize the delta through the "
-                f"checkpoint store first")
-        for i in range(entry.nr_pages):
-            base = entry.vaddr + i * PAGE_SIZE
-            if aspace.find_vma(base) is None:
-                raise RestoreError(
-                    f"pagemap run page {base:#x} falls outside every "
-                    f"dumped VMA")
-            offset = index * PAGE_SIZE
-            aspace.install_page(base, pages[offset:offset + PAGE_SIZE])
-            index += 1
+                f"pagemap run page {base:#x} falls outside every "
+                f"dumped VMA")
+        aspace.install_page(base, pages[offset:offset + PAGE_SIZE])
+    aspace.origin = leaves
     return aspace

@@ -2,7 +2,8 @@
 
 from .paging import PAGE_SIZE, PAGE_MASK, page_align_down, page_align_up
 from .vma import Prot, Vma
+from .leaves import PageLeaves, page_digest
 from .address_space import AddressSpace
 
 __all__ = ["PAGE_SIZE", "PAGE_MASK", "page_align_down", "page_align_up",
-           "Prot", "Vma", "AddressSpace"]
+           "Prot", "Vma", "PageLeaves", "page_digest", "AddressSpace"]

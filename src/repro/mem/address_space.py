@@ -31,7 +31,13 @@ _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 class AddressSpace:
-    """A sparse 64-bit address space made of VMAs and lazily-backed pages."""
+    """A sparse 64-bit address space made of VMAs and lazily-backed pages.
+
+    Besides the live pages it remembers ``origin``, the page identity of
+    the checkpoint image it last matched (see
+    :mod:`repro.mem.leaves`): that is what lets a dump hash only the
+    pages that changed since the process arrived or was last dumped.
+    """
 
     def __init__(self):
         self.vmas: List[Vma] = []
@@ -59,6 +65,15 @@ class AddressSpace:
         #: starts, so every site's first write re-enters the slow path
         #: and marks its page). See repro.store.
         self._dirty: Optional[set] = None
+        #: :class:`~repro.mem.leaves.PageLeaves` of the image this space
+        #: was last restored from or dumped as, or None. The next dump
+        #: reuses the digest of every page that still compares equal to
+        #: its slice of that image's (immutable) page blob, so no write
+        #: path maintains anything — tier-2/3 site caches store into
+        #: pages directly and would bypass a dirty bit. Keeps that blob
+        #: alive (one more copy of the resident set) until the next dump
+        #: replaces it or the process dies.
+        self.origin = None
 
     # -- dirty-page tracking ------------------------------------------------
 
@@ -316,8 +331,11 @@ class AddressSpace:
         return len(self._pages) * PAGE_SIZE
 
     def clone(self) -> "AddressSpace":
-        """Deep copy (used to snapshot for deterministic replay tests)."""
+        """Deep copy (used to snapshot for deterministic replay tests).
+        ``origin`` is shared: its blob is immutable and its digests are
+        pure functions of it."""
         new = AddressSpace()
+        new.origin = self.origin
         new.vmas = [Vma(v.start, v.end, v.prot, v.name, v.file_backed,
                         v.file_path, v.file_offset) for v in self.vmas]
         new._pages = {base: bytearray(data)

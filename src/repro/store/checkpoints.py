@@ -220,9 +220,9 @@ class CheckpointStore:
         dup_chunks = 0
         new_physical = 0
 
-        def _ensure(data: bytes) -> str:
+        def _ensure(data: bytes, digest: Optional[str] = None) -> str:
             nonlocal new_chunks, dup_chunks, new_physical
-            digest, created = self.chunks.ensure(data)
+            digest, created = self.chunks.ensure(data, digest)
             if created:
                 new_chunks += 1
                 new_physical += self.chunks.stored_size(digest)
@@ -234,17 +234,14 @@ class CheckpointStore:
                 for name, blob in sorted(images.files.items())
                 if name != _PAGES_FILE}
 
-        pages: List[List] = []
-        blob = images.pages()
-        index = 0
-        for entry in pagemap.entries:
-            if entry.in_parent:
-                continue
-            for i in range(entry.nr_pages):
-                offset = index * PAGE_SIZE
-                digest = _ensure(blob[offset:offset + PAGE_SIZE])
-                pages.append([entry.vaddr + i * PAGE_SIZE, digest])
-                index += 1
+        # Page chunks are addressed by the digests the image's leaves
+        # hold (hashed from this very blob, at most once by anyone).
+        leaves = images.page_leaves()
+        blob = leaves.blob
+        pages: List[List] = [
+            [vaddr, _ensure(blob[offset:offset + PAGE_SIZE],
+                            leaves.digest(vaddr))]
+            for vaddr, offset in leaves.offsets.items()]
         pages.sort(key=lambda item: item[0])
 
         manifest = {

@@ -17,19 +17,15 @@ stay bit-identical.
 
 from __future__ import annotations
 
-import hashlib
 import zlib
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import StoreError
+from ..mem.leaves import page_digest
 
-#: digest width in bytes (blake2b-128, matching the replay digests)
-DIGEST_SIZE = 16
-
-
-def chunk_digest(data: bytes) -> str:
-    """Content address of ``data`` (hex, 32 chars)."""
-    return hashlib.blake2b(data, digest_size=DIGEST_SIZE).hexdigest()
+#: Content address of a chunk (hex, 32 chars): the one page-hash
+#: function, so a page's digest *is* its chunk address.
+chunk_digest = page_digest
 
 
 class Codec:
@@ -121,16 +117,24 @@ class ChunkStore:
 
     # -- insertion --------------------------------------------------------
 
-    def ensure(self, data: bytes) -> Tuple[str, bool]:
+    def ensure(self, data: bytes,
+               digest: Optional[str] = None) -> Tuple[str, bool]:
         """Insert ``data`` if absent (refcount untouched).
 
         Returns ``(digest, created)``. The checkpoint layer uses this,
         then increfs once per manifest *reference*, so refcounts always
         equal the number of live references and ``verify()`` can check
         the books.
+
+        ``digest`` is ``chunk_digest(data)`` when the caller already
+        holds it — a page digest from the image's
+        :class:`~repro.mem.leaves.PageLeaves`, hashed from these very
+        bytes — and saves hashing them again; left out, it is computed
+        here.
         """
         self.puts += 1
-        digest = chunk_digest(data)
+        if digest is None:
+            digest = chunk_digest(data)
         if digest in self._chunks:
             self.dup_puts += 1
             return digest, False

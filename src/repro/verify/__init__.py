@@ -1,10 +1,11 @@
 """Pre-restore state-image verification, repair, and quarantine."""
 
+from ..mem.leaves import page_digest
 from .quarantine import DIAGNOSIS_FILE, HostDirFs, Quarantine
 from .verifier import (ADVISORY, FATAL, PASS_REPAIR, PASS_SEMANTIC,
                        PASS_STRUCTURAL, REPAIRABLE, REQUIRED_FILES,
                        Finding, ImageVerifier, VerifyReport,
-                       image_page_digests, page_digest, verify_images)
+                       image_page_digests, verify_images)
 
 __all__ = [
     "DIAGNOSIS_FILE", "HostDirFs", "Quarantine",

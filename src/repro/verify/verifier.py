@@ -29,8 +29,8 @@ common raise-on-failure flow.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..binfmt.delf import DelfBinary
 from ..binfmt.stackmaps import KIND_ENTRY
@@ -39,7 +39,6 @@ from ..criu.images import ImageSet
 from ..errors import ImageFormatError, ReproError, RewriteError, VerifyError
 from ..isa import ISAS, get_isa
 from ..mem.paging import PAGE_SIZE
-from ..store.chunks import chunk_digest
 
 PASS_STRUCTURAL = "structural"
 PASS_SEMANTIC = "semantic"
@@ -57,9 +56,43 @@ REPAIRABLE = "repairable"
 ADVISORY = "advisory"
 
 
-#: Digest of one page: the chunk store's content address itself, so a
-#: manifest's ``[vaddr, digest]`` pairs verify pages directly.
-page_digest = chunk_digest
+class _Layout:
+    """The address ranges a list of VMAs covers, for containment by
+    bisection instead of a scan of every VMA per page. Ranges are merged
+    first, so the answer equals ``any(v.start <= a < v.end for v in
+    vmas)`` even for a (corrupt) layout whose VMAs overlap."""
+
+    def __init__(self, vmas):
+        self.starts: List[int] = []
+        self.ends: List[int] = []
+        for start, end in sorted((v.start, v.end) for v in vmas):
+            if self.ends and start <= self.ends[-1]:
+                if end > self.ends[-1]:
+                    self.ends[-1] = end
+            else:
+                self.starts.append(start)
+                self.ends.append(end)
+
+    def __contains__(self, addr: int) -> bool:
+        index = bisect_right(self.starts, addr) - 1
+        return index >= 0 and addr < self.ends[index]
+
+    def uncovered(self, start: int, end: int) -> Iterator[int]:
+        """Page addresses of ``[start, end)`` outside every range: the
+        run is split at range edges, so a covered run costs one
+        bisection however long it is."""
+        index = max(bisect_right(self.starts, start) - 1, 0)
+        cursor = start
+        while cursor < end:
+            while index < len(self.starts) and self.ends[index] <= cursor:
+                index += 1
+            if index < len(self.starts) and self.starts[index] <= cursor:
+                cursor = self.ends[index]     # covered up to here
+                continue
+            stop = min(end, self.starts[index]) \
+                if index < len(self.starts) else end
+            yield from range(cursor, stop, PAGE_SIZE)
+            cursor = stop
 
 
 class Finding:
@@ -268,7 +301,7 @@ class ImageVerifier:
                 repairs.append(finding)
         fixed = ImageSet(dict(images.files))
         blob = bytearray(fixed.pages())
-        offsets = _page_offsets(fixed)
+        offsets = fixed.page_leaves().offsets
         for finding in repairs:
             data = self._fetch_repair(finding)
             if data is None:
@@ -361,6 +394,7 @@ class ImageVerifier:
                 f"({want} bytes) but pages-1.img holds {len(pages)}"))
 
         runs = sorted(pagemap.entries, key=lambda e: e.vaddr)
+        layout = _Layout(mm.vmas)
         prev_end = None
         for entry in runs:
             check()
@@ -376,12 +410,10 @@ class ImageVerifier:
                             f"pagemap run at {entry.vaddr:#x} overlaps "
                             f"the previous run", vaddr=entry.vaddr))
             prev_end = entry.vaddr + span
-            for i in range(entry.nr_pages):
-                base = entry.vaddr + i * PAGE_SIZE
-                if not any(v.start <= base < v.end for v in mm.vmas):
-                    add(Finding(PASS_STRUCTURAL, "run-outside-vma",
-                                f"dumped page {base:#x} is outside "
-                                f"every mapped VMA", vaddr=base))
+            for base in layout.uncovered(entry.vaddr, prev_end):
+                add(Finding(PASS_STRUCTURAL, "run-outside-vma",
+                            f"dumped page {base:#x} is outside "
+                            f"every mapped VMA", vaddr=base))
 
         check()
         if pagemap.is_delta():
@@ -394,7 +426,7 @@ class ImageVerifier:
                             "image-set content digest differs from the "
                             "sender's", severity=REPAIRABLE))
         if self.page_digests and not report.fatal():
-            self._check_page_digests(images, pagemap, mm, report)
+            self._check_page_digests(images, mm, report)
 
         # The whole-set digest finding cannot be repaired directly; it
         # clears when the per-page repairs restore the exact bytes. With
@@ -441,38 +473,33 @@ class ImageVerifier:
                                 f"resolvable through the parent chain",
                                 vaddr=base))
 
-    def _check_page_digests(self, images: ImageSet, pagemap, mm,
+    def _check_page_digests(self, images: ImageSet, mm,
                             report: VerifyReport) -> None:
         """Per-page divergence against the sender's manifest digests —
-        each mismatch names the repair source pass 3 will use."""
+        each mismatch names the repair source pass 3 will use. The
+        arrived pages' digests come from the set's leaves: hashed here
+        unless these very bytes were hashed before (the same
+        ``ImageSet`` the sender fingerprinted), and kept for the
+        restore and the next dump either way."""
         check = self._tick(report)
-        offset = 0
-        pages = memoryview(images.pages())      # page slices copy nothing
-        text_vmas = [v for v in mm.vmas if v.file_backed]
-        for entry in pagemap.entries:
-            if entry.in_parent:
+        leaves = images.page_leaves()
+        text = _Layout(v for v in mm.vmas if v.file_backed)
+        for base in leaves.offsets:
+            want = self.page_digests.get(base)
+            check()
+            if want is None or leaves.digest(base) == want:
                 continue
-            for i in range(entry.nr_pages):
-                base = entry.vaddr + i * PAGE_SIZE
-                data = pages[offset:offset + PAGE_SIZE]
-                offset += PAGE_SIZE
-                want = self.page_digests.get(base)
-                check()
-                if want is None or page_digest(data) == want:
-                    continue
-                repair = None
-                if (self.store is not None
-                        and self.store.chunks.has(want)):
-                    repair = ("store", base, want)
-                elif (self.binary is not None
-                        and any(v.start <= base < v.end
-                                for v in text_vmas)):
-                    repair = ("binary", base)
-                report.add(Finding(
-                    PASS_STRUCTURAL, "page-digest",
-                    f"page {base:#x} digest differs from the sender's "
-                    f"manifest", severity=REPAIRABLE, vaddr=base,
-                    repair=repair))
+            repair = None
+            if (self.store is not None
+                    and self.store.chunks.has(want)):
+                repair = ("store", base, want)
+            elif self.binary is not None and base in text:
+                repair = ("binary", base)
+            report.add(Finding(
+                PASS_STRUCTURAL, "page-digest",
+                f"page {base:#x} digest differs from the sender's "
+                f"manifest", severity=REPAIRABLE, vaddr=base,
+                repair=repair))
 
     # -- pass 2: semantic --------------------------------------------------
 
@@ -549,32 +576,30 @@ class ImageVerifier:
         linked binary's bytes: code is never legitimately written at
         runtime, so any divergence is corruption — and repairable."""
         check = self._tick(report)
-        text_vmas = [v for v in mm.vmas if v.file_backed]
-        offset = 0
-        pages = memoryview(images.pages())
-        for entry in images.pagemap().entries:
-            if entry.in_parent:
+        text = _Layout(v for v in mm.vmas if v.file_backed)
+        leaves = images.page_leaves()
+        blob = leaves.blob
+        for base, offset in leaves.offsets.items():
+            if base not in text:
                 continue
-            for i in range(entry.nr_pages):
-                base = entry.vaddr + i * PAGE_SIZE
-                data = pages[offset:offset + PAGE_SIZE]
-                offset += PAGE_SIZE
-                if not any(v.start <= base < v.end for v in text_vmas):
-                    continue
-                check()
-                if data != _binary_page(self.binary, base):
-                    report.add(Finding(
-                        PASS_SEMANTIC, "text-page",
-                        f"execution-context page {base:#x} differs "
-                        f"from the linked binary's .text",
-                        severity=REPAIRABLE, vaddr=base,
-                        repair=("binary", base)))
+            check()
+            # bytes against bytes: a memoryview slice would compare
+            # element by element.
+            if blob[offset:offset + PAGE_SIZE] != _binary_page(
+                    self.binary, base):
+                report.add(Finding(
+                    PASS_SEMANTIC, "text-page",
+                    f"execution-context page {base:#x} differs "
+                    f"from the linked binary's .text",
+                    severity=REPAIRABLE, vaddr=base,
+                    repair=("binary", base)))
 
     def _check_stacks(self, images: ImageSet, cores, mm,
                       report: VerifyReport) -> None:
         from ..core.rewriter import ImageMemory
         from ..core.stack_rewrite import unwind_thread
         add, check = report.add, self._tick(report)
+        layout = _Layout(mm.vmas)
         stackmaps = self.binary.stackmaps
         try:
             memory = ImageMemory(images)
@@ -606,8 +631,7 @@ class ImageVerifier:
                         continue
                     check()
                     value = int.from_bytes(raw[:8], "little")
-                    if value and not any(v.start <= value < v.end
-                                         for v in mm.vmas):
+                    if value and value not in layout:
                         # Advisory, not fatal: the rewriter legally
                         # passes non-address pointer values through
                         # unchanged (pointers_kept), so this is
@@ -643,25 +667,11 @@ def _binary_page(binary: DelfBinary, base: int) -> bytes:
     return bytes(PAGE_SIZE)
 
 
-def _page_offsets(images: ImageSet) -> Dict[int, int]:
-    """vaddr -> byte offset into pages-1.img for every data page."""
-    out: Dict[int, int] = {}
-    offset = 0
-    for entry in images.pagemap().entries:
-        if entry.in_parent:
-            continue
-        for i in range(entry.nr_pages):
-            out[entry.vaddr + i * PAGE_SIZE] = offset
-            offset += PAGE_SIZE
-    return out
-
-
 def image_page_digests(images: ImageSet) -> Dict[int, str]:
     """vaddr -> chunk digest for every data page: the sender-side
-    manifest a receiving verifier checks the arrived bytes against."""
-    pages = memoryview(images.pages())
-    return {vaddr: page_digest(pages[off:off + PAGE_SIZE])
-            for vaddr, off in _page_offsets(images).items()}
+    manifest a receiving verifier checks the arrived bytes against.
+    Hashes only the pages the set's leaves do not know yet."""
+    return images.page_digests()
 
 
 def verify_images(images: ImageSet, *, binary: Optional[DelfBinary] = None,

@@ -912,6 +912,11 @@ def _emit_chain(isa, segs) -> Tuple[str, tuple]:
         emit_dispatch(mid, hi, depth + 1)
 
     emit_dispatch(0, 2 * nsegs, 0)
+    # A recursive local function is a reference cycle (its own cell
+    # holds it) whose other cells reach ``segs`` — blocks, their bound
+    # closures, the process. Unbind it so all of that is freed by
+    # reference count when its owners let go, not by a collector pass.
+    emit_dispatch = None
 
     # -- assemble ----------------------------------------------------------
     # Every way out — a ``break`` with ``pc`` set, or a fault — leaves

@@ -105,6 +105,16 @@ class Process:
         self.block_cache.clear()
         self.chain_entries.clear()
 
+    def release(self) -> None:
+        """The process is dead (killed or exited): besides the code
+        caches, unhook it from its address space. The hook is a bound
+        method, i.e. the other half of a Process <-> AddressSpace cycle
+        that would keep the whole address space — pages and the page
+        blob of its ``origin`` — alive until a collector pass; without
+        it a dead process is freed the moment its last user lets go."""
+        self.drop_code_caches()
+        self.aspace.code_write_hook = None
+
     # -- dirty-page tracking (incremental checkpoints) ----------------------
 
     def start_dirty_tracking(self) -> None:
@@ -377,7 +387,7 @@ class Machine:
         process.exited = True
         if process.exit_code is None:
             process.exit_code = -9
-        process.drop_code_caches()
+        process.release()
         self.processes.pop(process.pid, None)
         if self.recorder is not None:
             self.recorder.on_kill(self, process)
@@ -427,7 +437,7 @@ def _sys_exit(machine, process, thread, args):
     process.exit_code = args[0]
     for t in process.threads.values():
         t.status = ThreadStatus.DEAD
-    process.drop_code_caches()
+    process.release()
     return 0
 
 

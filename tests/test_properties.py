@@ -9,6 +9,7 @@ from repro.core.policies.stack_shuffle import shuffle_binary
 from repro.core.rewriter import ImageMemory
 from repro.criu.images import ImageSet, PagemapEntry, PagemapImage
 from repro.isa import ARM_ISA, X86_ISA, Instruction
+from repro.mem import page_digest
 from repro.mem.paging import PAGE_SIZE
 from repro.testing import generate_program
 
@@ -55,6 +56,138 @@ def test_pagemap_runlength_roundtrip_property(page_numbers):
     entries = images.pagemap().entries
     for first, second in zip(entries, entries[1:]):
         assert first.vaddr + first.nr_pages * PAGE_SIZE < second.vaddr
+
+
+class EagerImageMemory:
+    """The reference ``ImageMemory`` flushes must equal byte for byte:
+    every dumped page copied into a ``bytearray`` up front (the
+    implementation before copy-on-write), page ops as plain dict ops."""
+
+    def __init__(self, images):
+        self.pages = {}
+        blob = images.pages()
+        offset = 0
+        for entry in images.pagemap().entries:
+            for i in range(entry.nr_pages):
+                self.pages[entry.vaddr + i * PAGE_SIZE] = bytearray(
+                    blob[offset:offset + PAGE_SIZE])
+                offset += PAGE_SIZE
+
+    def write(self, addr, data):
+        for i, byte in enumerate(data):
+            base = (addr + i) & ~(PAGE_SIZE - 1)
+            self.pages.setdefault(base, bytearray(PAGE_SIZE))[
+                addr + i - base] = byte
+
+    def read(self, addr, length):
+        return bytes(self.pages.get((addr + i) & ~(PAGE_SIZE - 1),
+                                    bytes(PAGE_SIZE))[(addr + i) % PAGE_SIZE]
+                     for i in range(length))
+
+    def flush(self):
+        """``(pagemap runs, pages blob)`` in canonical form."""
+        runs, blob = [], bytearray()
+        for base in sorted(self.pages):
+            blob += self.pages[base]
+            if runs and base == runs[-1][0] + runs[-1][1] * PAGE_SIZE:
+                runs[-1][1] += 1
+            else:
+                runs.append([base, 1])
+        return [tuple(run) for run in runs], bytes(blob)
+
+
+_PAGE_NO = st.integers(min_value=0, max_value=11)
+_IMAGE_MEMORY_OPS = st.one_of(
+    st.tuples(st.just("write"),
+              st.integers(min_value=0, max_value=12 * PAGE_SIZE - 1),
+              st.binary(min_size=1, max_size=48)),
+    st.tuples(st.just("write"),                      # straddles a boundary
+              _PAGE_NO.map(lambda n: (n + 1) * PAGE_SIZE - 3),
+              st.binary(min_size=4, max_size=16)),
+    st.tuples(st.just("add"), _PAGE_NO, st.integers(0, 255)),
+    st.tuples(st.just("drop"), _PAGE_NO),
+    st.tuples(st.just("page"), _PAGE_NO, st.integers(0, PAGE_SIZE - 1),
+              st.integers(0, 255)),
+    st.tuples(st.just("read"),
+              st.integers(min_value=0, max_value=12 * PAGE_SIZE - 1),
+              st.integers(min_value=1, max_value=40)),
+    st.tuples(st.just("flush")))
+
+
+@given(st.sets(_PAGE_NO, max_size=8), st.lists(_IMAGE_MEMORY_OPS,
+                                               max_size=24))
+@settings(deadline=None)
+def test_image_memory_matches_eager_reference(initial, ops):
+    """Any sequence of write / add_page / drop_page / page() / read —
+    with flushes in between — leaves the copy-on-write ``ImageMemory``
+    byte-identical to the eager reference, and every digest ``flush``
+    carried over for an untouched page is the digest of its bytes."""
+    images = _empty_image_set()
+    seed = ImageMemory(images)
+    for number in initial:
+        seed.add_page(number * PAGE_SIZE, bytes([number + 1]) * PAGE_SIZE)
+    seed.flush()
+    images.page_digests()                # every leaf known: all can carry
+    memory = ImageMemory(images)
+    reference = EagerImageMemory(images)
+    for op in ops + [("flush",)]:
+        if op[0] == "write":
+            memory.write(op[1], op[2])
+            reference.write(op[1], op[2])
+        elif op[0] == "add":
+            data = bytes([op[2]]) * PAGE_SIZE
+            memory.add_page(op[1] * PAGE_SIZE, data)
+            reference.pages[op[1] * PAGE_SIZE] = bytearray(data)
+        elif op[0] == "drop":
+            memory.drop_page(op[1] * PAGE_SIZE)
+            reference.pages.pop(op[1] * PAGE_SIZE, None)
+        elif op[0] == "page":
+            base = op[1] * PAGE_SIZE
+            assert memory.has_page(base) == (base in reference.pages)
+            if base in reference.pages:
+                memory.page(base)[op[2]] = op[3]     # a handed-out page
+                reference.pages[base][op[2]] = op[3]     # is writable
+        elif op[0] == "read":
+            assert memory.read(op[1], op[2]) == reference.read(op[1], op[2])
+        else:
+            memory.flush()
+            runs, blob = reference.flush()
+            assert images.pages() == blob
+            assert [(e.vaddr, e.nr_pages, e.flags)
+                    for e in images.pagemap().entries] == \
+                [(vaddr, count, 0) for vaddr, count in runs]
+            leaves = images.page_leaves()
+            for vaddr, digest in leaves.digests.items():
+                assert digest == page_digest(leaves.page(vaddr))
+        assert memory.page_bases() == sorted(reference.pages)
+
+
+# -- the verifier's layout index: bisection == scanning every VMA -----------------
+
+_SPAN = st.tuples(st.integers(0, 40), st.integers(1, 6))
+
+
+@given(st.lists(_SPAN, max_size=8), st.lists(_SPAN, min_size=1, max_size=6))
+def test_layout_bisection_matches_vma_scan(vma_spans, run_spans):
+    """``_Layout`` answers exactly what ``any(v.start <= a < v.end)``
+    over the raw (possibly overlapping, unsorted) VMA list answers, page
+    by page and run by run, in address order."""
+    from repro.mem.vma import Vma
+    from repro.verify.verifier import _Layout
+    vmas = [Vma(start * PAGE_SIZE, (start + pages) * PAGE_SIZE, 3)
+            for start, pages in vma_spans]
+    layout = _Layout(vmas)
+
+    def scan(addr):
+        return any(v.start <= addr < v.end for v in vmas)
+
+    for start, pages in run_spans:
+        lo, hi = start * PAGE_SIZE, (start + pages) * PAGE_SIZE
+        assert list(layout.uncovered(lo, hi)) == \
+            [base for base in range(lo, hi, PAGE_SIZE) if not scan(base)]
+        for base in range(lo - PAGE_SIZE, hi + PAGE_SIZE, PAGE_SIZE):
+            assert (base in layout) == scan(base)
+            assert (base + 17 in layout) == scan(base + 17)
 
 
 # -- encode/decode totality over both ISAs ---------------------------------------

@@ -9,13 +9,14 @@ import pytest
 from repro import sysabi
 from repro.apps.registry import all_apps, get_app
 from repro.compiler import compile_source
-from repro.core.migration import exe_path_for, install_program
+from repro.core.migration import (MigrationPipeline, exe_path_for,
+                                  install_program)
 from repro.core.runtime import DapperRuntime
 from repro.errors import KernelError, PtraceError
 from repro.isa import ARM_ISA, X86_ISA, get_isa
 from repro.replay import record_run
 from repro.replay.digest import DigestState
-from repro.vm import Machine, Tracer
+from repro.vm import Machine, Tracer, chains
 from repro.vm.cpu import ThreadStatus, to_i64, to_u64
 from repro.vm.interp import CpuFault
 from repro.vm.tmpfs import TmpFs
@@ -744,3 +745,63 @@ class TestFinishedProcessReleasesItsCode:
     def test_kill_drops_generated_code_without_the_collector(self):
         assert self._released(
             lambda side: side.machine.kill(side.process))
+
+    # The process itself: ``aspace.code_write_hook`` is a bound method of
+    # the process (a Process <-> AddressSpace cycle) and the chain
+    # emitter's recursive local function used to pin the compiled
+    # blocks. With both broken at death, a dead process — pages, page
+    # views and the page blob of ``aspace.origin`` included — is freed
+    # by reference count the moment its last user lets go.
+
+    def _warm_chained(self, machine, program):
+        install_program(machine, program)
+        process = machine.spawn_process(
+            exe_path_for(program.name, machine.isa.name))
+        built = chains.chain_cache_info()["built"]
+        machine.step_all(4000)
+        assert not process.exited
+        assert chains.chain_cache_info()["built"] > built   # emitter ran
+        assert any(callable(b.chain) for b in process.block_cache.values())
+        return process
+
+    def _freed(self, finish):
+        gc.collect()
+        gc.disable()
+        try:
+            # A fresh loop bound: a cached chain factory would skip the
+            # emitter, whose cycle is half of what this guards.
+            program = compile_source(
+                LOOPER_SOURCE.replace("900", str(901 + next(self._bounds))),
+                "looper")
+            machine = Machine(X86_ISA)
+            process = self._warm_chained(machine, program)
+            refs = weakref.ref(process), weakref.ref(process.aspace)
+            finish(machine, process, program)
+            # A Machine keeps its exited processes (exit code, stdout);
+            # reaping the zombie is the caller's last reference.
+            machine.processes.pop(process.pid, None)
+            del process
+            return [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    _bounds = itertools.count()
+
+    def test_exited_process_is_freed_without_the_collector(self):
+        assert self._freed(
+            lambda machine, process, _program:
+                machine.run_process(process))
+
+    def test_killed_process_is_freed_without_the_collector(self):
+        assert self._freed(
+            lambda machine, process, _program: machine.kill(process))
+
+    def test_migrated_source_is_freed_when_migrate_returns(self):
+        def migrate(machine, process, program):
+            pipeline = MigrationPipeline(machine, Machine(ARM_ISA),
+                                         program)
+            restored = pipeline.migrate(process).process
+            assert process.exited and not restored.exited
+            assert restored.aspace.origin is not None
+
+        assert self._freed(migrate)
