@@ -43,10 +43,14 @@ Usage::
 
 ``--smoke`` is the quick CI signal: every app runs once at the small
 size under all three tiers and the default machine (fingerprint
-agreement, harness sanity), then a short timed Dhrystone medium
-comparison asserts that tier-3 is at least as fast as tier-2 — the one
-ordering that must survive even a noisy shared runner — and prints the
-default machine's speed next to them.
+agreement, harness sanity); a *cold* row runs each of them once more
+per ISA, each in a fresh interpreter, and asserts that the chains
+compiled and the lines generated stay under ``COLD_BUDGET`` (counts,
+not timings); then a short timed Dhrystone medium comparison asserts
+that tier-3 is at least as fast as tier-2 — the one ordering that must
+survive even a noisy shared runner — and prints the default machine's
+speed next to them. Full mode records the cold row in
+``BENCH_interp.json`` as ``cold``.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import time
 
@@ -146,11 +151,67 @@ def measure(app: str, arch: str, size: str, reps: int) -> dict:
     }
 
 
+#: One cold run: a fresh interpreter runs one app on a default Machine
+#: and reports what tier 3 compiled for it.
+COLD_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from repro.apps.registry import get_app
+from repro.isa import get_isa
+from repro.vm import chains
+from repro.vm.kernel import Machine
+app, arch = sys.argv[2], sys.argv[3]
+machine = Machine(get_isa(arch))
+machine.install_binary(get_app(app).compile("small").binary(arch), "/bin/a")
+process = machine.spawn_process("/bin/a")
+machine.run_process(process)
+info = chains.chain_cache_info()
+print(json.dumps({"chains": info["built"], "lines": info["lines_emitted"],
+                  "instructions": process.instr_total}))
+"""
+
+#: Ceiling on chains compiled and generated lines, summed over the cold
+#: row. A web is first built once the node has dispatched it
+#: ``chains.CHAIN_THRESHOLD`` times, so one short process compiles at
+#: most its hottest loop: 6 chains / 9 196 lines in all. Counting heat
+#: per process and building at 8 dispatches, the row compiled
+#: 112 / 182 927.
+COLD_BUDGET = {"chains": 8, "lines": 12_000}
+
+
+def cold_row() -> dict:
+    """Every app at the small size on both ISAs, each run once in a
+    fresh interpreter on a default ``Machine``: the compile work a cold
+    ``dapper-run`` pays."""
+    src = os.path.join(REPO_ROOT, "src")
+    runs = []
+    for app in APPS:
+        for arch in ARCHES:
+            child = subprocess.run(
+                [sys.executable, "-c", COLD_CHILD, src, app, arch],
+                capture_output=True, text=True, check=True, timeout=300)
+            runs.append(dict(app=app, arch=arch,
+                             **json.loads(child.stdout)))
+    return {"size": "small", "runs": runs,
+            "chains": sum(run["chains"] for run in runs),
+            "lines": sum(run["lines"] for run in runs),
+            "budget": COLD_BUDGET}
+
+
 def smoke() -> int:
     for app in APPS:
         for arch in ARCHES:
             check_fingerprints(app, arch, "small")
             print(f"{app:14s} {arch:8s} fingerprints agree across tiers")
+    cold = cold_row()
+    for run in cold["runs"]:
+        print(f"cold {run['app']:14s} {run['arch']:8s} "
+              f"chains={run['chains']} lines={run['lines']}")
+    print(f"cold total: chains={cold['chains']}/{COLD_BUDGET['chains']} "
+          f"lines={cold['lines']}/{COLD_BUDGET['lines']}")
+    if any(cold[key] > COLD_BUDGET[key] for key in COLD_BUDGET):
+        print("FAIL: cold runs compile more chains than the budget")
+        return 1
     # One ordering must hold even on a noisy runner: chains beat bare
     # superblocks on Dhrystone at a size past chain warmup. The
     # default machine's speed is printed beside them, not gated.
@@ -196,6 +257,8 @@ def main() -> int:
                   f"default={row['default_ips']/1e6:5.2f} M i/s  "
                   f"speedup={row['tier2_speedup']:.2f}x"
                   f"/{row['tier3_speedup']:.2f}x")
+    cold = cold_row()
+    print(f"cold: chains={cold['chains']} lines={cold['lines']}")
 
     payload = {
         "benchmark": "interp_speed",
@@ -204,6 +267,7 @@ def main() -> int:
         "quantum": QUANTUM,
         "default_quantum": Machine(get_isa(ARCHES[0])).quantum,
         "results": rows,
+        "cold": cold,
         "trace_cache": blocks.trace_cache_info(),
         "chain_cache": chains.chain_cache_info(),
     }

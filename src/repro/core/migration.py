@@ -39,7 +39,7 @@ byte-identical to the fault-free fast path.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..compiler.driver import CompiledProgram
 from ..criu.images import ImageSet
@@ -49,8 +49,6 @@ from ..errors import (InjectedFault, IntegrityError, MigrationError,
                       MigrationRollback, PageServerDead, QuarantinedImage,
                       ReproError, StoreError)
 from ..mem.paging import PAGE_SIZE
-from ..store import (CheckpointStore, StorePageServer, plan_transfer,
-                     ship)
 from ..verify import ImageVerifier, Quarantine, image_page_digests
 from ..vm.kernel import Machine, Process
 from .costs import (LinkProfile, MigrationCostModel, NodeProfile,
@@ -59,8 +57,34 @@ from .policies.cross_isa import CrossIsaPolicy
 from .rewriter import ProcessRewriter
 from .runtime import DapperRuntime
 
+if TYPE_CHECKING:
+    from ..store import (CheckpointStore, StorePageServer, plan_transfer,
+                         ship)
+
 #: exception classes one transactional stage attempt may absorb and retry
 RETRYABLE = (InjectedFault, IntegrityError, StoreError)
+
+#: The checkpoint store names this module uses. Only the ``use_store``
+#: path needs them, so they are bound into this module on first use
+#: (:func:`_import_store`, or reading one as a module attribute) and
+#: ``import repro`` does not load ``repro.store``.
+_STORE_NAMES = ("CheckpointStore", "StorePageServer", "plan_transfer", "ship")
+
+
+def _import_store() -> None:
+    from .. import store
+    names = globals()
+    for name in _STORE_NAMES:
+        # setdefault: a name patched onto the module (a tracing
+        # wrapper) stays what the call sites below look up.
+        names.setdefault(name, getattr(store, name))
+
+
+def __getattr__(name: str):
+    if name in _STORE_NAMES:
+        _import_store()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class MigrationResult:
@@ -185,6 +209,7 @@ class MigrationPipeline:
         # a small fraction of a full image copy.
         self.use_store = use_store
         if use_store:
+            _import_store()
             self.src_store = src_store or CheckpointStore(
                 codec=store_codec)
             self.dst_store = dst_store or CheckpointStore(

@@ -124,17 +124,27 @@ class Block:
     the trace executes
     via ``interp.step``. ``full`` is the maximum number of
     instructions one execution of the trace can retire.
+
+    Everything else on a Block is per process: tier-2 ``heat`` and
+    code, and the tier-3 chain it is bound into. Tier-3 *formation*
+    state is not — ``formation`` is ``[chain heat, relink_at]``, the
+    head's dispatches while its chain was not current and the heat that
+    pays for its next compile (:func:`~.chains.link_chain`). It lives
+    in the shared trace record beside the decoded trace, so every
+    process running the same code adds to one count; only rewritten or
+    lazily restored code (no :func:`_content_key`) keeps a private one.
     """
 
     __slots__ = ("pc", "version", "pcs", "cost_prefix", "body_len",
-                 "full", "instrs", "term_instr", "term_cost",
-                 "fn", "pfn", "heat", "chain", "chain_m", "chain_heat",
-                 "chain_epoch", "plan_epoch", "relink_at", "chain_key",
+                 "full", "instrs", "term_instr", "term_cost", "formation",
+                 "fn", "pfn", "heat", "chain", "chain_m",
+                 "chain_epoch", "plan_epoch", "chain_key",
                  "chain_web", "succ_pcs", "demoted")
 
     def __init__(self, pc: int, version: int, instrs: List[Instruction],
                  pcs: List[int], cost_prefix: List[int],
-                 term_instr: Optional[Instruction], term_cost: int):
+                 term_instr: Optional[Instruction], term_cost: int,
+                 formation: List[int]):
         self.pc = pc
         self.version = version
         self.instrs = instrs
@@ -144,15 +154,14 @@ class Block:
         self.full = self.body_len + (1 if term_instr is not None else 0)
         self.term_instr = term_instr
         self.term_cost = term_cost
+        self.formation = formation         # shared [chain heat, relink_at]
         self.fn: Optional[Handler] = None  # specialized: whole trace
         self.pfn = None                    # specialized: first <= m ops
         self.heat = 0                      # tier-0 executions so far
         self.chain = None                  # tier-3 chain (or NO_CHAIN)
         self.chain_m = None                # (run, metered label) pair
-        self.chain_heat = 0                # dispatches while not current
         self.chain_epoch = -1              # hot_epoch the chain is current at
         self.plan_epoch = -1               # hot_epoch of the last web plan
-        self.relink_at = 0                 # chain_heat that pays for a compile
         self.chain_key = None              # memoized factory-cache key
         self.chain_web = None              # pcs the chain was built over
         self.succ_pcs = None               # memoized static successors
@@ -332,10 +341,11 @@ class LruCache(OrderedDict):
             self.evictions += 1
 
 
-#: (exec-page content hash, pc) -> decoded trace metadata, shared by
-#: every process running byte-identical code. Decoded traces are
-#: treated as immutable, so re-spawns of the same binary skip the
-#: whole decode pass.
+#: (exec-page content hash, pc) -> trace record, shared by every process
+#: running byte-identical code: the decoded trace (treated as
+#: immutable, so re-spawns of the same binary skip the whole decode
+#: pass) and, last, the head's mutable ``Block.formation`` list — two
+#: ints, so a record never keeps a process or its code alive.
 _GLOBAL_TRACES = LruCache()
 
 _trace_stats = {"hits": 0, "misses": 0}
@@ -396,18 +406,24 @@ def compile_block(process: "Process", pc: int) -> Block:
     have dynamic successors and end the trace (specialized as its
     terminator); ``trap``/``syscall``/undecodable bytes end it and
     stay on the ``interp.step`` path.
+
+    The trace record also carries the head's tier-3 formation state
+    (``Block.formation``), so chain heat accumulates across every
+    process and incarnation of the code; without a content key the
+    record, heat included, is private to this block.
     """
     ck = _content_key(process)
     if ck is None:
-        return Block(pc, process.code_version, *_decode_trace(process, pc))
-    meta = _GLOBAL_TRACES.lookup((ck, pc))
-    if meta is None:
+        return Block(pc, process.code_version, *_decode_trace(process, pc),
+                     [0, 0])
+    record = _GLOBAL_TRACES.lookup((ck, pc))
+    if record is None:
         _trace_stats["misses"] += 1
-        meta = _decode_trace(process, pc)
-        _GLOBAL_TRACES.insert((ck, pc), meta)
+        record = (*_decode_trace(process, pc), [0, 0])
+        _GLOBAL_TRACES.insert((ck, pc), record)
     else:
         _trace_stats["hits"] += 1
-    return Block(pc, process.code_version, *meta)
+    return Block(pc, process.code_version, *record)
 
 
 def _decode_trace(process: "Process", pc: int) -> tuple:

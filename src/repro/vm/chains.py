@@ -72,9 +72,20 @@ Formation is *amortised* (:func:`link_chain`). ``compile()`` costs
 segment, which *executes* in microseconds — and a hot region grows a
 few blocks at a time while it warms up: rebuilding the web at every
 tier-up compiled one 2 → 37-segment redis region 34 times (573
-segments emitted for a final chain of 37). Three rules keep the
+segments emitted for a final chain of 37). Four rules keep the
 compiler off that path:
 
+* **Heat belongs to the code.** A head's chain heat and relink debt
+  (``Block.formation``) live in the trace record the shared trace cache
+  keeps per (exec-page content hash, pc), so dispatches from every
+  process, and from every restored incarnation of a binary, add up.
+  Only code without a content key — rewritten in place, or lazily
+  restored — keeps a count of its own.
+* **What pays for a first build.** A web is compiled for the first
+  time once its head has served ``CHAIN_THRESHOLD`` dispatches
+  node-wide: a cold run of a short program compiles at most its hottest
+  loop, and a node that keeps running a binary compiles every web that
+  repays it.
 * **Stale is not invalid.** A chain bound at an older ``hot_epoch`` is
   still correct — block contents are immutable per code version — it
   merely returns to ``run_thread`` at edges that have since become
@@ -84,11 +95,12 @@ compiler off that path:
   only after ``RELINK_DISPATCHES_PER_SEGMENT`` further stale
   dispatches per segment of the web just bound, so the compile work a
   region attracts is proportional to the dispatches it serves.
-* **Bind before build.** Planning a web (a graph walk over memoized
-  keys) is cheap and always allowed; when the planned web's factory
-  is already cached — a fresh process on a warm node, a restored
-  process — it is bound at once whatever the member owes, with zero
-  compiles, exactly as tier-2's ``bind_only`` path does.
+
+And one exemption, **bind before build**: planning a web (a graph walk
+over memoized keys) is cheap, and when the planned web's factory is
+already cached — a fresh process on a warm node, a restored process —
+it is bound at once whatever the member owes and whatever its heat,
+with zero compiles, exactly as tier-2's ``bind_only`` path does.
 
 Correctness invariants, each inherited from tier-2 and preserved:
 
@@ -141,16 +153,41 @@ if TYPE_CHECKING:
 #: stays tractable for the bytecode compiler.
 MAX_CHAIN_BLOCKS = 64
 
-#: Dispatches of a block's compiled (tier-2) function before its first
-#: chain is attempted. By then every block on the hot path has itself
-#: been through tier-2 warmup, so the successor walk links most of the
-#: loop in one attempt — chain factories are large generated
-#: functions, so building them for regions that are not genuinely hot
-#: (e.g. short-lived fuzz programs) costs more than it saves. Only a
-#: block with no chain at all waits on this; growing an existing web
-#: is governed by ``RELINK_DISPATCHES_PER_SEGMENT``. Tests lower it to
-#: force chains.
-CHAIN_THRESHOLD = 8
+#: Dispatches of a head's compiled (tier-2) function, counted over the
+#: whole node (``Block.formation`` is shared by every process running
+#: the same code), before its web is compiled for the first time — the
+#: rule ``RELINK_DISPATCHES_PER_SEGMENT`` applies to rebuilds, applied
+#: to the first build: compile once the node has served enough
+#: dispatches to repay it. Binding a cached web needs no heat (see
+#: :func:`link_chain`). Measured with shared heat on a 2-vCPU Xeon
+#: (CPython 3.11): the cold child
+#: (redis/small and kmeans/small, 20 k steps on x86, migrated to arm,
+#: run to exit in a fresh interpreter; chains / generated lines and
+#: post-import seconds, best of five), seven passes of the four
+#: ``steady_compute`` apps on both ISAs in one interpreter (best pass,
+#: chains compiled over all seven), and one e2e run each of
+#: ``steady_compute`` (``setup_s``) and ``store_epochs`` (peak RSS):
+#:
+#: ========= ================= ================ ====== ===== ====== ====
+#: threshold cold redis        cold kmeans      steady setup chains RSS
+#:           (chains/lines, s) (chains/lines,s) ms     s     7 pass MB
+#: ========= ================= ================ ====== ===== ====== ====
+#: 8 *       15 / 26 250  0.33 13 / 21 509 0.28 205    4.5   129    44.1
+#: 128       2 / 11 670   0.26 3 / 4 864   0.23 205    3.5   37     44.3
+#: 256       1 / 936      0.16 2 / 2 428   0.14 192    2.4   34     52.3
+#: 512       1 / 936      0.15 1 / 1 085   0.13 194    2.0   32     42.1
+#: 1024      0 / 0        0.14 0 / 0       0.13 248    1.7   28     41.6
+#: ========= ================= ================ ====== ===== ====== ====
+#:
+#: (* the previous rule: heat per process, first build at 8.) At 256
+#: one 17-segment ``store_epochs`` web compiles inside the timed loop
+#: and lifts ``ru_maxrss`` by ~10 MB; at 1024 seven passes are not
+#: enough for the node to form its webs. Sharing is what makes a high
+#: threshold affordable: with heat per process the best steady pass
+#: reads 282 ms at 256 (20 chains over seven passes) and 250 ms at 512
+#: (8 chains), because a web no single run repays is never compiled.
+#: Tests lower it to force chains (``early_chains``, ``_force_chains``).
+CHAIN_THRESHOLD = 512
 
 #: Stale dispatches a member must serve, per segment of the web it was
 #: last bound into, before it may trigger another *compile* of that
@@ -158,7 +195,8 @@ CHAIN_THRESHOLD = 8
 #: The unit is a real chain exit: the scheduler does not slice a sole
 #: thread (``Machine.step_all``), so a stale chain is re-dispatched
 #: only when it returns at an edge it has not linked, not once per
-#: quantum as when this was first calibrated (at 8). Measured on the
+#: quantum as when this was first calibrated (at 8). Measured, while a
+#: first build still took 8 dispatches of one process, on the
 #: cold redis/small x86→arm child (143 k instructions, 20 k on x86;
 #: ``compile()`` at 6–9 µs/line, ~210 lines/segment), chains /
 #: segments / generated lines, VM phases, child total, peak RSS:
@@ -189,6 +227,10 @@ RELINK_DISPATCHES_PER_SEGMENT = 16
 #: or the block is a drifted duplicate outside the canonical web),
 #: stored on ``Block.chain``.
 NO_CHAIN = object()
+
+#: ``Block.plan_epoch`` of a head that has made both of its plans below
+#: ``CHAIN_THRESHOLD`` (see :func:`link_chain`); hot epochs are >= 0.
+_PLANNED_TWICE = -2
 
 _U64M = 0xFFFFFFFFFFFFFFFF
 _TWO64 = 1 << 64
@@ -352,13 +394,31 @@ def link_chain(process: "Process", head: "Block", cache: dict):
     slightly different order and each order mints its own intermediate
     factories: the four-app, two-ISA mix still compiled 2 chains a
     pass after eight passes, against none from the fourth pass on.
+
+    Both counts are the code's, not the process's (``Block.formation``
+    is shared through the trace record). A head with no chain yet and
+    still below ``CHAIN_THRESHOLD`` never compiles, but a bind costs no
+    compile whatever the heat: it plans on its first dispatch in this process
+    and once more after the hot epoch has moved, and binds a cached
+    factory if either plan finds one. The second plan is for webs of
+    several traces: at the head's first dispatch the rest of its loop
+    has not run in this process yet, and one trip round it brings every
+    trace of a cached web to tier 2 (each binds its cached tier-2 code
+    on first dispatch, ``codegen(bind_only=True)``).
     """
-    heat = head.chain_heat = head.chain_heat + 1
+    formation = head.formation
+    heat = formation[0] = formation[0] + 1
     chain = head.chain
-    if chain is None and heat < CHAIN_THRESHOLD:
-        return None
     epoch = process.hot_epoch
-    owing = heat < head.relink_at
+    if chain is None and heat < CHAIN_THRESHOLD:
+        planned = head.plan_epoch
+        if planned == epoch or planned == _PLANNED_TWICE:
+            return None
+        head.plan_epoch = epoch if planned == -1 else _PLANNED_TWICE
+        plan = _plan_chain(process, head, cache)
+        entry = plan and _CHAIN_FACTORY_CACHE.lookup(plan[1])
+        return _bind_chain(process, head, plan[0], entry) if entry else None
+    owing = heat < formation[1]
     if owing and head.plan_epoch == epoch:
         return chain
     head.plan_epoch = epoch
@@ -474,7 +534,8 @@ def _bind_chain(process: "Process", head: "Block", segs, entry):
         blk.chain_m = (run, nsegs + j)
         blk.chain_epoch = epoch
         blk.chain_web = web
-        blk.relink_at = blk.chain_heat + debt
+        formation = blk.formation
+        formation[1] = formation[0] + debt
         # Interior pcs (and the terminator's own pc) resume through
         # the metered arm; the successor pc past a trace's end is the
         # next block's business, not a resume point of this one.

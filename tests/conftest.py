@@ -91,6 +91,16 @@ func main() -> int {
 """
 
 
+@pytest.fixture
+def early_chains(monkeypatch):
+    """Chain a compiled trace from its first dispatch. A short test
+    program never serves the dispatches that repay a chain compile
+    (``chains.CHAIN_THRESHOLD``), so a differential that names the
+    chains engine would quietly compare two tiers instead of three."""
+    from repro.vm import chains
+    monkeypatch.setattr(chains, "CHAIN_THRESHOLD", 1)
+
+
 @pytest.fixture(scope="session")
 def counter_program():
     return compile_source(COUNTER_SOURCE, "counter")

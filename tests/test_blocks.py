@@ -378,10 +378,12 @@ class TestChainParity:
 
 
 def _cold_code_caches(monkeypatch):
-    """Empty process-global code caches, as a fresh interpreter has."""
+    """Empty process-global code caches, as a fresh interpreter has —
+    the shared trace records included, since tier-3 heat lives there."""
     monkeypatch.setattr(chains, "_CHAIN_FACTORY_CACHE", blocks.LruCache())
     monkeypatch.setattr(blocks, "_FACTORY_CACHE", blocks.LruCache())
     monkeypatch.setattr(blocks, "_CODE_CACHE", blocks.LruCache())
+    monkeypatch.setattr(blocks, "_GLOBAL_TRACES", blocks.LruCache())
 
 
 def _chain_counters(run):
@@ -405,6 +407,10 @@ class TestChainFormation:
         the bound on ``built`` is what the relink calibration in
         ``chains.py`` measures."""
         _cold_code_caches(monkeypatch)
+        # The first-build threshold this debt was calibrated under; at
+        # the default one a cold run barely relinks (see
+        # TestHeatBelongsToTheCode).
+        monkeypatch.setattr(chains, "CHAIN_THRESHOLD", 8)
         program = get_app("redis").compile("small")
 
         def cold():
@@ -431,6 +437,7 @@ class TestChainFormation:
                               engine=engine, quantum=quantum
                               ).journal.digest_stream()
 
+        _force_chains(monkeypatch)
         spent = {}
         for quantum in (7, 64):
             ref = digests("interp", quantum)
@@ -456,6 +463,7 @@ class TestChainFormation:
         process warms tier-2, which changes the order webs grow in, so
         the second may still compile some; the third must not.)"""
         _cold_code_caches(monkeypatch)
+        _force_chains(monkeypatch)
         program = compile_source(PHASED_SOURCE, "phased")
 
         def run():
@@ -493,6 +501,165 @@ class TestChainFormation:
         assert 0 < chain_info["factories"] <= 4
         assert not any("def run(thread, regs, budget" in text
                        for text in blocks._CODE_CACHE)
+
+
+#: (chains compiled, generated lines) of ``benchmarks/e2e/coldchild.py``
+#: at the default thresholds. Counting heat per process and building at
+#: 8 dispatches, the same runs compiled 15 / 26 250 and 13 / 21 509.
+COLD_CHILD_COMPILES = {"redis": (1, 936), "kmeans": (1, 1085)}
+
+
+def _heat_program(name):
+    """HEAT_SOURCE sized so one run dispatches its one web about three
+    quarters of ``CHAIN_THRESHOLD`` times: a run alone never compiles
+    it, two runs together do."""
+    iterations = chains.CHAIN_THRESHOLD * 3 // 4
+    return compile_source(HEAT_SOURCE % iterations, name)
+
+
+def _formations(block_cache):
+    """pc -> a copy of each block's ``[chain heat, relink_at]``."""
+    return {pc: list(block.formation) for pc, block in block_cache.items()}
+
+
+class TestHeatBelongsToTheCode:
+    """Tier-3 formation state lives in the shared trace record: chain
+    heat and relink debt add up over every process running the same
+    code, except rewritten or lazily restored code, and a head binds an
+    already compiled web whatever its heat."""
+
+    @pytest.mark.parametrize("app", sorted(COLD_CHILD_COMPILES))
+    def test_cold_child_compiles_only_what_pays(self, app, monkeypatch):
+        """The cold child's sequence in-process on cold code caches:
+        compile, spawn, a 20 000-step warm-up, an x86 -> arm migration,
+        run to exit. Counts, not timings."""
+        _cold_code_caches(monkeypatch)
+        program = compile_source(get_app(app).source("small"), app)
+
+        def cold():
+            pipeline = MigrationPipeline(Machine(X86_ISA, name="xeon"),
+                                         Machine(ARM_ISA, name="rpi"),
+                                         program)
+            process = pipeline.start()
+            pipeline.src_machine.step_all(20_000)
+            result = pipeline.migrate(process)
+            pipeline.dst_machine.run_process(result.process)
+            return result
+
+        result, spent = _chain_counters(cold)
+        assert result.process.exit_code == 0
+        assert (spent["built"], spent["lines_emitted"]) \
+            == COLD_CHILD_COMPILES[app]
+
+    @pytest.mark.parametrize("arch", ARCHES)
+    def test_runs_add_up_and_the_next_binds_at_once(self, arch,
+                                                    monkeypatch):
+        """Two runs that each stay below the threshold compile the web
+        during the second; a third binds it with zero compiles one trip
+        round the loop in: no member is dispatched outside the chain
+        more than twice."""
+        _cold_code_caches(monkeypatch)
+        program = _heat_program("heat")
+
+        def run():
+            machine, process = _spawn(program, arch)
+            block_cache, _entries = _run_to_exit(machine, process)
+            return process, [block for block in block_cache.values()
+                             if block.chain not in (None, chains.NO_CHAIN)]
+
+        (first, web), spent = _chain_counters(run)
+        assert web == [] and spent["built"] == spent["bound"] == 0
+        (second, web), spent = _chain_counters(run)
+        assert spent["built"] == spent["bound"] == 1 and web
+        assert max(b.formation[0] for b in web) == chains.CHAIN_THRESHOLD
+        heat = [(block.formation, block.formation[0]) for block in web]
+        (third, third_web), spent = _chain_counters(run)
+        assert spent["built"] == 0 and spent["bound"] == 1
+        assert {b.chain_web for b in third_web} == {b.chain_web for b in web}
+        assert all(formation[0] <= was + 2 for formation, was in heat)
+        assert (_fingerprint(first) == _fingerprint(second)
+                == _fingerprint(third))
+
+    def test_heat_is_not_shared_across_a_code_rewrite(self, monkeypatch):
+        """After an in-place code write (``code_version`` 1) a process
+        counts heat of its own: the two runs that add up to a compile
+        above do not here, and the shared records are left as they
+        were. Once the web is compiled, the rewritten process binds it
+        one trip round its loop in, far below the threshold, with zero
+        compiles."""
+        _cold_code_caches(monkeypatch)
+        program = _heat_program("rewritten")
+
+        def run(rewrite):
+            machine, process = _spawn(program, "x86_64")
+            if rewrite:
+                pc = next(iter(process.threads.values())).pc
+                process.aspace.write_code(pc, process.aspace.fetch(pc, 8))
+                assert process.code_version == 1
+            return _run_to_exit(machine, process)[0]
+
+        shared, _spent = _chain_counters(lambda: run(False))
+        heat = _formations(shared)
+        rewritten, spent = _chain_counters(lambda: run(True))
+        assert spent["built"] == 0
+        assert _formations(shared) == heat
+        assert not any(block.formation is shared[pc].formation
+                       for pc, block in rewritten.items() if pc in shared)
+        _shared, spent = _chain_counters(lambda: run(False))
+        assert spent["built"] == 1
+        _rewritten, spent = _chain_counters(lambda: run(True))
+        assert spent["built"] == 0 and spent["bound"] > 0
+
+    def test_heat_is_not_shared_across_a_lazy_restore(self, monkeypatch):
+        """A lazily restored process (``missing_page_hook`` set) cannot
+        hash its code, so it counts heat of its own — and still binds
+        the node's compiled web, far below the threshold."""
+        _cold_code_caches(monkeypatch)
+        program = _heat_program("lazy")
+
+        def native():
+            machine, process = _spawn(program, "aarch64")
+            return process, _run_to_exit(machine, process)[0]
+
+        def lazily():
+            # Parked at its first equivalence point, before the loop.
+            pipeline = MigrationPipeline(Machine(X86_ISA), Machine(ARM_ISA),
+                                         program)
+            result = pipeline.run_and_migrate(1, lazy=True)
+            assert result.process.aspace.missing_page_hook is not None
+            return result
+
+        (reference, shared), spent = _chain_counters(native)
+        assert spent["built"] == 0
+        heat = _formations(shared)
+        result, spent = _chain_counters(lazily)
+        assert result.combined_output() == reference.stdout()
+        assert spent["built"] == 0
+        assert _formations(shared) == heat
+        _native, spent = _chain_counters(native)
+        assert spent["built"] == 1
+        result, spent = _chain_counters(lazily)
+        assert result.combined_output() == reference.stdout()
+        assert spent["built"] == 0 and spent["bound"] > 0
+
+    def test_shared_records_hold_ints_only(self, counter_program,
+                                           monkeypatch):
+        """What a record keeps alive is two ints: never a Block, a
+        closure or a process (those go with the process, see
+        ``tests/test_vm.py`` ``TestFinishedProcessReleasesItsCode``)."""
+        _cold_code_caches(monkeypatch)
+        _force_chains(monkeypatch)
+        machine, process = _spawn(counter_program, "x86_64", "counter")
+        block_cache, _entries = _run_to_exit(machine, process)
+        assert any(block.chain not in (None, chains.NO_CHAIN)
+                   for block in block_cache.values())
+        records = {id(record[-1]): record[-1]
+                   for record in blocks._GLOBAL_TRACES.values()}
+        assert records
+        for formation in records.values():
+            assert [type(value) for value in formation] == [int, int]
+        for block in block_cache.values():
+            assert records[id(block.formation)] is block.formation
 
 
 class TestDemotion:
@@ -604,6 +771,22 @@ func main() -> int {
         i = i + 1;
     }
     print(acc);
+    return 0;
+}
+"""
+
+# One hot web: a one-trace loop, dispatched once per iteration. It runs
+# in a function called once, so a run paused at its first equivalence
+# point migrates before the loop starts.
+HEAT_SOURCE = """
+func spin(int n) -> int {
+    int i; int acc;
+    i = 0; acc = 0;
+    while (i < n) { acc = acc + i * 3 + 1; i = i + 1; }
+    return acc;
+}
+func main() -> int {
+    print(spin(%d));
     return 0;
 }
 """

@@ -26,18 +26,23 @@ from repro.criu.restore import restore_process
 from repro.errors import MigrationError
 from repro.isa import ARM_ISA, X86_ISA, get_isa
 from repro.testing import generate_program
-from repro.vm import Machine
+from repro.vm import Machine, chains
 
 SEEDS = list(range(20))
 MIGRATION_SEEDS = list(range(10))
 SHUFFLE_SEEDS = list(range(8))
+
+pytestmark = pytest.mark.usefixtures("early_chains")
 
 
 def _native(program, arch, max_steps=3_000_000):
     machine = Machine(get_isa(arch))
     install_program(machine, program)
     process = machine.spawn_process(exe_path_for(program.name, arch))
+    bound = chains.chain_cache_info()["bound"]
     machine.run_process(process, max_steps=max_steps)
+    # every reference ran on tier 3 too, not only on tiers 0 and 2
+    assert chains.chain_cache_info()["bound"] > bound
     return process
 
 

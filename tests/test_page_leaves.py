@@ -357,6 +357,7 @@ ENGINES = {"per-step": dict(block_engine=False),
 
 
 class TestMemoEqualsFresh:
+    @pytest.mark.usefixtures("early_chains")
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_six_hop_pingpong_every_stage(self, engine, resident_program,
                                           monkeypatch):
@@ -394,13 +395,14 @@ class TestMemoEqualsFresh:
 
         pingpong = PingPong(resident_program, RESIDENT_FILL_STEPS,
                             **ENGINES[engine])
-        compiled = chained = False
+        compiled = False
+        chained = set()                # ISAs on which tier 3 bound a chain
         for _ in range(6):
             pingpong.process.machine.step_all(5 * RESIDENT_ROUND_STEPS)
             blocks = pingpong.process.block_cache.values()
             compiled |= any(b.fn is not None for b in blocks)
-            chained |= any(b.chain not in (None, chains.NO_CHAIN)
-                           for b in blocks)
+            if any(b.chain not in (None, chains.NO_CHAIN) for b in blocks):
+                chained.add(pingpong.process.isa.name)
             result = pingpong.hop(0)
             assert_memo_is_fresh(result.images)
             assert_origin_is_fresh(result.process)
@@ -408,7 +410,8 @@ class TestMemoEqualsFresh:
                 result.images.page_leaves()
         assert stages == ["dump", "rewrite", "verify"] * 6
         assert compiled == (engine != "per-step")
-        assert chained == (engine == "tier3")
+        assert chained == ({"x86_64", "aarch64"} if engine == "tier3"
+                           else set())
         pingpong.process.machine.run_process(pingpong.process)
         assert pingpong.process.exit_code == 0
 

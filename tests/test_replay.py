@@ -26,7 +26,7 @@ from repro.replay import digest as digest_mod
 from repro.replay import journal as jn
 from repro.replay.digest import DigestState, capture_state, machine_digest
 from repro.tools import replay as replay_cli
-from repro.vm import Machine
+from repro.vm import Machine, chains
 from repro.vm.ptrace import Tracer
 
 LOOP_SOURCE = """
@@ -289,6 +289,7 @@ def _checked_run(program, arch, engine, quantum, budget=None, fault=None):
     return checker, recorder
 
 
+@pytest.mark.usefixtures("early_chains")
 class TestDigestMemoDifferential:
     """The one correctness claim of the memoised fold: a long-lived
     ``DigestState`` and a fresh one give the same bytes — checked after
@@ -305,10 +306,13 @@ class TestDigestMemoDifferential:
     def test_long_lived_state_equals_fresh_state(self, app_name, arch,
                                                  engine, quantum, budget):
         program = get_app(app_name).compile("small")
+        bound = chains.chain_cache_info()["bound"]
         checker, recorder = _checked_run(program, arch, engine, quantum,
                                          budget)
         assert checker.slices == recorder.slices > 100
         assert checker.mismatches == []
+        if engine == "chains":            # three tiers proven, not two
+            assert chains.chain_cache_info()["bound"] > bound
 
     @pytest.mark.parametrize("engine", ["interp", "blocks", "chains"])
     def test_holds_across_an_injected_bit_flip(self, engine):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -532,3 +535,22 @@ class TestNetworkLinks:
         network.connect("a", "b", infiniband_link())  # idempotent
         with pytest.raises(ClusterError):
             network.connect("a", "b", ethernet_link())
+
+
+class TestImportCost:
+    def test_import_repro_does_not_load_the_store(self):
+        """Only ``use_store`` migrations need ``repro.store``; every cold
+        ``dapper-run`` would otherwise pay for importing it."""
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import repro, sys; assert 'repro.store' not in sys.modules"
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr[-2000:]
+
+    def test_store_names_stay_reachable_through_the_pipeline_module(self):
+        from repro.core import migration
+        assert migration.CheckpointStore is CheckpointStore
+        assert migration.StorePageServer is StorePageServer
+        assert migration.plan_transfer is plan_transfer
+        assert migration.ship is ship

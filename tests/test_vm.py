@@ -515,6 +515,7 @@ func main() -> int {
 """
 
 
+@pytest.mark.usefixtures("early_chains")
 class TestTicklessDifferential:
     """Undivided vs sliced, compared by whole-machine digest, per-thread
     instruction counts, output, exit code and totals after every
@@ -527,11 +528,14 @@ class TestTicklessDifferential:
     def test_every_app_at_chunk_997(self, app, arch):
         program = get_app(app).compile("small")
         for engine in ENGINES:
+            bound = chains.chain_cache_info()["bound"]
             free, tick = lockstep(program, arch, engine, 997)
             assert free.process.exited and free.process.exit_code == 0
             # the comparison really was tickless against ticking
             assert len(tick.calls) > len(free.calls)
             assert max(done for _p, _t, done in tick.calls) <= 64
+            if engine == "chains":        # three tiers proven, not two
+                assert chains.chain_cache_info()["bound"] > bound
 
     @pytest.mark.parametrize("arch", BOTH_ARCHES)
     @pytest.mark.parametrize("app", ["swaptions", "streamcluster",
@@ -541,10 +545,13 @@ class TestTicklessDifferential:
         thread creation and the interleaved phase after it."""
         program = get_app(app).compile("small")
         for engine in ENGINES:
+            bound = chains.chain_cache_info()["bound"]
             free, _tick = lockstep(program, arch, engine, 100_000)
             assert len(free.process.threads) > 1
             assert free.calls[0][2] > 64      # the prologue ran undivided
             assert free.calls[0][2] % 64 == 0  # ... and ended on the grid
+            if engine == "chains":        # three tiers proven, not two
+                assert chains.chain_cache_info()["bound"] > bound
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("quantum", [7, 64])
@@ -554,6 +561,7 @@ class TestTicklessDifferential:
             lockstep(program, "x86_64", engine, chunk, quantum=quantum)
 
 
+@pytest.mark.usefixtures("early_chains")
 class TestTicklessBoundaries:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("arch", BOTH_ARCHES)
@@ -706,6 +714,7 @@ class TestTicklessIsNotAMode:
                        for _p, _t, done in side.calls[:crowd])
 
 
+@pytest.mark.usefixtures("early_chains")
 class TestFinishedProcessReleasesItsCode:
     """Block and chain closures hold the process and the process holds
     them through its caches: a finished process must let go of them
