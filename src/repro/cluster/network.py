@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from ..core.costs import LinkProfile, ethernet_link, infiniband_link
+from ..core.costs import LinkProfile, infiniband_link
 from ..errors import ClusterError, LinkDropFault
 from ..vm.kernel import Machine
 
@@ -143,10 +143,3 @@ class Network:
                                               site="scp")
         nbytes = src.tmpfs.copy_tree(prefix, dst.tmpfs, dest_prefix)
         return nbytes, link.transfer_seconds(nbytes) * factor
-
-
-def paper_testbed_network() -> Network:
-    """InfiniBand between servers, 1 GbE to the Pi boards (paper §IV)."""
-    network = Network(default_link=ethernet_link())
-    network.connect("xeon", "xeon2", infiniband_link())
-    return network

@@ -28,13 +28,6 @@ from .codegen.common import FuncCode
 _FUNC_ALIGN = 16
 
 
-class LinkedImage:
-    """Per-ISA output of one link: a complete DELF binary."""
-
-    def __init__(self, binary: DelfBinary):
-        self.binary = binary
-
-
 def link(program: ir.IrProgram,
          per_isa_code: Dict[str, List[FuncCode]],
          isas: Dict[str, Isa]) -> Dict[str, DelfBinary]:

@@ -169,27 +169,6 @@ class MigrationCostModel:
     def restore_seconds(self, image_bytes: int, threads: int) -> float:
         return self.dst.restore_seconds(image_bytes, threads)
 
-    # -- whole-migration estimate -----------------------------------------
-
-    def blackout_seconds(self, image_bytes: int, threads: int = 1,
-                         frames: int = 8, shipped_bytes: Optional[int] = None,
-                         use_store: bool = False) -> float:
-        """End-to-end service blackout of one fault-free migration.
-
-        ``shipped_bytes`` is what actually crosses the link (a warm
-        content-addressed destination receives a fraction of the full
-        image); it defaults to the full image size.
-        """
-        shipped = image_bytes if shipped_bytes is None else shipped_bytes
-        seconds = (self.checkpoint_seconds(image_bytes, threads)
-                   + self.recode_seconds(image_bytes, frames)
-                   + self.transfer_seconds(shipped)
-                   + self.verify_seconds(image_bytes)
-                   + self.restore_seconds(image_bytes, threads))
-        if use_store:
-            seconds += self.store_seconds(image_bytes)
-        return seconds
-
     def __repr__(self) -> str:
         return (f"<MigrationCostModel {self.src.name}->{self.dst.name} "
                 f"over {self.link.name}>")
@@ -233,12 +212,6 @@ def rack_link() -> LinkProfile:
     """Top-of-rack 10 GbE — the default intra-rack fleet fabric."""
     return LinkProfile(name="ethernet-10g", bandwidth_bytes_per_s=1.1e9,
                        latency_s=50e-6, scp_overhead_s=0.30)
-
-
-def wan_link() -> LinkProfile:
-    """Inter-site WAN path — what a cross-rack fleet migration pays."""
-    return LinkProfile(name="wan", bandwidth_bytes_per_s=30e6,
-                       latency_s=15e-3, scp_overhead_s=0.5)
 
 
 def profile_for_arch(arch: str) -> NodeProfile:

@@ -111,12 +111,3 @@ class DapperRuntime:
     def kill_source(self) -> None:
         """Tear the source process down after a successful migration."""
         self.machine.kill(self.process)
-
-    # -- one-call convenience ---------------------------------------------------
-
-    def pause_and_checkpoint(self, lazy: bool = False,
-                             max_steps: int = 20_000_000):
-        self.pause_at_equivalence_points(max_steps)
-        if lazy:
-            return self.checkpoint_lazy()
-        return self.checkpoint()

@@ -14,9 +14,12 @@ page store) baked in. A ``bcc`` inside the trace becomes a *side exit*: taken, t
 generated function sets ``pc``, accounts the executed prefix, and
 returns; not taken, execution falls through with zero dispatch. Every
 generated function returns the number of instructions it executed.
-Cold blocks execute on ``interp.step`` (tier 0), which keeps the
-semantics reference in exactly one place and keeps run-once startup
-code off the specializer.
+Cold blocks execute on tier 0: ``interp.execute`` — the per-step
+engine's execute function — over the ops the trace already decoded, so
+the semantics reference stays in exactly one place, run-once startup
+code stays off the specializer, and a process with an empty decode
+cache (a fresh restore) does not re-fetch what the shared trace record
+holds.
 
 Correctness invariants (each one is load-bearing):
 
@@ -25,8 +28,9 @@ Correctness invariants (each one is load-bearing):
   64-bit wrapping and fault behaviour; instruction/cycle accounting is
   batched but arithmetically identical (side exits account their exact
   prefix), and a faulting instruction is never counted, just as in
-  ``interp.step``. Tier 0 *is* the per-step engine, so it is correct by
-  construction.
+  ``interp.step``. Tier 0 runs the per-step engine's own execute
+  function on ops decoded from the same bytes, one instruction at a
+  time with the same costs, so it is correct by construction.
 * **Block boundaries.** A trace never contains ``syscall``, ``trap``,
   or undecodable bytes — those always fall back to ``interp.step`` so
   kernel entry and parking semantics live in exactly one place.
@@ -121,9 +125,13 @@ class Block:
     ops. ``term_instr`` is a trailing ``ret`` or backward ``b``/``bcc``
     when the trace ends in one (the loop-closing and dynamic-successor
     terminators codegen specializes), else None and whatever follows
-    the trace executes
-    via ``interp.step``. ``full`` is the maximum number of
-    instructions one execution of the trace can retire.
+    the trace executes via ``interp.step``. ``full`` is the maximum
+    number of instructions one execution of the trace can retire. Tier
+    0 executes ``instrs`` (then ``term_instr``) directly, op ``j``
+    while ``pc == pcs[j]``, at cost ``cost_prefix[j + 1] -
+    cost_prefix[j]``, instead of fetching and decoding them again; a
+    side exit that leaves the trace hands the rest of the batch to
+    ``interp.step``.
 
     Everything else on a Block is per process: tier-2 ``heat`` and
     code, and the tier-3 chain it is bound into. Tier-3 *formation*
@@ -194,6 +202,7 @@ def run_thread(machine: "Machine", process: "Process",
     count = 0
     cache = process.block_cache
     step = interp.step
+    execute = interp.execute
     regs = thread.regs
     version = process.code_version
     chains_on = machine.chain_engine
@@ -285,14 +294,39 @@ def run_thread(machine: "Machine", process: "Process",
                 pfn = block.pfn = codegen(process, block, partial=True)
             count += pfn(thread, regs, remaining)
             continue
-        # Tier 0 is literally the per-step engine, per-instruction
-        # status checks included — a side exit taken mid-trace may land
-        # on a syscall or trap, so every transition must be observed.
-        k = block.full or 1
+        # Tier 0 is the per-step engine minus the fetch: while pc stays
+        # on the trace it executes the ops the trace already decoded
+        # (op j sits at pcs[j], the terminator at pcs[body_len]). A
+        # taken side exit that lands further down the trace (the join
+        # of an if without else) stays on it; one that lands elsewhere
+        # leaves it for the rest of the batch, and interp.step fetches
+        # — always the way to a syscall or trap. Status is checked
+        # after every instruction, so every transition is observed.
+        full = block.full
+        k = full or 1
         if k > remaining:
             k = remaining
+        body_len = block.body_len
+        pcs = block.pcs
+        instrs = block.instrs
+        cp = block.cost_prefix
+        j = 0
         while k > 0:
-            step(machine, process, thread)
+            if j < full and thread.pc != pcs[j]:
+                try:
+                    j = pcs.index(thread.pc, j + 1, full)
+                except ValueError:
+                    j = full
+            if j < full:
+                if j < body_len:
+                    execute(machine, process, thread, instrs[j],
+                            cp[j + 1] - cp[j])
+                else:
+                    execute(machine, process, thread, block.term_instr,
+                            block.term_cost)
+                j += 1
+            else:
+                step(machine, process, thread)
             count += 1
             k -= 1
             if (thread.status != running or process.stopped

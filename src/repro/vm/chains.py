@@ -59,12 +59,16 @@ Four mechanisms carry the speedup:
   a folded last-page hit test (``addr - cached_base`` in range)
   inline; a miss is one call into the binding's ``load_miss`` /
   ``store_miss`` closure (:func:`_miss_paths`), which performs the
-  access and hands back the site's refilled cache. Loads additionally
-  share a *hot VMA* there, so a load walking a multi-page array skips
-  the full page-table walk on every page of the hot mapping. Stores
-  deliberately do **not**: a store's first touch of each page must go
-  through ``write_u64`` so dirty-page tracking observes it (the
-  per-site page cache preserves exactly that property; see
+  access and hands back the site's refilled cache. The binding also
+  remembers every page its misses have refilled a site with, so a site
+  shared by several threads' stacks (threads take turns every slice)
+  refills from a dict instead of walking the address space on every
+  switch. Loads additionally share a *hot VMA* there, so a load walking
+  a multi-page array skips the full page-table walk on every page of
+  the hot mapping. Stores deliberately do **not**: a store's first
+  touch of each page per binding must go through ``write_u64`` so
+  dirty-page tracking observes it (the per-site page cache and the
+  binding's page memo preserve exactly that property; see
   ``Process.start_dirty_tracking``).
 
 Formation is *amortised* (:func:`link_chain`). ``compile()`` costs
@@ -554,48 +558,84 @@ def _miss_paths(aspace):
     exactly as ``interp.step`` would) and return the site's refilled
     last-page cache — or the old one when the page has no store yet.
 
+    Both remember, per binding, every page they have refilled a site
+    with: ``loaded`` maps page base to the word view of a page a load
+    found present and readable, ``stored`` one a store has already
+    written through ``write_u64``. A site caches one page, and threads
+    that run the same chain take turns every slice, so a site shared by
+    several threads' stacks misses on every switch; on a remembered
+    page an aligned word costs one dict probe and a subscript instead
+    of an address-space walk and a fresh ``memoryview.cast``. Misaligned
+    and page-straddling words always take the walk.
+
+    The memo is per binding for the same reason the site cells are: a
+    binding dies with the blocks that hold it, and every event that
+    must be seen again drops the blocks — code invalidation, and
+    ``start_dirty_tracking``/``harvest_dirty_pages``, after which each
+    page's next store must reach ``write_u64`` so the new epoch marks
+    it. That is why ``stored`` admits only pages a store has written
+    through ``write_u64`` in this binding: the page is already in the
+    current dirty set. It never holds a stale page either: it holds
+    only pages present in the page table, and while code runs pages are
+    only ever *added* (lazy fault-in, ``install_page`` of absent pages).
+
     Loads also share a *hot VMA* (``lo``/``hi``, filled in here): a
     full-word access inside its bounds is known readable, so one
     page-dict probe replaces the whole ``read_u64`` walk on every page
     of the hot mapping. Missing pages still take the walk — under lazy
     post-copy an absent store is not proof of zeros. Stores
-    deliberately do not use it: the first touch of every page per
-    binding must reach ``write_u64`` so dirty-page tracking marks it
-    (chains are dropped when tracking starts, like tier-2 blocks).
+    deliberately do not use it, for the dirty-tracking reason above.
     """
     pages_get = aspace._pages.get
     read_u64 = aspace.read_u64
     write_u64 = aspace.write_u64
     find_vma = aspace.find_vma
     unpack_from = _U64S.unpack_from
+    loaded: Dict[int, object] = {}
+    stored: Dict[int, object] = {}
     lo, hi = 1, 0
 
     def load_miss(a, base, view):
         nonlocal lo, hi
         a &= _U64M
         o = a & _PM
+        p = a - o
+        if not o & 7:
+            memo = loaded.get(p)
+            if memo is not None:
+                return memo[o >> 3], p, memo
         if lo <= a and a + 8 <= hi and o <= _LS:
-            page = pages_get(a - o)
+            page = pages_get(p)
             if page is None:
                 return read_u64(a), base, view
-            return unpack_from(page, o)[0], a - o, _cast_page(page)
+            view = loaded[p] = _cast_page(page)
+            return unpack_from(page, o)[0], p, view
         value = read_u64(a)
         vma = find_vma(a)
         if vma is not None and vma.readable and a + 8 <= vma.end:
             lo = vma.start
             hi = vma.end
-        page = pages_get(a - o)
+        page = pages_get(p)
         if page is None:
             return value, base, view
-        return value, a - o, _cast_page(page)
+        view = loaded[p] = _cast_page(page)
+        return value, p, view
 
     def store_miss(a, value, base, view):
         a &= _U64M
+        o = a & _PM
+        p = a - o
+        if not o & 7:
+            memo = stored.get(p)
+            if memo is not None:
+                memo[o >> 3] = value
+                return p, memo
         write_u64(a, value)
-        page = pages_get(a - (a & _PM))
+        page = pages_get(p)
         if page is None:
             return base, view
-        return a - (a & _PM), _cast_page(page)
+        view = stored[p] = _cast_page(page)
+        return p, view
 
     return load_miss, store_miss
 

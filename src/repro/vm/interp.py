@@ -60,15 +60,27 @@ def step(machine: "Machine", process: "Process",
     """Execute exactly one instruction on ``thread``."""
     try:
         instr = fetch_decode(process, thread.pc)
-        _execute(machine, process, thread, instr)
     except SegmentationFault as exc:
         raise CpuFault(thread, str(exc)) from exc
     except DecodingError as exc:
         # SIGILL: undecodable bytes at the program counter.
         raise CpuFault(thread, f"illegal instruction: {exc}") from exc
+    execute(machine, process, thread, instr, process.isa.cost(instr))
+
+
+def execute(machine: "Machine", process: "Process", thread: ThreadContext,
+            instr: Instruction, cost: int) -> None:
+    """Execute ``instr``, already decoded from ``thread.pc``, and account
+    it at ``cost`` cycles; a faulting instruction is not counted. The
+    superblock engine's tier 0 calls this with the ops its trace
+    decoded (``repro.vm.blocks.run_thread``)."""
+    try:
+        _execute(machine, process, thread, instr)
+    except SegmentationFault as exc:
+        raise CpuFault(thread, str(exc)) from exc
     thread.instr_count += 1
     process.instr_total += 1
-    process.cycle_total += process.isa.cost(instr)
+    process.cycle_total += cost
 
 
 def _execute(machine: "Machine", process: "Process", thread: ThreadContext,

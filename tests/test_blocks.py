@@ -11,9 +11,13 @@ Covers the engine's three safety-critical contracts:
    quantum-boundary variant) is bit-identical to the per-step engine.
 """
 
+import sys
+from types import SimpleNamespace
+
 import pytest
 
 from repro.apps.registry import get_app
+from repro.binfmt.delf import TEXT_BASE
 from repro.binfmt.stackmaps import KIND_ENTRY
 from repro.compiler import compile_source
 from repro.core.migration import (MigrationPipeline, exe_path_for,
@@ -24,10 +28,15 @@ from repro.core.rewriter import ProcessRewriter
 from repro.core.runtime import DapperRuntime
 from repro.criu.restore import restore_process
 from repro.isa import ARM_ISA, X86_ISA, get_isa
+from repro.mem.address_space import AddressSpace
+from repro.mem.paging import PAGE_MASK
 from repro.replay import record_run
-from repro.vm import Machine, blocks, chains
+from repro.replay.digest import machine_digest
+from repro.vm import Machine, blocks, chains, interp
 from repro.vm.cpu import ThreadStatus
 from repro.vm.interp import CpuFault
+
+_U64M = (1 << 64) - 1
 
 ARCHES = ["x86_64", "aarch64"]
 
@@ -716,6 +725,317 @@ class TestTraceCacheLRU:
         assert process.stdout() == counter_reference_output
 
 
+class TestChainPageMemo:
+    """A chain binding remembers the pages its memory sites have been
+    refilled with (``chains._miss_paths``), so a site shared by several
+    threads' stacks does not walk the address space on every thread
+    switch. The memo must not outlive a dirty-tracking epoch, and only
+    aligned words may use it."""
+
+    @pytest.mark.parametrize("arch", ARCHES)
+    def test_dirty_set_parity_with_chains_four_threads(self, arch,
+                                                       monkeypatch):
+        """Three workers share one chain binding and every slice
+        switches threads; over four ``harvest_dirty_pages`` epochs each
+        epoch's dirty set, and the state each slice stops in, match
+        per-step execution."""
+        program = compile_source(QUAD_SOURCE, "quad")
+
+        def tracked(engine):
+            machine = Machine(get_isa(arch), **ENGINE_FLAGS[engine])
+            install_program(machine, program)
+            process = machine.spawn_process(exe_path_for("quad", arch))
+            machine.step_all(3000)
+            process.start_dirty_tracking()
+            epochs = []
+            for _ in range(4):
+                machine.step_all(2500)
+                epochs.append(process.harvest_dirty_pages())
+                epochs.append(machine_digest([machine]))
+            assert not process.exited and len(process.threads) == 4
+            return epochs
+
+        ref = tracked("interp")
+        assert all(ref[0::2])
+        _force_chains(monkeypatch)
+        bound = chains.chain_cache_info()["bound"]
+        assert tracked("chains") == ref
+        assert chains.chain_cache_info()["bound"] > bound
+
+    @pytest.mark.parametrize("arch", ARCHES)
+    def test_misaligned_and_straddling_words_on_a_remembered_page(
+            self, arch, monkeypatch):
+        """A warm chain loads and stores through ``*p`` on a page its
+        binding remembers; then ``p`` is poked to a misaligned word on
+        that page, to a word straddling into the next page, and to one
+        straddling the end of the mapping. Values, state and the fault
+        match per-step execution."""
+        program = compile_source(MISALIGN_SOURCE, "misalign")
+
+        def poked(engine):
+            machine = Machine(get_isa(arch), **ENGINE_FLAGS[engine])
+            install_program(machine, program)
+            process = machine.spawn_process(exe_path_for("misalign", arch))
+            aspace = process.aspace
+            symtab = process.binary.symtab
+            ptr = symtab.address_of("p")
+            word = symtab.address_of("table") + 8 * 8
+            page_end = (word | PAGE_MASK) + 1
+            machine.step_all(4000)
+            seen = [machine_digest([machine])]
+            for addr in (word + 3, page_end - 4):
+                aspace.write_u64(ptr, addr)
+                machine.step_all(300)
+                seen.append(machine_digest([machine]))
+            aspace.write_u64(ptr, aspace.find_vma(word).end - 4)
+            with pytest.raises(CpuFault) as fault:
+                machine.step_all(300)
+            seen.append(str(fault.value))
+            seen.append(sorted((t.pc, t.instr_count, tuple(t.regs))
+                               for t in process.threads.values()))
+            return seen, process.instr_total, process.cycle_total
+
+        ref = poked("interp")
+        assert "straddles mapping" in ref[0][-2]
+        _force_chains(monkeypatch)
+        bound = chains.chain_cache_info()["bound"]
+        assert poked("chains") == ref
+        assert chains.chain_cache_info()["bound"] > bound
+
+
+#: Address-space word walks (``read_u64``, ``write_u64``) per pause of a
+#: warm swaptions/small process on x86_64, counted over the whole
+#: process. Before chain bindings remembered their pages: 87 / 433.
+#: What is left is tier-2 sites' first touches; chain sites walk 0.
+WARM_PAUSE_WALKS = (40, 37)
+
+#: Instructions a restored redis/medium process's pauses fetch through
+#: ``interp.step``, summed over the ten measured migrations of
+#: ``test_restored_pause_fetches_only_off_trace``. When tier 0 fetched
+#: every instruction: 690.
+RESTORED_PAUSE_FETCHES = 69
+
+
+def _counting_walks(monkeypatch):
+    """Count every ``read_u64``/``write_u64`` call on any address space
+    (chain bindings capture the patched methods when they bind)."""
+    walks = {"read": 0, "write": 0}
+    read_u64 = AddressSpace.read_u64
+    write_u64 = AddressSpace.write_u64
+
+    def counted_read(self, addr):
+        walks["read"] += 1
+        return read_u64(self, addr)
+
+    def counted_write(self, addr, value):
+        walks["write"] += 1
+        return write_u64(self, addr, value)
+
+    monkeypatch.setattr(AddressSpace, "read_u64", counted_read)
+    monkeypatch.setattr(AddressSpace, "write_u64", counted_write)
+    return walks
+
+
+class TestPauseAtWarmSpeed:
+    """The pause that precedes every migration runs at warm speed.
+    Counts, not timings: a regression is a diff."""
+
+    def test_warm_pause_walks_each_page_once_per_binding(self,
+                                                         monkeypatch):
+        """Swaptions' three workers run one chain binding; a quantum
+        switches threads, so each site's one cached page is always the
+        previous thread's stack. Each binding walks the address space
+        at most once per distinct page it touches, and a warm pause
+        walks ``WARM_PAUSE_WALKS``."""
+        _cold_code_caches(monkeypatch)
+        walks = _counting_walks(monkeypatch)
+        bindings = []
+        miss_paths = chains._miss_paths
+
+        def recording(aspace):
+            """The real miss paths over an address space that counts
+            this binding's walks, and the pages its misses touch."""
+            seen = {"read": 0, "write": 0, "load": set(), "store": set()}
+
+            def read_u64(addr):
+                seen["read"] += 1
+                return aspace.read_u64(addr)
+
+            def write_u64(addr, value):
+                seen["write"] += 1
+                return aspace.write_u64(addr, value)
+
+            load_miss, store_miss = miss_paths(SimpleNamespace(
+                _pages=aspace._pages, find_vma=aspace.find_vma,
+                read_u64=read_u64, write_u64=write_u64))
+
+            def load(a, base, view):
+                seen["load"].add(a & _U64M & ~PAGE_MASK)
+                return load_miss(a, base, view)
+
+            def store(a, value, base, view):
+                seen["store"].add(a & _U64M & ~PAGE_MASK)
+                return store_miss(a, value, base, view)
+
+            bindings.append(seen)
+            return load, store
+
+        monkeypatch.setattr(chains, "_miss_paths", recording)
+        machine, process = _spawn(get_app("swaptions").compile("small"),
+                                  "x86_64", "swaptions")
+        machine.step_all(20_000)
+        runtime = DapperRuntime(machine, process)
+        per_pause = []
+        for _ in range(40):
+            before = dict(walks)
+            runtime.pause_at_equivalence_points()
+            per_pause.append((walks["read"] - before["read"],
+                              walks["write"] - before["write"]))
+            runtime.resume()
+            machine.step_all(500)
+        assert not process.exited and len(process.threads) == 4
+        assert bindings
+        for seen in bindings:
+            assert seen["store"]
+            assert seen["read"] <= len(seen["load"])
+            assert seen["write"] <= len(seen["store"])
+        assert per_pause[-1] == per_pause[-2]
+        reads, writes = per_pause[-1]
+        assert reads <= WARM_PAUSE_WALKS[0]
+        assert writes <= WARM_PAUSE_WALKS[1]
+
+    def test_restored_pause_fetches_only_off_trace(self, monkeypatch):
+        """A restored process starts with an empty decode cache. Its
+        pause runs mostly on tier 0, which executes the ops its trace
+        record already decoded. ``interp.step`` fetches kernel entries,
+        and otherwise only the rest of a tier-0 run whose trace a side
+        exit has left: every such fetch directly follows, on its thread,
+        a trace op or another such fetch."""
+        step, execute = interp.step, interp.execute
+        runs = {}              # thread -> [instr_count at last trace op, steps]
+        seen = {"trace": 0, "fetched": 0}
+        stepping = []
+
+        def traced_execute(machine, process, thread, instr, cost):
+            execute(machine, process, thread, instr, cost)
+            if not stepping:
+                seen["trace"] += 1
+                runs[thread] = [thread.instr_count, 0]
+
+        def fetching_step(machine, process, thread):
+            pc = thread.pc
+            stepping.append(pc)
+            try:
+                step(machine, process, thread)
+            finally:
+                stepping.pop()
+            seen["fetched"] += 1
+            op = process.decode_cache[pc][1].op
+            run = runs.setdefault(thread, [None, 0])
+            run[1] += 1
+            if op not in ("syscall", "trap"):
+                mark, steps = run
+                assert mark is not None and thread.instr_count - mark == steps, (
+                    f"tier 0 fetched {op} at {pc:#x}, the head of its run")
+
+        program = get_app("redis").compile("medium")
+        x86 = Machine(X86_ISA, name="x86")
+        arm = Machine(ARM_ISA, name="arm")
+        pipes = {"x86_64": MigrationPipeline(x86, arm, program),
+                 "aarch64": MigrationPipeline(arm, x86, program)}
+        process = pipes["x86_64"].start()
+        x86.step_all(3000)
+        gaps = iter([300, 700, 450, 600, 350, 500, 650, 400] * 4)
+        for _ in range(20):
+            process = pipes[process.isa.name].migrate(process).process
+            process.machine.step_all(next(gaps))
+        monkeypatch.setattr(interp, "step", fetching_step)
+        monkeypatch.setattr(interp, "execute", traced_execute)
+        paused = {"trace": 0, "fetched": 0}
+        for _ in range(10):
+            runs.clear()
+            before = dict(seen)
+            process = pipes[process.isa.name].migrate(process).process
+            for key in paused:
+                paused[key] += seen[key] - before[key]
+            process.machine.step_all(next(gaps))
+        assert not process.exited
+        assert paused["trace"] > paused["fetched"] > 0
+        assert paused["fetched"] <= RESTORED_PAUSE_FETCHES
+
+
+def _tier0_only(monkeypatch):
+    """Keep every block on tier 0, and count the trace ops it executes
+    without fetching and the taken side exits among them. The code
+    caches start empty: a cached factory binds on first dispatch,
+    whatever the threshold."""
+    _cold_code_caches(monkeypatch)
+    monkeypatch.setattr(blocks, "HOT_THRESHOLD", 10 ** 9)
+    execute = interp.execute
+    seen = {"trace": 0, "side_exits": 0}
+
+    def traced_execute(machine, process, thread, instr, cost):
+        pc = thread.pc
+        execute(machine, process, thread, instr, cost)
+        if sys._getframe(1).f_code is blocks.run_thread.__code__:
+            seen["trace"] += 1
+            if instr.op == "bcc" and thread.pc != pc + instr.size:
+                seen["side_exits"] += 1
+
+    monkeypatch.setattr(interp, "execute", traced_execute)
+    return seen
+
+
+class TestTierZeroRunsTheTrace:
+    """Tier 0 executes the ops its trace record decoded instead of
+    fetching them again; it must stay digest-identical to the per-step
+    engine, which fetches every instruction."""
+
+    @pytest.mark.parametrize("arch", ARCHES)
+    @pytest.mark.parametrize("quantum", [7, 64])
+    def test_digests_identical_across_side_exits(self, arch, quantum,
+                                                 monkeypatch):
+        """PHASED_SOURCE's guarded arms are forward side exits, some
+        landing further down their own trace (an if without else)."""
+        def digests(engine):
+            return record_run(PHASED_SOURCE, "phased", arch=arch,
+                              engine=engine, quantum=quantum
+                              ).journal.digest_stream()
+
+        ref = digests("interp")
+        seen = _tier0_only(monkeypatch)
+        assert digests("blocks") == ref
+        assert seen["trace"] > 0 and seen["side_exits"] > 0
+
+    @pytest.mark.parametrize("arch", ARCHES)
+    def test_digests_identical_across_an_in_place_code_write(self, arch,
+                                                             monkeypatch):
+        """A live update written over the running text between two
+        slices: v1 doubles, v2 triples, and the two texts differ in one
+        byte. Tier 0 must run the new code from the next slice on."""
+        v1 = compile_source(V1_SOURCE, "doubler")
+        v2_text = compile_source(V2_SOURCE, "doubler").binary(arch).text
+
+        def sliced(engine):
+            machine = Machine(get_isa(arch), **ENGINE_FLAGS[engine])
+            install_program(machine, v1)
+            process = machine.spawn_process(exe_path_for("doubler", arch))
+            digests = []
+            while not process.exited:
+                if len(digests) == 40:
+                    process.aspace.write_code(TEXT_BASE, v2_text)
+                machine.step_all(64)
+                digests.append(machine_digest([machine]))
+            return digests, process.stdout()
+
+        ref = sliced("interp")
+        seen = _tier0_only(monkeypatch)
+        assert sliced("blocks") == ref
+        assert seen["trace"] > 0
+        values = [int(line) for line in ref[1].splitlines()]
+        assert values[0] == 2 and values[-1] == 600
+
+
 DIVZERO_SOURCE = """
 func main() -> int {
     int i; int d; int acc;
@@ -825,6 +1145,65 @@ func main() -> int {
         print(f(i));
         i = i + 1;
     }
+    return 0;
+}
+"""
+
+# Three workers run one function (one chain binding), each over its own
+# stack array, and scatter stores over a two-page global table.
+QUAD_SOURCE = """
+global int total;
+global int table[1024];
+
+func mix(int *q, int i) -> int {
+    *q = *q * 3 + i;
+    return *q;
+}
+
+func worker(int n) {
+    int i;
+    int acc[64];
+    int *p;
+    i = 0;
+    while (i < n) {
+        p = &acc[i % 64];
+        mix(p, i);
+        table[(i * 7 + n) % 1024] = *p;
+        total = total + 1;
+        i = i + 1;
+    }
+}
+
+func main() -> int {
+    int t1; int t2; int t3;
+    t1 = spawn(worker, 900);
+    t2 = spawn(worker, 800);
+    t3 = spawn(worker, 700);
+    join(t1);
+    join(t2);
+    join(t3);
+    print(total);
+    return 0;
+}
+"""
+
+# One load site and one store site through a global pointer, which a
+# test re-aims between slices.
+MISALIGN_SOURCE = """
+global int table[1024];
+global int *p;
+global int acc;
+
+func main() -> int {
+    int i;
+    p = &table[8];
+    i = 0;
+    while (i < 100000) {
+        *p = *p + i;
+        acc = acc + *p;
+        i = i + 1;
+    }
+    print(acc);
     return 0;
 }
 """
