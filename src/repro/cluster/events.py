@@ -46,9 +46,6 @@ class EventQueue:
     def empty(self) -> bool:
         return not self._heap
 
-    def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
-
     def peek_key(self) -> Optional[Tuple[float, int, int]]:
         """The next event's merge key ``(when, shard, seq)`` — what a
         multi-shard merge orders by."""

@@ -116,9 +116,6 @@ class Network:
         else:
             self._streams[node] = active - 1
 
-    def active_streams(self, node: str) -> int:
-        return self._streams.get(node, 0)
-
     # -- transfer ---------------------------------------------------------
 
     def scp(self, src: Machine, dst: Machine, prefix: str,

@@ -51,10 +51,6 @@ class SimNode:
     def power_watts(self) -> float:
         return self.profile.power_watts(len(self.running))
 
-    def seconds_for_instructions(self, instructions: float) -> float:
-        """Single-threaded job duration on this node."""
-        return instructions / (self.profile.freq_hz * self.profile.ipc)
-
     def __repr__(self) -> str:
         return (f"<SimNode {self.name} {self.busy_slots()}/"
                 f"{self.job_slots} busy>")

@@ -51,11 +51,6 @@ def _thread_id(ref: ThreadRef) -> int:
     return (ref.machine_index + 1) * 1000000 + ref.pid * 1000 + ref.tid
 
 
-def _split_thread_id(thread_id: int) -> Tuple[int, int, int]:
-    return (thread_id // 1000000 - 1, thread_id // 1000 % 1000,
-            thread_id % 1000)
-
-
 class DebugAdapter:
     """One DAP conversation over one debug session."""
 

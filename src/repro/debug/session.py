@@ -62,7 +62,7 @@ from ..replay.engine import Replayer, _compile
 from ..replay.journal import Journal
 from ..replay.recorder import FlightRecorder, ReplayObserver
 from ..store import CheckpointStore
-from ..vm.kernel import Machine, Process
+from ..vm.kernel import ENGINES, Machine, Process
 from .snapshots import Position, SnapshotIndex, WorldSnapshot
 from .source import SourceMap
 
@@ -350,7 +350,7 @@ class DebugSession:
         for arch, name in self._world_shape():
             machine = Machine(get_isa(arch), name=name,
                               quantum=self.header.get("quantum", 64),
-                              block_engine=False, chain_engine=False)
+                              **ENGINES["interp"])
             install_program(machine, self.program)
             machines.append(machine)
         return machines

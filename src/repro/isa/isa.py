@@ -239,10 +239,6 @@ class Isa:
 
     # -- superblock decode hooks -------------------------------------------
 
-    def is_block_terminator(self, instr: Instruction) -> bool:
-        """True if ``instr`` must end a predecoded superblock."""
-        return instr.op in BLOCK_TERMINATOR_OPS
-
     def decode_straight_line(self, fetch: Callable[[int], Instruction],
                              pc: int, max_instrs: int) -> List[Instruction]:
         """Decode the straight-line run starting at ``pc``.

@@ -84,10 +84,6 @@ class AddressSpace:
     def stop_dirty_tracking(self) -> None:
         self._dirty = None
 
-    @property
-    def dirty_tracking(self) -> bool:
-        return self._dirty is not None
-
     def harvest_dirty(self) -> set:
         """Return the dirty set and start a fresh tracking epoch."""
         dirty = self._dirty if self._dirty is not None else set()

@@ -41,7 +41,8 @@ FlightRecorder`) reuses a leaf from the previous digest only after an
 Registers, pc, flags, counters, locks and exit state are never
 memoised. :func:`machine_digest` runs the same fold on a fresh state,
 so "long-lived state == fresh state" is the whole correctness claim
-(pinned after every slice by tests/test_replay.py). The memo costs one
+(pinned after every slice by the ``memo_fresh`` oracle of
+:mod:`repro.testing.lockstep`). The memo costs one
 4 KB snapshot per populated non-zero page of each live process;
 :meth:`DigestState.forget` / :meth:`DigestState.clear` free it.
 """

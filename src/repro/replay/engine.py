@@ -30,7 +30,7 @@ from ..core.rerandomize import PeriodicRerandomizer
 from ..core.rng import RngService
 from ..errors import JournalError, MigrationRollback
 from ..isa import get_isa
-from ..vm.kernel import Machine
+from ..vm.kernel import ENGINES, Machine
 from . import journal as jn
 from .journal import Journal
 from .recorder import BitFlip, FlightRecorder, ReplayStop
@@ -62,19 +62,14 @@ class ReplayResult:
                 f"digests={self.recorder.digest_count}>")
 
 
-#: Execution engines a journal may name. All three produce the same
-#: digest stream for the same scenario — that cross-engine parity is
-#: what lets a journal recorded under one tier be validated under
-#: another.
-ENGINES = ("interp", "blocks", "chains")
-
-
 def _machine(header: Dict, arch: str, name: str = "node") -> Machine:
-    engine = header.get("engine", "blocks")
+    """A machine for one journaled run. A journal may name any of the
+    ``ENGINES``; all of them produce the same digest stream for the
+    same scenario, which is what lets a journal recorded under one tier
+    be validated under another."""
     return Machine(get_isa(arch), name=name,
                    quantum=header.get("quantum", 64),
-                   block_engine=engine != "interp",
-                   chain_engine=engine == "chains")
+                   **ENGINES[header.get("engine", "blocks")])
 
 
 def _execute_run(header: Dict, recorder: FlightRecorder) -> Optional[int]:

@@ -50,7 +50,7 @@ EV_CHECKPOINT = 8   #: CRIU-style dump taken: pid, a = image bytes
 EV_REWRITE = 9      #: a transformation policy ran: label = policy name
 EV_RESTORE = 10     #: process restored/adopted: pid, label = arch
 EV_MIGRATE = 11     #: cross-ISA migration completed: label = "src->dst"
-EV_CLUSTER = 12     #: cluster EventQueue firing: label, a = time (ns)
+EV_CLUSTER = 12     #: reserved (cluster EventQueue firing; not emitted)
 EV_FAULT = 13       #: injected fault fired: a = address, b = bit for a
                     #: BitFlip; label = "chaos:<kind>@<site>" for chaos
                     #: faults (fault spec lives in the "chaos" header)

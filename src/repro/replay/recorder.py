@@ -257,10 +257,6 @@ class FlightRecorder:
     def on_rng(self, service: str, label: str, value: int) -> None:
         self.journal.append(jn.EV_RNG, label=f"{service}/{label}", a=value)
 
-    def on_cluster_event(self, when: float, label: str) -> None:
-        self.journal.append(jn.EV_CLUSTER, a=int(round(when * 1e9)),
-                            label=label)
-
     def on_event(self, kind: int, **fields) -> None:
         """Journal a scenario-level event (checkpoint/rewrite/migrate)."""
         fields.setdefault("instr", self.instructions)

@@ -13,8 +13,6 @@ count the ROP gadgets reachable in its executable code.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..binfmt.delf import DelfBinary
 from ..isa import get_isa
 
@@ -88,7 +86,3 @@ def gadget_reduction(dapper_binary: DelfBinary,
     if base == 0:
         return 0.0
     return (1.0 - ours / base) * 100.0
-
-
-def gadget_counts_by_arch(binaries: Dict[str, DelfBinary]) -> Dict[str, int]:
-    return {arch: count_gadgets(b) for arch, b in binaries.items()}

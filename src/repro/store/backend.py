@@ -261,9 +261,6 @@ class DirBackend:
     def chunk_name(self, digest: str) -> str:
         return _CHUNK_DIR + digest
 
-    def has_chunk(self, digest: str) -> bool:
-        return self.disk.exists(self.chunk_name(digest))
-
     def put_chunk(self, digest: str, codec: str, logical: int,
                   payload: bytes) -> bool:
         """Publish one chunk file via write-tmp/fsync/rename.

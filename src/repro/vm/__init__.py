@@ -9,10 +9,10 @@ is built on.
 """
 
 from .cpu import ThreadContext, ThreadStatus
-from .kernel import Machine, Process
+from .kernel import ENGINES, Machine, Process
 from .loader import load_binary
 from .tmpfs import TmpFs
 from .ptrace import Tracer
 
-__all__ = ["ThreadContext", "ThreadStatus", "Machine", "Process",
+__all__ = ["ThreadContext", "ThreadStatus", "ENGINES", "Machine", "Process",
            "load_binary", "TmpFs", "Tracer"]

@@ -82,9 +82,6 @@ class ThreadContext:
     def runnable(self) -> bool:
         return self.status == ThreadStatus.RUNNING
 
-    def snapshot_regs(self) -> List[int]:
-        return list(self.regs)
-
     def __repr__(self) -> str:
         return (f"<Thread {self.tid} [{self.isa.name}] pc={self.pc:#x} "
                 f"{self.status}>")

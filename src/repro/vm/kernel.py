@@ -151,6 +151,14 @@ class Process:
                 f"[{self.isa.name}] threads={len(self.live_threads())}>")
 
 
+#: The execution tiers by name, as :class:`Machine` flags: per-step
+#: interpretation, tier-2 superblocks, tier-3 chains. Every tier retires
+#: identical state, so the name never changes a result.
+ENGINES = {"interp": dict(block_engine=False, chain_engine=False),
+           "blocks": dict(block_engine=True, chain_engine=False),
+           "chains": dict(block_engine=True, chain_engine=True)}
+
+
 class Machine:
     """One simulated node: an ISA, a kernel, a tmpfs, and processes.
 

@@ -8,7 +8,7 @@ byte copy whose size feeds the network cost model.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..errors import LoaderError
 
@@ -62,9 +62,6 @@ class TmpFs:
 
     def size(self, path: str) -> int:
         return len(self.read(path))
-
-    def total_size(self, paths: Iterable[str]) -> int:
-        return sum(self.size(p) for p in paths)
 
     def copy_tree(self, prefix: str, other: "TmpFs",
                   dest_prefix: str = None) -> int:

@@ -5,9 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.compiler import compile_source
-from repro.core.migration import exe_path_for, install_program
-from repro.isa import ARM_ISA, X86_ISA
-from repro.vm import Machine
+from repro.testing.lockstep import Track
 
 COUNTER_SOURCE = """
 global int g;
@@ -91,6 +89,36 @@ func main() -> int {
 """
 
 
+LOOP_SOURCE = """
+global int acc;
+func bump(int i) -> int {
+    acc = acc + i;
+    return acc;
+}
+func main() -> int {
+    int i;
+    i = 0;
+    while (i < 400) { bump(i); i = i + 1; }
+    print(acc);
+    return 0;
+}
+"""
+
+SENTINEL_SOURCE = """
+global int sentinel;
+global int acc;
+func main() -> int {
+    int i;
+    sentinel = 12345;
+    i = 0;
+    while (i < 800) { acc = acc + i; i = i + 1; }
+    print(sentinel);
+    print(acc);
+    return 0;
+}
+"""
+
+
 @pytest.fixture
 def early_chains(monkeypatch):
     """Chain a compiled trace from its first dispatch. A short test
@@ -111,34 +139,17 @@ def threaded_program():
     return compile_source(THREADED_SOURCE, "threaded")
 
 
+def _native_stdout(program):
+    track = Track(program, "x86_64", "chains")
+    track.run()
+    return track.process.stdout()
+
+
 @pytest.fixture(scope="session")
 def counter_reference_output(counter_program):
-    machine = Machine(X86_ISA)
-    install_program(machine, counter_program)
-    process = machine.spawn_process(exe_path_for("counter", "x86_64"))
-    machine.run_process(process)
-    return process.stdout()
+    return _native_stdout(counter_program)
 
 
 @pytest.fixture(scope="session")
 def threaded_reference_output(threaded_program):
-    machine = Machine(X86_ISA)
-    install_program(machine, threaded_program)
-    process = machine.spawn_process(exe_path_for("threaded", "x86_64"))
-    machine.run_process(process)
-    return process.stdout()
-
-
-def run_native(program, arch: str, max_steps: int = 30_000_000):
-    """Run a compiled program natively; returns the finished process."""
-    isa = X86_ISA if arch == "x86_64" else ARM_ISA
-    machine = Machine(isa)
-    install_program(machine, program)
-    process = machine.spawn_process(exe_path_for(program.name, arch))
-    machine.run_process(process, max_steps=max_steps)
-    return process
-
-
-@pytest.fixture
-def run_native_fixture():
-    return run_native
+    return _native_stdout(threaded_program)

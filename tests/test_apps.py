@@ -4,10 +4,9 @@ import pytest
 
 from repro.apps import all_apps, apps_by_category, get_app
 from repro.core.migration import MigrationPipeline
-from repro.isa import ARM_ISA, X86_ISA, get_isa
+from repro.isa import ARM_ISA, X86_ISA
+from repro.testing import lockstep
 from repro.vm import Machine
-
-from conftest import run_native
 
 APP_NAMES = [spec.name for spec in all_apps()]
 
@@ -44,26 +43,13 @@ class TestRegistry:
 
 
 @pytest.mark.parametrize("name", APP_NAMES)
-def test_app_runs_identically_on_both_isas(name):
-    spec = get_app(name)
-    program = spec.compile("small")
-    x86 = run_native(program, "x86_64")
-    arm = run_native(program, "aarch64")
-    assert x86.exit_code == 0
-    assert arm.exit_code == 0
-    assert x86.stdout() == arm.stdout()
-    assert x86.stdout(), f"{name} must produce checkpointable output"
-
-
-@pytest.mark.parametrize("name", APP_NAMES)
 def test_app_migrates_x86_to_arm(name):
     """Every benchmark in the suite survives a mid-run cross-ISA
     migration with byte-identical output — Fig. 5/6's precondition."""
-    spec = get_app(name)
-    program = spec.compile("small")
-    reference = run_native(program, "x86_64").stdout()
+    reference = lockstep.reference(name, "x86_64").stdout
     pipeline = MigrationPipeline(Machine(X86_ISA, name="src"),
-                                 Machine(ARM_ISA, name="dst"), program)
+                                 Machine(ARM_ISA, name="dst"),
+                                 lockstep.program(name))
     result = pipeline.run_and_migrate(warmup_steps=4000)
     assert result.combined_output() == reference
     assert result.process.exit_code == 0
@@ -71,11 +57,10 @@ def test_app_migrates_x86_to_arm(name):
 
 @pytest.mark.parametrize("name", ["cg", "redis", "blackscholes"])
 def test_app_migrates_arm_to_x86(name):
-    spec = get_app(name)
-    program = spec.compile("small")
-    reference = run_native(program, "aarch64").stdout()
+    reference = lockstep.reference(name, "aarch64").stdout
     pipeline = MigrationPipeline(Machine(ARM_ISA, name="src"),
-                                 Machine(X86_ISA, name="dst"), program)
+                                 Machine(X86_ISA, name="dst"),
+                                 lockstep.program(name))
     result = pipeline.run_and_migrate(warmup_steps=4000)
     assert result.combined_output() == reference
 

@@ -20,19 +20,20 @@ from repro.apps.registry import get_app
 from repro.binfmt.delf import TEXT_BASE
 from repro.binfmt.stackmaps import KIND_ENTRY
 from repro.compiler import compile_source
-from repro.core.migration import (MigrationPipeline, exe_path_for,
-                                  install_program)
+from repro.core.migration import MigrationPipeline
 from repro.core.policies.live_update import LiveUpdatePolicy
 from repro.core.policies.stack_shuffle import StackShufflePolicy
 from repro.core.rewriter import ProcessRewriter
 from repro.core.runtime import DapperRuntime
 from repro.criu.restore import restore_process
-from repro.isa import ARM_ISA, X86_ISA, get_isa
+from repro.isa import ARM_ISA, X86_ISA
 from repro.mem.address_space import AddressSpace
 from repro.mem.paging import PAGE_MASK
 from repro.replay import record_run
 from repro.replay.digest import machine_digest
-from repro.vm import Machine, blocks, chains, interp
+from repro.testing import lockstep
+from repro.testing.lockstep import Track
+from repro.vm import ENGINES, Machine, blocks, chains, interp
 from repro.vm.cpu import ThreadStatus
 from repro.vm.interp import CpuFault
 
@@ -41,12 +42,9 @@ _U64M = (1 << 64) - 1
 ARCHES = ["x86_64", "aarch64"]
 
 
-def _spawn(program, arch, name=None):
-    machine = Machine(get_isa(arch), name="host")
-    install_program(machine, program)
-    process = machine.spawn_process(
-        exe_path_for(name or program.name, arch))
-    return machine, process
+def _spawn(program, arch):
+    track = Track(program, arch, "chains")
+    return track.machine, track.process
 
 
 def _run_to_exit(machine, process):
@@ -77,7 +75,7 @@ class TestInvalidation:
     @pytest.mark.parametrize("arch", ARCHES)
     def test_stack_shuffle_discards_superblocks(self, arch, counter_program,
                                                 counter_reference_output):
-        machine, process = _spawn(counter_program, arch, "counter")
+        machine, process = _spawn(counter_program, arch)
         machine.step_all(2500)
         assert not process.exited
         # The source ran under the block engine: its cache is warm and
@@ -140,7 +138,7 @@ class TestInvalidation:
         assert updated.trace_content_key != source_key
 
     def test_in_place_code_write_bumps_version(self, counter_program):
-        machine, process = _spawn(counter_program, "x86_64", "counter")
+        machine, process = _spawn(counter_program, "x86_64")
         machine.step_all(2000)
         assert not process.exited
         assert process.block_cache
@@ -166,7 +164,7 @@ class TestEqpointBoundary:
         would reject it (or worse, state transformation would read the
         wrong frame).
         """
-        machine, process = _spawn(counter_program, arch, "counter")
+        machine, process = _spawn(counter_program, arch)
         machine.step_all(2500)       # warm superblocks before arming
         assert not process.exited
         runtime = DapperRuntime(machine, process)
@@ -185,9 +183,8 @@ class TestEqpointBoundary:
         """Structural invariant: trap and syscall terminate trace decode,
         so no predecoded block body (or specialized terminator) can
         contain a kernel entry."""
-        for program, name in ((counter_program, "counter"),
-                              (threaded_program, "threaded")):
-            machine, process = _spawn(program, arch, name)
+        for program in (counter_program, threaded_program):
+            machine, process = _spawn(program, arch)
             block_cache, _entries = _run_to_exit(machine, process)
             assert block_cache
             for block in block_cache.values():
@@ -208,16 +205,9 @@ class TestEngineParity:
         dispatch, so the generated specializations (not tier 0) carry
         the whole run — and must match the per-step engine exactly."""
         program = counter_program if name == "counter" else threaded_program
-        isa = get_isa(arch)
-        base = Machine(isa, block_engine=False)
-        install_program(base, program)
-        ref = base.spawn_process(exe_path_for(name, arch))
-        base.run_process(ref)
-
+        ref = _run_engine(program, arch, 64, "interp")
         monkeypatch.setattr(blocks, "HOT_THRESHOLD", 0)
-        machine, process = _spawn(program, arch, name)
-        machine.run_process(process)
-        assert _fingerprint(process) == _fingerprint(ref)
+        assert _run_engine(program, arch, 64, "chains") == ref
 
     @pytest.mark.parametrize("quantum", [1, 3, 7])
     def test_partial_variant_parity_at_odd_quanta(self, quantum,
@@ -227,39 +217,14 @@ class TestEngineParity:
         partial (quantum-boundary) variant; results must still be
         bit-identical to per-step execution at the same quantum."""
         monkeypatch.setattr(blocks, "HOT_THRESHOLD", 0)
-        isa = get_isa("x86_64")
-        base = Machine(isa, quantum=quantum, block_engine=False)
-        install_program(base, counter_program)
-        ref = base.spawn_process(exe_path_for("counter", "x86_64"))
-        base.run_process(ref)
-
-        machine = Machine(isa, quantum=quantum)
-        install_program(machine, counter_program)
-        process = machine.spawn_process(exe_path_for("counter", "x86_64"))
-        machine.run_process(process)
-        assert _fingerprint(process) == _fingerprint(ref)
+        assert _run_engine(counter_program, "x86_64", quantum, "chains") \
+            == _run_engine(counter_program, "x86_64", quantum, "interp")
 
 
-ENGINE_FLAGS = {"interp": dict(block_engine=False),
-                "blocks": dict(chain_engine=False),
-                "chains": dict()}
-
-
-def _run_engine(program, name, arch, quantum, engine):
-    """One run under the named tier; returns the full observable record
-    (including any fault message and per-thread park state)."""
-    isa = get_isa(arch)
-    machine = Machine(isa, quantum=quantum, **ENGINE_FLAGS[engine])
-    install_program(machine, program)
-    process = machine.spawn_process(exe_path_for(name, arch))
-    fault = None
-    try:
-        machine.run_process(process)
-    except CpuFault as exc:
-        fault = str(exc)
-    return (process.stdout(), process.exit_code, process.instr_total,
-            process.cycle_total, fault,
-            sorted((t.pc, t.instr_count) for t in process.threads.values()))
+def _run_engine(program, arch, quantum, engine):
+    """One run to the end under the named tier; returns everything
+    observable (``lockstep.Track.step``), a fault message included."""
+    return Track(program, arch, engine, quantum).step(lockstep.MAX_STEPS)
 
 
 def _force_chains(monkeypatch):
@@ -280,16 +245,16 @@ class TestChainParity:
     def test_forced_chain_parity(self, arch, name, counter_program,
                                  threaded_program, monkeypatch):
         program = counter_program if name == "counter" else threaded_program
-        ref = _run_engine(program, name, arch, 64, "interp")
+        ref = _run_engine(program, arch, 64, "interp")
         _force_chains(monkeypatch)
-        assert _run_engine(program, name, arch, 64, "chains") == ref
+        assert _run_engine(program, arch, 64, "chains") == ref
 
     @pytest.mark.parametrize("arch", ARCHES)
     def test_chain_actually_forms(self, arch, counter_program, monkeypatch):
         """Guards against the parity tests silently passing on tier-2:
         a chain must really be built and entered."""
         _force_chains(monkeypatch)
-        machine, process = _spawn(counter_program, arch, "counter")
+        machine, process = _spawn(counter_program, arch)
         block_cache, chain_entries = _run_to_exit(machine, process)
         bound = [b for b in block_cache.values()
                  if b.chain is not None and b.chain is not chains.NO_CHAIN]
@@ -303,11 +268,9 @@ class TestChainParity:
                                         monkeypatch):
         """Tiny quanta park inside nearly every trace: every slice ends
         in a metered arm and most resume through chain_entries."""
-        ref = _run_engine(counter_program, "counter", "x86_64", quantum,
-                          "interp")
+        ref = _run_engine(counter_program, "x86_64", quantum, "interp")
         _force_chains(monkeypatch)
-        got = _run_engine(counter_program, "counter", "x86_64", quantum,
-                          "chains")
+        got = _run_engine(counter_program, "x86_64", quantum, "chains")
         assert got == ref
 
     @pytest.mark.parametrize("arch", ARCHES)
@@ -319,10 +282,10 @@ class TestChainParity:
         identical fault text and leave the identical
         retired-instruction state as per-step execution."""
         program = compile_source(globals()[source + "_SOURCE"], name)
-        ref = _run_engine(program, name, arch, 64, "interp")
-        assert ref[4] is not None            # the fault really fired
+        ref = _run_engine(program, arch, 64, "interp")
+        assert isinstance(ref[0], str)       # the fault really fired
         _force_chains(monkeypatch)
-        assert _run_engine(program, name, arch, 64, "chains") == ref
+        assert _run_engine(program, arch, 64, "chains") == ref
 
     @pytest.mark.parametrize("arch", ARCHES)
     def test_dirty_set_parity_with_chains(self, arch, counter_program,
@@ -332,9 +295,8 @@ class TestChainParity:
         ``store_miss`` into ``write_u64``, so the harvested set — and
         the state the slice stopped in — match per-step execution."""
         def tracked(engine):
-            machine = Machine(get_isa(arch), **ENGINE_FLAGS[engine])
-            install_program(machine, counter_program)
-            process = machine.spawn_process(exe_path_for("counter", arch))
+            track = Track(counter_program, arch, engine)
+            machine, process = track.machine, track.process
             machine.step_all(2500)
             process.start_dirty_tracking()
             machine.step_all(2500)
@@ -357,7 +319,7 @@ class TestChainParity:
         a chain load that misses on one takes the ``read_u64`` walk
         (and the page-server fetch) exactly as per-step does."""
         def lazily(engine):
-            flags = ENGINE_FLAGS[engine]
+            flags = ENGINES[engine]
             pipeline = MigrationPipeline(Machine(X86_ISA, **flags),
                                          Machine(ARM_ISA, **flags),
                                          counter_program)
@@ -376,7 +338,7 @@ class TestChainParity:
         """A code rewrite must discard chain entry points with the block
         cache — a stale resume point would jump into retired code."""
         _force_chains(monkeypatch)
-        machine, process = _spawn(counter_program, "x86_64", "counter")
+        machine, process = _spawn(counter_program, "x86_64")
         machine.step_all(2500)
         assert not process.exited
         assert process.chain_entries
@@ -500,7 +462,7 @@ class TestChainFormation:
         _cold_code_caches(monkeypatch)
         _force_chains(monkeypatch)
         monkeypatch.setattr(blocks, "GLOBAL_TRACES_CAP", 4)
-        machine, process = _spawn(counter_program, "x86_64", "counter")
+        machine, process = _spawn(counter_program, "x86_64")
         machine.run_process(process)
         assert process.stdout() == counter_reference_output
         info = blocks.trace_cache_info()
@@ -658,7 +620,7 @@ class TestHeatBelongsToTheCode:
         ``tests/test_vm.py`` ``TestFinishedProcessReleasesItsCode``)."""
         _cold_code_caches(monkeypatch)
         _force_chains(monkeypatch)
-        machine, process = _spawn(counter_program, "x86_64", "counter")
+        machine, process = _spawn(counter_program, "x86_64")
         block_cache, _entries = _run_to_exit(machine, process)
         assert any(block.chain not in (None, chains.NO_CHAIN)
                    for block in block_cache.values())
@@ -680,7 +642,7 @@ class TestDemotion:
         monkeypatch.setattr(blocks, "HOT_THRESHOLD", 0)
         monkeypatch.setattr(chains, "CHAIN_THRESHOLD", 1)
         # Find the hottest pc under normal execution, then refuse it.
-        machine, process = _spawn(counter_program, "x86_64", "counter")
+        machine, process = _spawn(counter_program, "x86_64")
         block_cache, _entries = _run_to_exit(machine, process)
         target = max(block_cache.values(), key=lambda b: b.heat).pc
 
@@ -693,7 +655,7 @@ class TestDemotion:
                                 bind_only=bind_only)
 
         monkeypatch.setattr(blocks, "codegen", refusing)
-        machine, process = _spawn(counter_program, "x86_64", "counter")
+        machine, process = _spawn(counter_program, "x86_64")
         block_cache, _entries = _run_to_exit(machine, process)
         demoted = block_cache[target]
         assert demoted.demoted
@@ -717,7 +679,7 @@ class TestTraceCacheLRU:
         monkeypatch.setattr(blocks, "GLOBAL_TRACES_CAP", 4)
         blocks._GLOBAL_TRACES.clear()
         before = blocks.trace_cache_info()["evictions"]
-        machine, process = _spawn(counter_program, "x86_64", "counter")
+        machine, process = _spawn(counter_program, "x86_64")
         machine.run_process(process)
         info = blocks.trace_cache_info()
         assert info["size"] <= 4
@@ -742,9 +704,8 @@ class TestChainPageMemo:
         program = compile_source(QUAD_SOURCE, "quad")
 
         def tracked(engine):
-            machine = Machine(get_isa(arch), **ENGINE_FLAGS[engine])
-            install_program(machine, program)
-            process = machine.spawn_process(exe_path_for("quad", arch))
+            track = Track(program, arch, engine)
+            machine, process = track.machine, track.process
             machine.step_all(3000)
             process.start_dirty_tracking()
             epochs = []
@@ -773,9 +734,8 @@ class TestChainPageMemo:
         program = compile_source(MISALIGN_SOURCE, "misalign")
 
         def poked(engine):
-            machine = Machine(get_isa(arch), **ENGINE_FLAGS[engine])
-            install_program(machine, program)
-            process = machine.spawn_process(exe_path_for("misalign", arch))
+            track = Track(program, arch, engine)
+            machine, process = track.machine, track.process
             aspace = process.aspace
             symtab = process.binary.symtab
             ptr = symtab.address_of("p")
@@ -882,7 +842,7 @@ class TestPauseAtWarmSpeed:
 
         monkeypatch.setattr(chains, "_miss_paths", recording)
         machine, process = _spawn(get_app("swaptions").compile("small"),
-                                  "x86_64", "swaptions")
+                                  "x86_64")
         machine.step_all(20_000)
         runtime = DapperRuntime(machine, process)
         per_pause = []
@@ -1017,9 +977,8 @@ class TestTierZeroRunsTheTrace:
         v2_text = compile_source(V2_SOURCE, "doubler").binary(arch).text
 
         def sliced(engine):
-            machine = Machine(get_isa(arch), **ENGINE_FLAGS[engine])
-            install_program(machine, v1)
-            process = machine.spawn_process(exe_path_for("doubler", arch))
+            track = Track(v1, arch, engine)
+            machine, process = track.machine, track.process
             digests = []
             while not process.exited:
                 if len(digests) == 40:

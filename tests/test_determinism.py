@@ -12,9 +12,11 @@ from __future__ import annotations
 import random
 
 from repro.cluster.events import EventQueue
+from repro.compiler import compile_source
 from repro.core.rewriter import ProcessRewriter
 from repro.core.rng import RngService
 from repro.isa import X86_ISA
+from repro.testing.lockstep import Track
 from repro.vm import Machine
 
 THREE_THREADS = """
@@ -84,41 +86,30 @@ class TestEventQueueFifo:
 
 
 class TestSchedulerDeterminism:
-    def _trace(self, engine, chains=False):
-        machine = Machine(X86_ISA, block_engine=engine,
-                          chain_engine=chains)
-        from repro.compiler import compile_source
-        program = compile_source(THREE_THREADS, "threads")
-        machine.tmpfs.write("/bin/t", program.binary("x86_64").to_bytes())
-        process = machine.spawn_process("/bin/t")
-        order = []
-        original = machine._run_thread
-
-        def spy(proc, thread, quantum):
-            order.append(thread.tid)
-            return original(proc, thread, quantum)
-
-        machine._run_thread = spy
-        machine.run_process(process)
-        return order, process.stdout()
+    def _trace(self, engine):
+        """Every slice the scheduler ran, in order, and the output."""
+        track = Track(compile_source(THREE_THREADS, "threads"), "x86_64",
+                      engine)
+        track.run()
+        return track.calls, track.process.stdout()
 
     def test_round_robin_order_is_reproducible(self):
-        first, out_first = self._trace(engine=True)
-        second, out_second = self._trace(engine=True)
+        first, out_first = self._trace("blocks")
+        second, out_second = self._trace("blocks")
         assert first == second
         assert out_first == out_second
 
     def test_round_robin_order_matches_across_engines(self):
-        blocks_order, blocks_out = self._trace(engine=True)
-        interp_order, interp_out = self._trace(engine=False)
+        blocks_order, blocks_out = self._trace("blocks")
+        interp_order, interp_out = self._trace("interp")
         assert blocks_order == interp_order
         assert blocks_out == interp_out
 
     def test_round_robin_order_matches_under_chains(self):
         """Tier-3 chains retire whole multi-block stretches per call;
         the slice stream handed to the scheduler must not change."""
-        chains_order, chains_out = self._trace(engine=True, chains=True)
-        interp_order, interp_out = self._trace(engine=False)
+        chains_order, chains_out = self._trace("chains")
+        interp_order, interp_out = self._trace("interp")
         assert chains_order == interp_order
         assert chains_out == interp_out
 

@@ -4,21 +4,18 @@ produce identical results on both simulated ISAs."""
 import pytest
 
 from repro.compiler import compile_source
-from repro.core.migration import exe_path_for, install_program
-from repro.isa import ARM_ISA, X86_ISA
-from repro.vm import Machine
+from repro.testing import lockstep
+from repro.testing.lockstep import Track
 
 
 def run_both(source, name="sem"):
     program = compile_source(source, name)
     outs = []
-    for isa in (X86_ISA, ARM_ISA):
-        machine = Machine(isa)
-        install_program(machine, program)
-        process = machine.spawn_process(exe_path_for(name, isa.name))
-        machine.run_process(process, max_steps=30_000_000)
-        assert process.exit_code == 0, (isa.name, process.exit_code)
-        outs.append(process.stdout())
+    for arch in lockstep.ARCHES:
+        track = Track(program, arch, "chains")
+        track.run()
+        assert track.process.exit_code == 0, (arch, track.process.exit_code)
+        outs.append(track.process.stdout())
     assert outs[0] == outs[1], "ISAs disagree"
     return outs[0]
 

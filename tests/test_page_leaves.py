@@ -42,7 +42,7 @@ from repro.store import (CheckpointStore, ChunkStore,
                          IncrementalCheckpointer, chunk_digest)
 from repro.verify import ImageVerifier, Quarantine, image_page_digests
 from repro.verify import page_digest as verify_page_digest
-from repro.vm import Machine, chains
+from repro.vm import ENGINES, Machine, chains
 from repro.vm.ptrace import Tracer
 
 RESIDENT_PAGES = 80
@@ -351,11 +351,6 @@ class TestHashOncePerChange:
 # -- memo == fresh ---------------------------------------------------------------
 
 
-ENGINES = {"per-step": dict(block_engine=False),
-           "tier2": dict(chain_engine=False),
-           "tier3": dict()}
-
-
 class TestMemoEqualsFresh:
     @pytest.mark.usefixtures("early_chains")
     @pytest.mark.parametrize("engine", sorted(ENGINES))
@@ -409,8 +404,8 @@ class TestMemoEqualsFresh:
             assert result.process.aspace.origin is \
                 result.images.page_leaves()
         assert stages == ["dump", "rewrite", "verify"] * 6
-        assert compiled == (engine != "per-step")
-        assert chained == ({"x86_64", "aarch64"} if engine == "tier3"
+        assert compiled == (engine != "interp")
+        assert chained == ({"x86_64", "aarch64"} if engine == "chains"
                            else set())
         pingpong.process.machine.run_process(pingpong.process)
         assert pingpong.process.exit_code == 0

@@ -10,13 +10,13 @@ import weakref
 import pytest
 
 from repro import sysabi
-from repro.apps.registry import all_apps, get_app
+from repro.apps.registry import get_app
 from repro.compiler import compile_source
 from repro.core.migration import exe_path_for, install_program
 from repro.core.runtime import DapperRuntime
 from repro.criu.lazy import restore_process_lazy
 from repro.errors import JournalError
-from repro.isa import X86_ISA, get_isa
+from repro.isa import X86_ISA
 from repro.mem import PAGE_SIZE, Prot, Vma
 from repro.replay import (BitFlip, FlightRecorder, Journal, ReplayObserver,
                           Replayer, ReplaySession, bisect_digest_streams,
@@ -25,38 +25,12 @@ from repro.replay import (BitFlip, FlightRecorder, Journal, ReplayObserver,
 from repro.replay import digest as digest_mod
 from repro.replay import journal as jn
 from repro.replay.digest import DigestState, capture_state, machine_digest
+from repro.testing.lockstep import Track
 from repro.tools import replay as replay_cli
-from repro.vm import Machine, chains
+from repro.vm import ENGINES, Machine
 from repro.vm.ptrace import Tracer
 
-LOOP_SOURCE = """
-global int acc;
-func bump(int i) -> int {
-    acc = acc + i;
-    return acc;
-}
-func main() -> int {
-    int i;
-    i = 0;
-    while (i < 400) { bump(i); i = i + 1; }
-    print(acc);
-    return 0;
-}
-"""
-
-SENTINEL_SOURCE = """
-global int sentinel;
-global int acc;
-func main() -> int {
-    int i;
-    sentinel = 12345;
-    i = 0;
-    while (i < 800) { acc = acc + i; i = i + 1; }
-    print(sentinel);
-    print(acc);
-    return 0;
-}
-"""
+from conftest import LOOP_SOURCE, SENTINEL_SOURCE
 
 
 @pytest.fixture(scope="module")
@@ -255,94 +229,12 @@ class TestFaultInjection:
                 == bad.journal.digest_stream()
 
 
-class _FreshEverySlice(ReplayObserver):
-    """After every slice, the digest the recorder's long-lived state
-    just journaled must equal the same fold run on a fresh state."""
-
-    def __init__(self):
-        self.slices = 0
-        self.mismatches = []
-
-    def after_slice(self, recorder):
-        self.slices += 1
-        event = recorder.journal.events[-1]
-        if event["kind"] != jn.EV_DIGEST \
-                or event["payload"] != machine_digest(recorder.machines):
-            self.mismatches.append(recorder.slices)
-
-
-def _checked_run(program, arch, engine, quantum, budget=None, fault=None):
-    """Run ``program`` under a dense recorder with the differential
-    observer attached; ``budget`` caps the run (None = to exit)."""
-    machine = Machine(get_isa(arch), quantum=quantum,
-                      block_engine=engine != "interp",
-                      chain_engine=engine == "chains")
-    checker = _FreshEverySlice()
-    recorder = FlightRecorder(observer=checker, fault=fault).attach(machine)
-    install_program(machine, program)
-    process = machine.spawn_process(exe_path_for(program.name, arch))
-    if budget is None:
-        machine.run_process(process)
-    else:
-        machine.step_all(budget)
-    recorder.finalize(process.exit_code)
-    return checker, recorder
-
-
-@pytest.mark.usefixtures("early_chains")
-class TestDigestMemoDifferential:
-    """The one correctness claim of the memoised fold: a long-lived
-    ``DigestState`` and a fresh one give the same bytes — checked after
-    *every* slice, on every tier (the tier-2/3 site caches write page
-    stores directly, so no write path may slip past the validity
-    tests), at an aligned and a ragged quantum."""
-
-    # quantum 64 runs to exit; quantum 7 (slices cut mid-block, ~9x as
-    # many) runs a 12k-instruction prefix to keep the suite affordable
-    @pytest.mark.parametrize("quantum,budget", [(64, None), (7, 12_000)])
-    @pytest.mark.parametrize("engine", ["interp", "blocks", "chains"])
-    @pytest.mark.parametrize("arch", ["x86_64", "aarch64"])
-    @pytest.mark.parametrize("app_name", [a.name for a in all_apps()])
-    def test_long_lived_state_equals_fresh_state(self, app_name, arch,
-                                                 engine, quantum, budget):
-        program = get_app(app_name).compile("small")
-        bound = chains.chain_cache_info()["bound"]
-        checker, recorder = _checked_run(program, arch, engine, quantum,
-                                         budget)
-        assert checker.slices == recorder.slices > 100
-        assert checker.mismatches == []
-        if engine == "chains":            # three tiers proven, not two
-            assert chains.chain_cache_info()["bound"] > bound
-
-    @pytest.mark.parametrize("engine", ["interp", "blocks", "chains"])
-    def test_holds_across_an_injected_bit_flip(self, engine):
-        program = compile_source(SENTINEL_SOURCE, "faulty")
-        addr = program.binary("x86_64").symtab.address_of("sentinel")
-        fault = BitFlip(at_slice=40, addr=addr, bit=3)
-        checker, recorder = _checked_run(program, "x86_64", engine, 64,
-                                         fault=fault)
-        assert fault.fired and recorder.journal.of_kind(jn.EV_FAULT)
-        assert checker.mismatches == []
-
-    def test_holds_across_a_lazy_migration(self):
-        """Post-copy page-ins land between digests on the destination;
-        both machines are folded by one state."""
-        checker = _FreshEverySlice()
-        recorded = record_migrate(LOOP_SOURCE, "loop", warmup=3000,
-                                  lazy=True)
-        Replayer(recorded.journal).run(observer=checker)
-        assert checker.slices == recorded.recorder.slices
-        assert checker.mismatches == []
-
-
 @pytest.fixture
 def running():
     """A mid-run process plus a long-lived digest state that has
     already digested it once (so every leaf is memoised)."""
-    machine = Machine(X86_ISA)
-    program = compile_source(SENTINEL_SOURCE, "memo")
-    install_program(machine, program)
-    process = machine.spawn_process(exe_path_for("memo", "x86_64"))
+    track = Track(compile_source(SENTINEL_SOURCE, "memo"), "x86_64", "chains")
+    machine, process = track.machine, track.process
     machine.step_all(3000)
     assert not process.exited
     state = DigestState()
@@ -495,10 +387,11 @@ class TestDigestLeaves:
             return 0;
         }
         """
-        program = compile_source(source, "brk")
-        checker, recorder = _checked_run(program, "x86_64", "blocks", 64)
-        assert checker.mismatches == []
-        breaks = [e[4] for e in recorder.journal.syscall_stream()
+        track = Track(compile_source(source, "brk"), "x86_64", "blocks",
+                      sliced=True, fresh=True)
+        track.run()
+        assert track.checker.mismatches == []
+        breaks = [e[4] for e in track.recorder.journal.syscall_stream()
                   if e[2] == sysabi.SYS_SBRK]
         assert len(breaks) == 40
         assert breaks[-1] - breaks[0] > 8 * PAGE_SIZE    # grew in place
@@ -570,7 +463,7 @@ class TestDigestCost:
 
         monkeypatch.setattr(digest_mod, "_blake", counting)
         visits = Visits()
-        machine = Machine(X86_ISA, chain_engine=False)
+        machine = Machine(X86_ISA, **ENGINES["blocks"])
         recorder = FlightRecorder(observer=visits).attach(machine)
         program = get_app("kmeans").compile("small")
         install_program(machine, program)

@@ -7,16 +7,17 @@ import weakref
 import pytest
 
 from repro import sysabi
-from repro.apps.registry import all_apps, get_app
+from repro.apps.registry import get_app
 from repro.compiler import compile_source
 from repro.core.migration import (MigrationPipeline, exe_path_for,
                                   install_program)
 from repro.core.runtime import DapperRuntime
 from repro.errors import KernelError, PtraceError
-from repro.isa import ARM_ISA, X86_ISA, get_isa
+from repro.isa import ARM_ISA, X86_ISA
 from repro.replay import record_run
-from repro.replay.digest import DigestState
-from repro.vm import Machine, Tracer, chains
+from repro.testing import lockstep
+from repro.testing.lockstep import Track, side_by_side
+from repro.vm import ENGINES, Machine, Tracer, chains
 from repro.vm.cpu import ThreadStatus, to_i64, to_u64
 from repro.vm.interp import CpuFault
 from repro.vm.tmpfs import TmpFs
@@ -280,21 +281,21 @@ class TestThreads:
         assert process.stdout() == "12\n0\n"
 
 
+def _threads():
+    return Track(compile_source(THREAD_SOURCE, "t"), "x86_64", "chains")
+
+
 class TestPtrace:
     def _paused_setup(self):
-        program = compile_source(THREAD_SOURCE, "t")
-        machine = Machine(X86_ISA)
-        install_program(machine, program)
-        process = machine.spawn_process(exe_path_for("t", "x86_64"))
-        machine.step_all(500)
-        return program, machine, process
+        track = _threads()
+        track.machine.step_all(500)
+        return track.process.binary, track.machine, track.process
 
     def test_attach_poke_wait(self):
-        program, machine, process = self._paused_setup()
+        binary, machine, process = self._paused_setup()
         tracer = Tracer(machine)
         tracer.attach_all(process)
-        flag_addr = program.binary("x86_64").symtab.address_of(
-            "__dapper_flag")
+        flag_addr = binary.symtab.address_of("__dapper_flag")
         tracer.poke_data(flag_addr, 1)
         assert tracer.peek_data(flag_addr) == 1
         tids = tracer.wait_all_trapped()
@@ -303,15 +304,14 @@ class TestPtrace:
             thread = tracer.get_regs(tid)
             assert thread.status == ThreadStatus.TRAPPED
             # Parked pc must be a known entry equivalence point.
-            point = program.binary("x86_64").stackmaps.by_addr.get(thread.pc)
+            point = binary.stackmaps.by_addr.get(thread.pc)
             assert point is not None and point.kind == "entry"
 
     def test_cont_resumes(self):
-        program, machine, process = self._paused_setup()
+        binary, machine, process = self._paused_setup()
         tracer = Tracer(machine)
         tracer.attach_all(process)
-        flag_addr = program.binary("x86_64").symtab.address_of(
-            "__dapper_flag")
+        flag_addr = binary.symtab.address_of("__dapper_flag")
         tracer.poke_data(flag_addr, 1)
         tids = tracer.wait_all_trapped()
         tracer.poke_data(flag_addr, 0)
@@ -328,7 +328,7 @@ class TestPtrace:
             tracer.poke_data(0x1000, 1)
 
     def test_attach_unknown_tid(self):
-        _program, machine, process = self._paused_setup()
+        _binary, machine, process = self._paused_setup()
         tracer = Tracer(machine)
         with pytest.raises(PtraceError):
             tracer.attach(process, 99)
@@ -336,28 +336,21 @@ class TestPtrace:
 
 class TestScheduler:
     def test_step_all_respects_budget(self):
-        program = compile_source(THREAD_SOURCE, "t")
-        machine = Machine(X86_ISA)
-        install_program(machine, program)
-        machine.spawn_process(exe_path_for("t", "x86_64"))
+        machine = _threads().machine
         executed = machine.step_all(100)
         assert 0 < executed <= 100
 
     def test_sigstop_halts_process(self):
-        program = compile_source(THREAD_SOURCE, "t")
-        machine = Machine(X86_ISA)
-        install_program(machine, program)
-        process = machine.spawn_process(exe_path_for("t", "x86_64"))
+        track = _threads()
+        machine, process = track.machine, track.process
         machine.sigstop(process)
         assert machine.step_all(1000) == 0
         machine.sigcont(process)
         assert machine.step_all(1000) > 0
 
     def test_kill_removes_process(self):
-        program = compile_source(THREAD_SOURCE, "t")
-        machine = Machine(X86_ISA)
-        install_program(machine, program)
-        process = machine.spawn_process(exe_path_for("t", "x86_64"))
+        track = _threads()
+        machine, process = track.machine, track.process
         machine.kill(process)
         assert process.pid not in machine.processes
         assert process.exited
@@ -368,125 +361,19 @@ class TestScheduler:
 # A sole thread with no recorder attached runs undivided; everything
 # else is sliced on the quantum grid. The two must be the same schedule.
 # The sliced path is reached the only way the product reaches it — by
-# attaching a recorder — never through a switch.
-
-ENGINES = {"interp": dict(block_engine=False),
-           "blocks": dict(chain_engine=False),
-           "chains": dict()}
-BOTH_ARCHES = ["x86_64", "aarch64"]
-
-
-class Ticks:
-    """A recorder that journals nothing. Its presence alone makes slice
-    boundaries observable, so the scheduler keeps a sole thread on the
-    quantum grid."""
-
-    def __getattr__(self, name):
-        if name.startswith("on_"):
-            return lambda *args, **kwargs: None
-        raise AttributeError(name)
-
-
-class Side:
-    """One machine running one program, with the observables the
-    differential compares after every ``step_all``."""
-
-    def __init__(self, program, arch, engine, ticking, quantum=64):
-        self.machine = Machine(get_isa(arch), quantum=quantum,
-                               **ENGINES[engine])
-        if ticking:
-            self.machine.recorder = Ticks()
-        install_program(self.machine, program)
-        self.path = exe_path_for(program.name, arch)
-        self.process = self.machine.spawn_process(self.path)
-        self.calls = []
-        inner = self.machine._run_thread
-
-        def counted(process, thread, quantum):
-            done = inner(process, thread, quantum)
-            self.calls.append((process.pid, thread.tid, done))
-            return done
-
-        self.machine._run_thread = counted
-        self._digests = DigestState()
-
-    def step(self, budget):
-        """``step_all(budget)`` and everything observable after it; a
-        fault is part of the observation."""
-        try:
-            executed = self.machine.step_all(budget)
-        except CpuFault as exc:
-            executed = str(exc)
-        processes = self.machine.processes.values()
-        return (executed, self._digests.digest([self.machine]),
-                [(p.pid, p.stdout(), p.exit_code, p.instr_total,
-                  p.cycle_total,
-                  [(t.tid, t.status, t.pc, t.instr_count)
-                   for t in p.threads.values()]) for p in processes])
-
-
-def lockstep(program, arch, engine, chunk, quantum=64, prefix=(),
-             prepare=None):
-    """Run ``program`` undivided and ticking side by side, ``chunk``
-    instructions at a time (after the ``prefix`` budgets), and require
-    identical observables after every ``step_all``. Returns both
-    sides."""
-    free = Side(program, arch, engine, ticking=False, quantum=quantum)
-    tick = Side(program, arch, engine, ticking=True, quantum=quantum)
-    if prepare is not None:
-        prepare(free)
-        prepare(tick)
-    for index in itertools.count():
-        budget = prefix[index] if index < len(prefix) else chunk
-        got, want = free.step(budget), tick.step(budget)
-        assert got == want, (
-            f"{program.name}/{arch}/{engine}: diverged in step_all "
-            f"#{index} (budget {budget})")
-        if not got[0] or isinstance(got[0], str) \
-                or not free.machine.has_runnable():
-            break
-    assert tick.machine.has_runnable() == free.machine.has_runnable()
-    return free, tick
-
+# attaching a recorder — never through a switch. Every registry app is
+# compared undivided against sliced by the lockstep runner's
+# ``undivided_sliced`` oracle (tests/test_lockstep.py); the cases below
+# place the boundaries by hand.
 
 def _first_spawn_index(program, arch):
     """1-based index of the instruction (the spawn syscall) that gives
     the main thread company."""
-    side = Side(program, arch, "interp", ticking=True)
-    while len(side.process.threads) == 1:
-        assert side.machine.step_all(1) == 1
-    return side.process.instr_total
+    track = Track(program, arch, "interp", sliced=True)
+    while len(track.process.threads) == 1:
+        assert track.machine.step_all(1) == 1
+    return track.process.instr_total
 
-
-SPAWNER_SOURCE = """
-global int total;
-global int mtx;
-
-func worker(int n) {
-    int i;
-    i = 0;
-    while (i < n) {
-        lock(&mtx);
-        total = total + i;
-        unlock(&mtx);
-        i = i + 1;
-    }
-}
-
-func main() -> int {
-    int i; int acc; int t1; int t2;
-    i = 0; acc = 0;
-    while (i < 70) { acc = acc + i * i; i = i + 1; }
-    t1 = spawn(worker, 30);
-    i = 0;
-    while (i < 90) { acc = acc + i; i = i + 1; }
-    t2 = spawn(worker, 20);
-    join(t1);
-    join(t2);
-    print(acc + total);
-    return 0;
-}
-"""
 
 LOOPER_SOURCE = """
 func step(int i) -> int { return i * 3 + 1; }
@@ -516,65 +403,20 @@ func main() -> int {
 
 
 @pytest.mark.usefixtures("early_chains")
-class TestTicklessDifferential:
-    """Undivided vs sliced, compared by whole-machine digest, per-thread
-    instruction counts, output, exit code and totals after every
-    ``step_all`` — every registry app, both ISAs, all three engines.
-    Deleting the grid-boundary clamp (``Machine.slice_boundary``) makes
-    the thread-creating apps diverge here."""
-
-    @pytest.mark.parametrize("arch", BOTH_ARCHES)
-    @pytest.mark.parametrize("app", [spec.name for spec in all_apps()])
-    def test_every_app_at_chunk_997(self, app, arch):
-        program = get_app(app).compile("small")
-        for engine in ENGINES:
-            bound = chains.chain_cache_info()["bound"]
-            free, tick = lockstep(program, arch, engine, 997)
-            assert free.process.exited and free.process.exit_code == 0
-            # the comparison really was tickless against ticking
-            assert len(tick.calls) > len(free.calls)
-            assert max(done for _p, _t, done in tick.calls) <= 64
-            if engine == "chains":        # three tiers proven, not two
-                assert chains.chain_cache_info()["bound"] > bound
-
-    @pytest.mark.parametrize("arch", BOTH_ARCHES)
-    @pytest.mark.parametrize("app", ["swaptions", "streamcluster",
-                                     "blackscholes"])
-    def test_thread_creating_apps_at_chunk_100000(self, app, arch):
-        """One ``step_all`` spans the whole sole-thread prologue, the
-        thread creation and the interleaved phase after it."""
-        program = get_app(app).compile("small")
-        for engine in ENGINES:
-            bound = chains.chain_cache_info()["bound"]
-            free, _tick = lockstep(program, arch, engine, 100_000)
-            assert len(free.process.threads) > 1
-            assert free.calls[0][2] > 64      # the prologue ran undivided
-            assert free.calls[0][2] % 64 == 0  # ... and ended on the grid
-            if engine == "chains":        # three tiers proven, not two
-                assert chains.chain_cache_info()["bound"] > bound
-
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
-    @pytest.mark.parametrize("quantum", [7, 64])
-    def test_odd_quantum_and_odd_chunks(self, quantum, engine):
-        program = compile_source(SPAWNER_SOURCE, "spawner")
-        for chunk in (100, 997, 100_000):
-            lockstep(program, "x86_64", engine, chunk, quantum=quantum)
-
-
-@pytest.mark.usefixtures("early_chains")
 class TestTicklessBoundaries:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
-    @pytest.mark.parametrize("arch", BOTH_ARCHES)
+    @pytest.mark.parametrize("arch", lockstep.ARCHES)
     @pytest.mark.parametrize("offset", [0, 1, 62, 63, 64])
     def test_thread_created_at_slice_offset(self, offset, arch, engine):
         """The creating syscall is instruction ``offset + 1`` of a long
         slice: the slice must end on the next multiple of 64 (at the
         syscall itself for offset 63), where the round-robin pass
         starts — main again, then the new thread."""
-        program = compile_source(SPAWNER_SOURCE, "spawner")
+        program = lockstep.program("spawner")
         lead = _first_spawn_index(program, arch) - 1 - offset
         assert lead > 64
-        free, tick = lockstep(program, arch, engine, 50_000, prefix=[lead])
+        free, tick = side_by_side(program, arch, engine, 50_000,
+                                  prefix=[lead])
         want = -(-(offset + 1) // 64) * 64
         pid = free.process.pid
         assert free.calls[:4] == [(pid, 1, lead), (pid, 1, want),
@@ -588,20 +430,20 @@ class TestTicklessBoundaries:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_step_all_retires_exactly_the_budget(self, engine):
         program = compile_source(LOOPER_SOURCE, "looper")
-        side = Side(program, "x86_64", engine, ticking=False)
+        side = Track(program, "x86_64", engine)
         total = 0
         for budget in (1, 63, 64, 65, 997, 1000, 4097):
             assert side.machine.step_all(budget) == budget
             total += budget
             assert side.process.instr_total == total
             assert side.calls[-1][2] == budget    # one undivided slice
-        lockstep(program, "x86_64", engine, 1000,
-                 prefix=[1, 63, 64, 65, 997])
+        side_by_side(program, "x86_64", engine, 1000,
+                     prefix=[1, 63, 64, 65, 997])
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_exit_inside_a_long_slice(self, engine):
         program = compile_source(LOOPER_SOURCE, "looper")
-        free, _tick = lockstep(program, "aarch64", engine, 10 ** 7)
+        free, _tick = side_by_side(program, "aarch64", engine, 10 ** 7)
         assert free.process.exit_code == 7
         assert free.calls == [(free.process.pid, 1,
                                free.process.instr_total)]
@@ -609,7 +451,7 @@ class TestTicklessBoundaries:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_fault_inside_a_long_slice(self, engine):
         program = compile_source(LATE_FAULT_SOURCE, "latefault")
-        free, _tick = lockstep(program, "x86_64", engine, 10 ** 7)
+        free, _tick = side_by_side(program, "x86_64", engine, 10 ** 7)
         assert not free.process.exited
         assert free.process.instr_total > 64 * 20
         with pytest.raises(CpuFault, match="division by zero"):
@@ -620,8 +462,8 @@ class TestTicklessBoundaries:
         """Parking at an equivalence point ends the slice at the trap,
         sliced or not: the paused states are identical."""
         program = compile_source(LOOPER_SOURCE, "looper")
-        sides = [Side(program, "x86_64", engine, ticking=ticking)
-                 for ticking in (False, True)]
+        sides = [Track(program, "x86_64", engine, sliced=sliced)
+                 for sliced in (False, True)]
         seen = []
         for side in sides:
             assert side.machine.step_all(1500) == 1500
@@ -656,8 +498,8 @@ class TestTicklessBoundaries:
             assert machine.step_all(lead) == lead
             first.aspace.write_u64(flag, 1)
 
-        free, tick = lockstep(program, "x86_64", engine, 100_000,
-                              prepare=prepare)
+        free, tick = side_by_side(program, "x86_64", engine, 100_000,
+                                  prepare=prepare)
         assert len(free.machine.processes) == 2
         assert all(p.exit_code == 7 for p in free.machine.processes.values())
         first, second = sorted(free.machine.processes)
@@ -682,7 +524,7 @@ class TestTicklessIsNotAMode:
         """The deterministic guard (wall time cannot gate): a sole
         thread is woken once per ``step_all``, not once per quantum."""
         program = get_app("dhrystone").compile("medium")
-        side = Side(program, "x86_64", "chains", ticking=False)
+        side = Track(program, "x86_64", "chains")
         side.machine.run_process(side.process)
         total = side.process.instr_total
         assert total > 250_000
@@ -701,10 +543,9 @@ class TestTicklessIsNotAMode:
         assert len(recorded.journal.digests()) >= len(sched)
 
     def test_quantum_is_honoured_once_threads_interleave(self):
-        program = compile_source(SPAWNER_SOURCE, "spawner")
+        program = lockstep.program("spawner")
         for quantum in (7, 64):
-            side = Side(program, "x86_64", "chains", ticking=False,
-                        quantum=quantum)
+            side = Track(program, "x86_64", "chains", quantum=quantum)
             side.machine.run_process(side.process)
             crowd = next(i for i, call in enumerate(side.calls)
                          if call[1] != 1)
@@ -722,7 +563,7 @@ class TestFinishedProcessReleasesItsCode:
 
     def _warm(self):
         program = compile_source(LOOPER_SOURCE, "looper")
-        side = Side(program, "x86_64", "chains", ticking=False)
+        side = Track(program, "x86_64", "chains")
         side.machine.step_all(4000)
         process = side.process
         assert not process.exited and process.chain_entries
