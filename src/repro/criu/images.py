@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import wire
 from ..errors import ImageFormatError, MemoryError_, WireError
-from ..mem.leaves import PageLeaves
+from ..mem.leaves import DIGEST_SIZE, PageLeaves, page_digest
 from ..mem.paging import PAGE_SIZE
 from ..mem.vma import Vma
 
@@ -16,6 +16,13 @@ from ..mem.vma import Vma
 #: checkpoint, not in this image set's pages-1.img (incremental dumps,
 #: like CRIU's PE_PARENT).
 PE_PARENT = 1
+
+#: names the definition of :meth:`ImageSet.content_digest`. A digest
+#: recorded under another definition (a fingerprint manifest) cannot be
+#: compared with one computed now; the fold's first input is this name.
+DIGEST_FORMAT = "fold-1"
+
+_FOLD_TAG = f"dapper-images/{DIGEST_FORMAT}\x00".encode()
 
 #: magic values at the head of each encoded image (like CRIU's magics)
 MAGIC_INVENTORY = 0x58313116
@@ -367,10 +374,11 @@ class ImageSet:
     :class:`~repro.mem.leaves.PageLeaves` of ``pagemap.img`` +
     ``pages-1.img`` (page offsets from one pagemap walk, page digests
     hashed on first request) for as long as both files are the objects
-    it was built from, and :meth:`content_digest` keeps its value while
-    every file is the object that was hashed. A new ``ImageSet`` — from
+    it was built from, and :meth:`file_digest` keeps each file's chunk
+    address while the file is the object that was hashed;
+    :meth:`content_digest` folds those. A new ``ImageSet`` — from
     :meth:`load`, ``ImageSet(dict(files))``, the store's
-    ``materialize`` — starts with neither, so bytes that crossed a
+    ``materialize`` — starts with none of them, so bytes that crossed a
     boundary are always hashed again.
     """
 
@@ -380,8 +388,8 @@ class ImageSet:
         self._decoded: Dict[str, Tuple[bytes, object]] = {}
         #: (the pagemap blob walked, the leaves of the pages blob)
         self._leaves: Optional[Tuple[bytes, PageLeaves]] = None
-        #: (the files hashed, as (name, blob) pairs; their digest)
-        self._digest: Optional[Tuple[tuple, str]] = None
+        #: file name -> (the blob hashed, its chunk digest)
+        self._chunk_ids: Dict[str, Tuple[bytes, str]] = {}
 
     # typed accessors (decode once per blob, write back explicitly)
 
@@ -479,27 +487,60 @@ class ImageSet:
     def total_bytes(self) -> int:
         return sum(len(v) for v in self.files.values())
 
+    def file_digest(self, name: str) -> str:
+        """Chunk address of ``files[name]`` (``page_digest`` of the
+        blob, the id the checkpoint store keeps it under), memoised
+        against the identity of the blob exactly as :meth:`_section`
+        memoises decodes."""
+        blob = self._blob(name)
+        hit = self._chunk_ids.get(name)
+        if hit is None or hit[0] is not blob:
+            hit = self._chunk_ids[name] = (blob, page_digest(blob))
+        return hit[1]
+
+    def _pages_term(self) -> bytes:
+        """``pages-1.img``'s term in the fold. When the pagemap walk
+        covers the blob exactly — every byte in one page slice — it is
+        the page digests in pagemap order, under ``L``; otherwise (no
+        or an undecodable pagemap, a short or long blob, runs that
+        share an address) the blob's chunk digest, under ``R``. Total
+        on garbage, and every byte is covered either way; the run count
+        is judged before the walk, so a garbage pagemap never drives
+        one."""
+        size = len(self._blob("pages-1.img"))
+        try:
+            runs = self._section("pagemap.img", PagemapImage).entries
+        except ImageFormatError:
+            runs = None
+        if runs is not None and size == PAGE_SIZE * sum(
+                run.nr_pages for run in runs
+                if not run.in_parent and run.nr_pages > 0):
+            leaves = self.page_leaves()
+            if len(leaves.offsets) * PAGE_SIZE == size:
+                digest = leaves.digest
+                return b"L" + "".join([digest(vaddr)
+                                       for vaddr in leaves.offsets]).encode()
+        return b"R" + self.file_digest("pages-1.img").encode()
+
     def content_digest(self) -> str:
-        """Order-independent blake2b over every image file — the
+        """Order-independent identity of the whole set — the
         transactional migration pipeline compares source and arrival
-        digests to catch wire corruption before restoring. One full
-        pass per distinct image: the value is kept while every file is
-        still the object that was hashed."""
-        files = self.files
-        hit = self._digest
-        if (hit is not None and len(hit[0]) == len(files)
-                and all(files.get(name) is blob for name, blob in hit[0])):
-            return hit[1]
-        h = hashlib.blake2b(digest_size=16)
-        hashed = tuple(sorted(files.items()))
-        for name, blob in hashed:
-            h.update(name.encode("utf-8"))
-            h.update(b"\x00")
-            h.update(blob)
-            h.update(b"\x01")
-        digest = h.hexdigest()
-        self._digest = (hashed, digest)
-        return digest
+        digests to catch wire corruption before restoring.
+
+        One blake2b over the sorted ``(file name, file digest)`` pairs:
+        a file's digest is its chunk address (:meth:`file_digest`,
+        under ``C``), except ``pages-1.img``, whose term is its page
+        digests (:meth:`_pages_term`). Both are memoised per blob,
+        so the root costs the section hashes and page digests nobody
+        has asked for yet — on a sender, whose manifest needs every
+        page digest anyway, a few small hashes. Format:
+        :data:`DIGEST_FORMAT`."""
+        h = hashlib.blake2b(_FOLD_TAG, digest_size=DIGEST_SIZE)
+        for name in sorted(self.files):
+            term = (self._pages_term() if name == "pages-1.img"
+                    else b"C" + self.file_digest(name).encode())
+            h.update(name.encode("utf-8") + b"\x00" + term + b"\x01")
+        return h.hexdigest()
 
     # tmpfs I/O
 

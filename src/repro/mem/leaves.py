@@ -5,8 +5,9 @@ A :class:`PageLeaves` describes one immutable ``pages-1.img`` blob. It
 travels by reference with the :class:`~repro.criu.images.ImageSet`
 holding that blob and with the :class:`~repro.mem.AddressSpace` restored
 from (or dumped as) it, so every layer that needs a page's digest — the
-sender's manifest, the chunk store, the restore guard, the next dump —
-reads the one result instead of hashing the bytes again.
+sender's manifest, the whole-set content digest, the chunk store, the
+restore guard, the next dump — reads the one result instead of hashing
+the bytes again.
 
 **Trust rule.** A digest is reused only for the identical immutable
 ``bytes`` object it was hashed from (this object's ``blob``), or for a

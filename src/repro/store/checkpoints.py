@@ -230,12 +230,14 @@ class CheckpointStore:
                 dup_chunks += 1
             return digest
 
-        meta = {name: _ensure(blob)
+        # Every chunk is addressed by a digest the image set holds for
+        # this very blob (hashed at most once by anyone): meta files by
+        # their memoised chunk addresses — the terms of the set's
+        # content digest — and pages by the image's leaves.
+        meta = {name: _ensure(blob, images.file_digest(name))
                 for name, blob in sorted(images.files.items())
                 if name != _PAGES_FILE}
 
-        # Page chunks are addressed by the digests the image's leaves
-        # hold (hashed from this very blob, at most once by anyone).
         leaves = images.page_leaves()
         blob = leaves.blob
         pages: List[List] = [

@@ -29,6 +29,7 @@ import os
 from typing import Dict, List, Optional
 
 from ..binfmt.delf import DelfBinary
+from ..criu.images import DIGEST_FORMAT
 from ..errors import VerifyError
 from ..store import CheckpointStore
 from ..verify import (DIAGNOSIS_FILE, ImageVerifier, Quarantine,
@@ -96,6 +97,15 @@ def _verifier_from(args: argparse.Namespace) -> ImageVerifier:
     if args.digests:
         with open(args.digests) as fh:
             manifest = json.load(fh)
+        if manifest.get("digest_format") != DIGEST_FORMAT:
+            # Its content digest would not match a healthy set and
+            # doctor would quarantine it: refuse instead.
+            raise VerifyError(
+                f"{args.digests}: fingerprint is not digest format "
+                f"{DIGEST_FORMAT!r} (it says "
+                f"{manifest.get('digest_format')!r}); re-fingerprint "
+                f"the healthy image set with 'repro-verify "
+                f"fingerprint'")
         digests = {int(vaddr, 0): digest
                    for vaddr, digest in manifest.get("pages", {}).items()}
         if args.expect is None and "content_digest" in manifest:
@@ -161,6 +171,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 def _cmd_fingerprint(args: argparse.Namespace) -> int:
     images = load_image_set(args.image_dir)
     manifest = {
+        "digest_format": DIGEST_FORMAT,
         "content_digest": images.content_digest(),
         "pages": {f"{vaddr:#x}": digest
                   for vaddr, digest in

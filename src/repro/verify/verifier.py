@@ -477,7 +477,8 @@ class ImageVerifier:
                             report: VerifyReport) -> None:
         """Per-page divergence against the sender's manifest digests —
         each mismatch names the repair source pass 3 will use. The
-        arrived pages' digests come from the set's leaves: hashed here
+        arrived pages' digests come from the set's leaves: hashed by
+        the content-digest check above (whose root folds them) or here,
         unless these very bytes were hashed before (the same
         ``ImageSet`` the sender fingerprinted), and kept for the
         restore and the next dump either way."""

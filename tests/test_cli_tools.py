@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from repro.criu.images import DIGEST_FORMAT
 from repro.tools import chaos as chaos_cli
 from repro.tools import crit as crit_cli
 from repro.tools import fleet as fleet_cli
@@ -206,6 +207,29 @@ class TestReproVerify:
         manifest = json.loads(capsys.readouterr().out)
         assert "content_digest" in manifest
         assert all(vaddr.startswith("0x") for vaddr in manifest["pages"])
+
+    @pytest.mark.parametrize("command", ["verify", "doctor"])
+    def test_fingerprint_of_another_digest_format_is_refused(
+            self, guarded_setup, command, capsys):
+        """A manifest without the current digest-format marker holds a
+        content digest no healthy set matches: refuse it with a typed
+        error instead of judging (doctor would quarantine) the set."""
+        with open(guarded_setup["fingerprint"]) as handle:
+            manifest = json.load(handle)
+        assert manifest.pop("digest_format") == DIGEST_FORMAT
+        with open(guarded_setup["fingerprint"], "w") as handle:
+            json.dump(manifest, handle)
+        code = verify_cli.main(
+            [command, guarded_setup["images"],
+             "--binary", guarded_setup["binary"],
+             "--digests", guarded_setup["fingerprint"]]
+            + (["--quarantine", guarded_setup["quarantine"]]
+               if command == "doctor" else []))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("repro-verify: error: ")
+        assert "re-fingerprint" in captured.err
+        assert not os.path.exists(guarded_setup["quarantine"])
 
     def test_corruption_detected(self, guarded_setup, capsys):
         self._flip(guarded_setup, 100)

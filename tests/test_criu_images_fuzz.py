@@ -20,6 +20,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from test_page_leaves import fresh_content_digest
 from test_wire import same_decode
 
 from repro.apps import all_apps
@@ -33,6 +34,7 @@ from repro.criu.restore import restore_process
 from repro.errors import (ImageFormatError, RestoreError, VerifyError,
                           WireError)
 from repro.isa import ARM_ISA, X86_ISA
+from repro.mem.paging import PAGE_SIZE
 from repro.mem.vma import Vma
 from repro.verify import image_page_digests, verify_images
 from repro.vm import Machine
@@ -263,6 +265,78 @@ class TestMutatedSetsAreContained:
         process = restore_process(machine, images)
         machine.run_process(process)
         assert process.exit_code == 0
+
+
+def _pagemap_with(files, runs):
+    return {**files, "pagemap.img": PagemapImage(
+        [PagemapEntry(*run) for run in runs]).to_bytes()}
+
+
+def _digest_mutations(files):
+    """Every mutation the whole-set digest must see: a flip of every
+    byte of every section and of a spread of pages-1.img bytes (every
+    page, drifting offsets), the pages blob one byte short or long,
+    pagemaps that no longer decode or no longer cover the blob, two
+    pages swapped, a page moved between runs, a file added or removed."""
+    for name in sorted(files):
+        blob = files[name]
+        step = 97 if name == "pages-1.img" else 1
+        for pos in range(0, len(blob), step):
+            flipped = bytearray(blob)
+            flipped[pos] ^= 1 << (pos % 8)
+            yield f"{name}:flip@{pos}", {**files, name: bytes(flipped)}
+        yield f"{name}:removed", {k: v for k, v in files.items()
+                                  if k != name}
+    yield "extra-file", {**files, "sockets.img": b""}
+    pages = files["pages-1.img"]
+    yield "pages:short", {**files, "pages-1.img": pages[:-1]}
+    yield "pages:long", {**files, "pages-1.img": pages + b"\0"}
+    yield "pagemap:cut", {**files,
+                          "pagemap.img": files["pagemap.img"][:-2]}
+    yield "pagemap:magic", {**files,
+                            "pagemap.img": b"\0" + files["pagemap.img"]}
+    runs = [(e.vaddr, e.nr_pages, e.flags) for e in
+            PagemapImage.from_bytes(files["pagemap.img"]).entries]
+    yield "pagemap:huge-run", _pagemap_with(
+        files, runs + [(0x7000_0000, 1 << 40, 0)])
+    yield "pagemap:doubled-run", _pagemap_with(
+        files, [runs[0]] + runs[:-1] + [(runs[-1][0], runs[-1][1] - 1, 0)])
+    first, second = pages[:PAGE_SIZE], pages[PAGE_SIZE:2 * PAGE_SIZE]
+    assert first != second
+    yield "pages:swapped", {
+        **files, "pages-1.img": second + first + pages[2 * PAGE_SIZE:]}
+    (a, n, flags), (b, m, _flags) = runs[0], runs[1]
+    assert a + n * PAGE_SIZE != b            # the move changes addresses
+    yield "page-moved-between-runs", _pagemap_with(
+        files, [(a, n - 1, flags), (b - PAGE_SIZE, m + 1, 0)] + runs[2:])
+
+
+class TestContentDigestIsTotal:
+    """The whole-set digest folds file and page digests; whatever the
+    bytes, it never raises, it equals the from-scratch reference, and
+    it moves with any change to any byte, file or page placement."""
+
+    def test_every_mutation_moves_the_digest(self, real_checkpoint):
+        pristine = real_checkpoint["files"]
+        assert ImageSet(dict(pristine)).content_digest() == \
+            real_checkpoint["digest"] == fresh_content_digest(
+                ImageSet(dict(pristine)))
+        seen = {real_checkpoint["digest"]: "pristine"}
+        for label, mutated_files in _digest_mutations(pristine):
+            mutated = ImageSet(mutated_files)
+            digest = mutated.content_digest()
+            assert digest == fresh_content_digest(mutated), label
+            assert digest not in seen, (label, seen.get(digest))
+            seen[digest] = label
+
+    def test_the_root_fills_the_page_manifest(self, real_checkpoint):
+        """A covered pages-1.img contributes the page digests its leaves
+        hold, so the per-page manifest costs nothing after the root."""
+        images = ImageSet(dict(real_checkpoint["files"]))
+        images.content_digest()
+        leaves = images.page_leaves()
+        assert leaves.offsets and set(leaves.digests) == set(leaves.offsets)
+        assert image_page_digests(images) == real_checkpoint["pages"]
 
 
 @pytest.fixture(scope="module")

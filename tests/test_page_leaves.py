@@ -31,9 +31,9 @@ from repro.core.migration import (MigrationPipeline, exe_path_for,
 from repro.core.rewriter import ImageMemory, ProcessRewriter
 from repro.core.runtime import DapperRuntime
 from repro.criu.dump import dump_process
-from repro.criu.images import ImageSet
+from repro.criu.images import ImageSet, PagemapImage
 from repro.criu.lazy import restore_process_lazy
-from repro.errors import MigrationRollback
+from repro.errors import ImageFormatError, MigrationRollback
 from repro.isa import ARM_ISA, X86_ISA
 from repro.mem import PageLeaves, page_digest
 from repro.mem.paging import PAGE_SIZE
@@ -110,10 +110,10 @@ def _program(name, resident_program):
 
 class HashCounter:
     """Counts ``hashlib.blake2b`` constructions by input length:
-    ``pages`` one-shot hashes of exactly one page, ``other`` one-shot
-    hashes of anything else (meta blobs, manifests), ``streams``
-    incremental hashes started empty — on the migration path that is
-    ``ImageSet.content_digest``'s full pass and nothing else."""
+    ``pages`` one-shot hashes of exactly one page, ``other`` hashes of
+    anything else (meta blobs, manifests, the content digest's fold),
+    ``streams`` incremental hashes started empty — a whole-image pass,
+    of which the migration path makes none."""
 
     def __init__(self, monkeypatch):
         self.pages = self.other = self.streams = 0
@@ -162,7 +162,6 @@ class StageSpy:
             result = put(store, images, parent)
             spy.put_pages = counter.pages - pages
             spy.put_other = counter.other - other
-            spy.put_blobs = len(images.files) - 1      # all but the pages
             return result
 
         monkeypatch.setattr(ImageMemory, "flush", spy_flush)
@@ -177,10 +176,30 @@ class StageSpy:
 
 
 def fresh_content_digest(images: ImageSet) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    for name in sorted(images.files):
-        h.update(name.encode("utf-8") + b"\x00")
-        h.update(images.files[name] + b"\x01")
+    """The whole-set fold from scratch: walks ``pagemap.img`` itself and
+    asks neither ``PageLeaves`` nor an ``ImageSet`` digest helper."""
+    files = images.files
+    h = hashlib.blake2b(b"dapper-images/fold-1\x00", digest_size=16)
+    for name in sorted(files):
+        blob = files[name]
+        term = b"C" + chunk_digest(blob).encode()
+        if name == "pages-1.img":
+            term = b"R" + chunk_digest(blob).encode()
+            try:
+                runs = [run for run in PagemapImage.from_bytes(
+                            files["pagemap.img"]).entries
+                        if not run.in_parent and run.nr_pages > 0]
+            except (KeyError, ImageFormatError):
+                runs = None
+            if (runs is not None and len(blob) == PAGE_SIZE
+                    * sum(run.nr_pages for run in runs)):
+                vaddrs = [run.vaddr + i * PAGE_SIZE for run in runs
+                          for i in range(run.nr_pages)]
+                if len(set(vaddrs)) == len(vaddrs):
+                    term = b"L" + b"".join(
+                        chunk_digest(blob[at:at + PAGE_SIZE]).encode()
+                        for at in range(0, len(blob), PAGE_SIZE))
+        h.update(name.encode("utf-8") + b"\x00" + term + b"\x01")
     return h.hexdigest()
 
 
@@ -253,8 +272,9 @@ class TestHashOncePerChange:
         """Plain scp: the source hashes at most the pages that changed
         since the process arrived plus the pages the rewriter copied;
         the destination — handed the very ``ImageSet`` the source
-        fingerprinted — hashes nothing; the one distinct image gets one
-        whole-image pass. (Before: every page, twice, and two passes.)"""
+        fingerprinted — hashes nothing; no whole-image pass anywhere:
+        the content digest folds the page digests the manifest holds.
+        (Before: every page, twice, and two passes; then one pass.)"""
         program, fill, gap = _program(app, resident_program)
         pingpong = PingPong(program, fill)
         pingpong.hop(gap)                           # arrive somewhere
@@ -268,7 +288,7 @@ class TestHashOncePerChange:
             budget = spy.changed_since(arrived) + spy.touched
             assert source <= budget
             assert counter.pages - source == 0       # destination
-            assert counter.streams == 1
+            assert counter.streams == 0
             total = result.images.pagemap().total_pages()
             if app == "resident":
                 assert total >= 64
@@ -279,11 +299,12 @@ class TestHashOncePerChange:
     @pytest.mark.parametrize("app", ["resident", "redis", "swaptions"])
     def test_store_pingpong_hash_budget(self, app, resident_program,
                                         monkeypatch):
-        """Store path: ``put`` addresses page chunks by the digests the
-        manifest already named (it hashes the meta blobs and its own
+        """Store path: ``put`` addresses every chunk by a digest the
+        sender's content digest already holds (it hashes its own
         manifest only), ``adopt`` re-hashes what crossed the wire, and
-        the guard hashes each materialised page exactly once — the one
-        result restore adopts. Two distinct images, two passes."""
+        the guard hashes each materialised page exactly once — one
+        result for the root, the page check and the restore. No
+        whole-image pass (before: two)."""
         program, fill, gap = _program(app, resident_program)
         stores = (CheckpointStore(), CheckpointStore())
         pingpong = PingPong(program, fill, stores)
@@ -297,12 +318,11 @@ class TestHashOncePerChange:
             result = pingpong.hop(gap)
             shipped = result.stats["store"]["chunks_shipped"]
             materialised = len(result.images.page_leaves().offsets)
-            assert (spy.put_pages, spy.put_other) == \
-                (0, spy.put_blobs + 1)               # metas + manifest
+            assert (spy.put_pages, spy.put_other) == (0, 1)  # manifest
             assert counter.pages - spy.pages_before_verify == materialised
             assert spy.pages_before_verify <= (
                 spy.changed_since(arrived) + spy.touched + shipped)
-            assert counter.streams == 2
+            assert counter.streams == 0
             assert_origin_is_fresh(result.process)
         for store in stores:
             assert store.verify() == []
@@ -317,18 +337,18 @@ class TestHashOncePerChange:
         assert (counter.pages, counter.streams) == (0, 0)
         images.files["pages-1.img"] = bytes(bytearray(images.pages()))
         assert (images.page_digests(), images.content_digest()) == before
-        assert (counter.pages, counter.streams) == (pages, 1)
+        assert (counter.pages, counter.streams) == (pages, 0)
         counter.reset()
         clone = ImageSet(dict(images.files))         # same blobs, new set
         assert (clone.page_digests(), clone.content_digest()) == before
-        assert (counter.pages, counter.streams) == (pages, 1)
+        assert (counter.pages, counter.streams) == (pages, 0)
         counter.reset()
         tmpfs = pingpong.process.machine.tmpfs
         images.save(tmpfs, "/again")
         reloaded = ImageSet.load(tmpfs, "/again")    # out of a tmpfs
         assert (reloaded.page_digests(),
                 reloaded.content_digest()) == before
-        assert (counter.pages, counter.streams) == (pages, 1)
+        assert (counter.pages, counter.streams) == (pages, 0)
 
     def test_ensure_takes_the_digest_as_a_value(self, monkeypatch):
         data = bytes(range(256)) * 16
@@ -616,8 +636,10 @@ class TestNothingWeaker:
 
 class TestGoldenIds:
     """Delta dumps, lazy dumps and incremental chains produce the bytes
-    they produced before page identity existed (ids taken at the parent
-    commit)."""
+    they produced before page identity existed: the store checkpoint
+    ids — content addresses of every file and page — never moved. Only
+    the content digests moved, once, when the whole-set digest became
+    a fold over file and page digests (``DIGEST_FORMAT`` "fold-1")."""
 
     @pytest.fixture
     def parked(self, counter_program):
@@ -644,7 +666,7 @@ class TestGoldenIds:
             self._advance(machine, runtime)
         assert checkpointer.last_id == "dff15b1a9b4a46e734ac85c03cfbf66b"
         assert checkpointer.last_images.content_digest() == \
-            "a612dc35cfe61ee2dc6261c9d5e228f4"
+            "85691d860833775cbac10c6a57eb5e97"
 
     def test_lazy_dump(self, parked):
         _machine, _process, runtime = parked
@@ -652,7 +674,7 @@ class TestGoldenIds:
         assert CheckpointStore().put(images).checkpoint_id == \
             "80f89cfc45104bb0cdcc887c9a5c67e2"
         assert images.content_digest() == \
-            "6a186d82af6a9a7b8a8d40d02efddcd6"
+            "5c271e20b18859fcde65028ed857347a"
 
     def test_parent_delta_dump(self, parked):
         machine, process, runtime = parked
@@ -670,7 +692,7 @@ class TestGoldenIds:
         assert store.put(delta, parent=parent).checkpoint_id == \
             "6bbdbddcd2d72aecf6e7dcbf36718abf"
         assert delta.content_digest() == \
-            "0b5550823209d63fd8b81b2cea179e8d"
+            "f9be8f876425d562087bbe7eeb8a684b"
 
 
 # -- layering --------------------------------------------------------------------
