@@ -95,15 +95,24 @@ class TestImageSetDecodesOnce:
         images.set_pages(b"a" * PAGE_SIZE + b"b" * PAGE_SIZE)
         return images
 
-    def test_repeat_accessors_decode_once(self, monkeypatch):
-        images = self._images()
+    def _decodes(self, images, monkeypatch):
+        """(core, pagemap) decodes over three rounds of reads."""
         cores = DecodeCount(monkeypatch, CoreImage)
         pagemaps = DecodeCount(monkeypatch, PagemapImage)
         for _ in range(3):
             assert [c.tid for c in images.cores()] == [1, 2]
             assert images.page_at(0x2000) == b"b" * PAGE_SIZE
             assert not images.is_delta()
-        assert (cores.calls, pagemaps.calls) == (2, 1)
+        return cores.calls, pagemaps.calls
+
+    def test_repeat_accessors_decode_once(self, monkeypatch):
+        """A set never decodes what it encoded itself..."""
+        assert self._decodes(self._images(), monkeypatch) == (0, 0)
+
+    def test_arrived_bytes_decode_once(self, monkeypatch):
+        """...and decodes bytes it was handed once each."""
+        images = ImageSet(dict(self._images().files))
+        assert self._decodes(images, monkeypatch) == (2, 1)
 
     def test_mutating_a_returned_image_is_invisible(self):
         images = self._images()
@@ -140,20 +149,20 @@ class TestImageSetDecodesOnce:
         cores = DecodeCount(monkeypatch, CoreImage)
         images.set_core(CoreImage(1, "x86_64", 0x400300, 0, 0, "trapped", {}))
         assert images.core(1).pc == 0x400300
-        assert cores.calls == 1
+        assert cores.calls == 0                 # encoded here: not read back
         other = CoreImage(1, "x86_64", 0x400400, 0, 0, "trapped", {})
         images.files["core-1.img"] = other.to_bytes()
         assert images.core(1).pc == 0x400400
-        assert cores.calls == 2
+        assert cores.calls == 1
         # An equal-content copy is a different object: decoded again.
         images.files["core-1.img"] = bytes(bytearray(other.to_bytes()))
         assert images.core(1).pc == 0x400400
-        assert cores.calls == 3
+        assert cores.calls == 2
         flipped = bytearray(images.files["core-1.img"])
         flipped[-1] ^= 0x40                     # what a chaos injector does
         images.files["core-1.img"] = bytes(flipped)
         assert images.core(1).to_bytes() == bytes(flipped)
-        assert cores.calls == 4
+        assert cores.calls == 3
         del images.files["core-1.img"]
         with pytest.raises(ImageFormatError):
             images.core(1)

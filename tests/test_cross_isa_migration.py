@@ -19,6 +19,7 @@ from repro.core.runtime import DapperRuntime
 from repro.criu.restore import restore_process
 from repro.errors import RewriteError
 from repro.isa import ARM_ISA, X86_ISA, get_isa
+from repro.store import CheckpointStore
 from repro.vm import Machine
 
 
@@ -181,20 +182,28 @@ class TestImagesAfterRewrite:
 
 class DecodeCounter:
     """Counts what the serialisation layer is asked to do: top-level
-    ``Schema.decode`` calls outside a binary parse (= image files
-    decoded; nested messages don't count) and ``DelfBinary.from_bytes``
-    calls (= full executable parses)."""
+    ``Schema.decode`` calls outside a binary parse and outside the
+    checkpoint store's own index (= image files decoded; nested
+    messages don't count), ``DelfBinary.from_bytes`` calls (= full
+    executable parses) and ``CheckpointStore._pagemap`` calls (= the
+    store reading a stored pagemap chunk to size or resolve a
+    checkpoint)."""
 
     def __init__(self, monkeypatch):
         self.images = 0
         self.parses = 0
+        self.index = 0
+        #: schema name of every image file decoded, in order
+        self.kinds = []
         self._depth = 0
         schema_decode = wire.Schema.decode
         from_bytes = DelfBinary.from_bytes.__func__
+        store_pagemap = CheckpointStore._pagemap
 
         def decode(schema, data):
             if self._depth == 0:
                 self.images += 1
+                self.kinds.append(schema.name)
             self._depth += 1
             try:
                 return schema_decode(schema, data)
@@ -209,44 +218,91 @@ class DecodeCounter:
             finally:
                 self._depth -= 1
 
+        def pagemap(store, checkpoint_id):
+            self.index += 1
+            self._depth += 1            # nor are the store's index reads
+            try:
+                return store_pagemap(store, checkpoint_id)
+            finally:
+                self._depth -= 1
+
         monkeypatch.setattr(wire.Schema, "decode", decode)
         monkeypatch.setattr(DelfBinary, "from_bytes", classmethod(parse))
+        monkeypatch.setattr(CheckpointStore, "_pagemap", pagemap)
 
     def reset(self):
-        self.images = self.parses = 0
+        self.images = self.parses = self.index = 0
+        self.kinds = []
 
 
 class TestDecodeOnce:
     """The migration path parses each thing it is handed once. These
     are counts, not timings: a regression is a diff."""
 
-    @pytest.mark.parametrize("app", ["redis", "swaptions"])
-    def test_warm_pingpong_decode_budget(self, app, monkeypatch):
-        """Per migration: at most two decodes per image file (the dumped
-        set, then whatever the rewrite replaced) and no executable
-        parse. Measured: redis 9 decodes over 6 files, swaptions 15
-        over 9 (was 31 and 46, plus one full parse, when every accessor
-        and every restore parsed from scratch)."""
+    @staticmethod
+    def _warm_pingpong(app, use_store=False):
+        """A resident that has been there and back once, so both nodes'
+        exec caches (and stores, if any) are warm."""
         program = get_app(app).compile("small")
         x86 = Machine(X86_ISA, name="x86")
         arm = Machine(ARM_ISA, name="arm")
-        there = MigrationPipeline(x86, arm, program)
-        back = MigrationPipeline(arm, x86, program)
+        at_x86, at_arm = ((CheckpointStore(), CheckpointStore())
+                          if use_store else (None, None))
+        there = MigrationPipeline(x86, arm, program, use_store=use_store,
+                                  src_store=at_x86, dst_store=at_arm)
+        back = MigrationPipeline(arm, x86, program, use_store=use_store,
+                                 src_store=at_arm, dst_store=at_x86)
         process = there.start()
         x86.step_all(3000)
         result = there.migrate(process)          # warms arm's exec cache
         arm.step_all(500)
         process = back.migrate(result.process).process
         x86.step_all(500)
+        return process, ((there, arm), (back, x86))
+
+    @pytest.mark.parametrize("app", ["redis", "swaptions"])
+    def test_warm_pingpong_decode_budget(self, app, monkeypatch):
+        """Per plain migration: no image decode and no executable
+        parse. The sender decodes nothing it encoded itself, and the
+        plain path hands the destination that very set. Measured:
+        redis and swaptions 0 (were 9 and 15 when every set decoded
+        its own writes back, and 31 and 46, plus one full parse, when
+        every accessor and every restore parsed from scratch)."""
+        process, legs = self._warm_pingpong(app)
         counter = DecodeCounter(monkeypatch)
-        for pipe, machine in ((there, arm), (back, x86)):
+        for pipe, machine in legs:
             counter.reset()
             result = pipe.migrate(process)
             process = result.process
             assert counter.parses == 0
-            assert 0 < counter.images <= 2 * len(result.images.files)
+            assert counter.images == 0
             machine.step_all(500)
-        x86.run_process(process)
+        legs[1][1].run_process(process)
+        assert process.exit_code == 0
+
+    @pytest.mark.parametrize("app", ["redis", "swaptions"])
+    def test_warm_store_pingpong_decodes_each_arrival_once(
+            self, app, monkeypatch):
+        """Per store migration: the sender decodes nothing, and the
+        destination, which materialises the set from chunks, decodes
+        every arrived section except the pages exactly once and parses
+        no executable. The stores read their stored pagemap chunk three
+        times besides (sizing the checkpoint at put and at adopt,
+        resolving its pages at materialize)."""
+        process, legs = self._warm_pingpong(app, use_store=True)
+        counter = DecodeCounter(monkeypatch)
+        for pipe, machine in legs:
+            counter.reset()
+            result = pipe.migrate(process)
+            process = result.process
+            assert counter.parses == 0
+            arrived = [name.split(".")[0].split("-")[0]
+                       for name in result.images.files
+                       if name != "pages-1.img"]
+            assert sorted(counter.kinds) == sorted(arrived)
+            assert counter.index == 3
+            machine.step_all(500)
+        legs[1][1].run_process(process)
         assert process.exit_code == 0
 
     def test_second_restore_parses_no_binary(self, counter_program,

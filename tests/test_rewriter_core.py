@@ -1,6 +1,7 @@
 """Tests for ImageMemory, unwinding, register mapping and TLS adjustment."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.migration import exe_path_for, install_program
 from repro.core.regmap import register_mapping, translate_registers
@@ -8,6 +9,7 @@ from repro.core.rewriter import ImageMemory, ProcessRewriter
 from repro.core.runtime import DapperRuntime
 from repro.core.stack_rewrite import unwind_thread
 from repro.core.tlsmod import tls_block_address, translate_tls_base
+from repro.criu.images import ImageSet
 from repro.errors import RewriteError
 from repro.isa import ARM_ISA, X86_ISA
 from repro.mem.paging import PAGE_SIZE
@@ -73,6 +75,76 @@ class TestImageMemory:
     def test_rewriter_requires_policy(self, checkpoint):
         with pytest.raises(RewriteError):
             ProcessRewriter().rewrite(checkpoint)
+
+
+@pytest.fixture(scope="module")
+def dumped_files(counter_program):
+    """The files of one real dump, for tests that build many sets."""
+    machine = Machine(X86_ISA)
+    install_program(machine, counter_program)
+    process = machine.spawn_process(exe_path_for("counter", "x86_64"))
+    machine.step_all(2500)
+    runtime = DapperRuntime(machine, process)
+    runtime.pause_at_equivalence_points()
+    return dict(runtime.checkpoint().files)
+
+
+#: (is a write, page choice, offset in page, length, fill seed); the
+#: offsets crowd the page end so that many accesses straddle pages
+accesses = st.lists(st.tuples(
+    st.booleans(), st.integers(0, 7),
+    st.one_of(st.integers(0, PAGE_SIZE - 1),
+              st.integers(PAGE_SIZE - 24, PAGE_SIZE - 1)),
+    st.one_of(st.integers(0, 16), st.integers(0, 2 * PAGE_SIZE + 8)),
+    st.integers(0, 255)), max_size=24)
+
+
+class TestInPageFastPath:
+    """``read``/``write`` slice a range inside one page straight from
+    its page; the page-by-page loops (``_read_span``/``_write_span``)
+    are the reference. Same bytes, same pages, same flushed image."""
+
+    @given(ops=accesses)
+    def test_fast_path_matches_the_page_loop(self, dumped_files, ops):
+        fast_set, slow_set = (ImageSet(dict(dumped_files)),
+                              ImageSet(dict(dumped_files)))
+        fast, slow = ImageMemory(fast_set), ImageMemory(slow_set)
+        dumped = fast.page_bases()
+        # dumped pages, the absent pages around them, and one far off
+        bases = sorted({dumped[0], dumped[-1], dumped[0] - PAGE_SIZE,
+                        dumped[-1] + PAGE_SIZE, dumped[len(dumped) // 2],
+                        dumped[len(dumped) // 2] + PAGE_SIZE,
+                        0x7300000, 0x7301000})
+        for is_write, page, offset, length, fill in ops:
+            addr = bases[page] + offset
+            if is_write:
+                data = bytes((fill + i) & 0xFF for i in range(length))
+                fast.write(addr, data)
+                slow._write_span(addr, data)
+            else:
+                assert fast.read(addr, length) == \
+                    slow._read_span(addr, length)
+            assert fast.page_bases() == slow.page_bases()
+            assert fast._pages.keys() == slow._pages.keys()
+        for base in fast.page_bases():
+            assert fast.read(base, PAGE_SIZE) == \
+                slow._read_span(base, PAGE_SIZE)
+        fast.flush()
+        slow.flush()
+        assert fast_set.files == slow_set.files
+
+    def test_in_page_reads_copy_nothing(self, checkpoint):
+        memory = ImageMemory(checkpoint)
+        base = memory.page_bases()[0]
+        assert memory.read(base + PAGE_SIZE - 8, 8) == \
+            checkpoint.page_at(base)[-8:]
+        assert memory.read(0x7400000 + PAGE_SIZE - 8, 8) == bytes(8)
+        assert memory._pages == {}
+        memory.write(0x7400000 + 8, b"")
+        assert not memory.has_page(0x7400000)
+        memory.write(0x7400000 + PAGE_SIZE - 8, b"\x01" * 8)
+        assert memory.read(0x7400000, PAGE_SIZE) == \
+            bytes(PAGE_SIZE - 8) + b"\x01" * 8
 
 
 class TestUnwinding:
