@@ -27,6 +27,7 @@ from typing import Dict, Optional
 
 from ..apps.registry import get_app
 from ..core.migration import MigrationPipeline
+from ..criu.lazy import install_pending
 from ..errors import MigrationRollback
 from ..isa import get_isa
 from ..verify import Quarantine
@@ -37,23 +38,16 @@ from .injector import FaultInjector
 
 def settle_lazy_pages(process: Process, page_server) -> None:
     """Install every page still pending at the server into the process
-    address space and detach the fault-in hook.
+    address space, close the server and detach the fault-in hook.
 
     This puts lazy, fallback-completed and vanilla migrations on the
     same footing before hashing memory: whatever the serving history
     was, settled memory must be byte-identical.
     """
-    aspace = process.aspace
     if page_server is not None:
-        # pending_pages() works on a dead server too — death stops
-        # *serving*, not the snapshot this harness audits against.
-        for vaddr, data in page_server.pending_pages().items():
-            # _pages membership, not page(): page() would re-enter the
-            # fault-in hook.
-            if (vaddr not in aspace._pages
-                    and aspace.find_vma(vaddr) is not None):
-                aspace.install_page(vaddr, data)
-    aspace.missing_page_hook = None
+        install_pending(process.aspace, page_server.pending_pages())
+        page_server.close()
+    process.aspace.missing_page_hook = None
 
 
 def memory_digest(process: Process) -> str:
@@ -192,6 +186,8 @@ class ChaosHarness:
         settle_lazy_pages(result.process, result.page_server)
         if memory_digest(result.process) != self.expected_memory:
             problems.append("settled memory differs from reference")
+        if self.use_store and pipeline.src_store.chunks.raw_pins:
+            problems.append("source store still holds page-server pins")
         if not source.exited:
             problems.append("source process still alive after completion")
         return problems

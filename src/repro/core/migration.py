@@ -39,11 +39,11 @@ byte-identical to the fault-free fast path.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..compiler.driver import CompiledProgram
 from ..criu.images import ImageSet
-from ..criu.lazy import PageServer, restore_process_lazy
+from ..criu.lazy import PageServer, install_pending, restore_process_lazy
 from ..criu.restore import restore_process
 from ..errors import (InjectedFault, IntegrityError, MigrationError,
                       MigrationRollback, PageServerDead, QuarantinedImage,
@@ -58,8 +58,7 @@ from .rewriter import ProcessRewriter
 from .runtime import DapperRuntime
 
 if TYPE_CHECKING:
-    from ..store import (CheckpointStore, StorePageServer, plan_transfer,
-                         ship)
+    from ..store import CheckpointStore, plan_transfer, ship
 
 #: exception classes one transactional stage attempt may absorb and retry
 RETRYABLE = (InjectedFault, IntegrityError, StoreError)
@@ -68,7 +67,7 @@ RETRYABLE = (InjectedFault, IntegrityError, StoreError)
 #: path needs them, so they are bound into this module on first use
 #: (:func:`_import_store`, or reading one as a module attribute) and
 #: ``import repro`` does not load ``repro.store``.
-_STORE_NAMES = ("CheckpointStore", "StorePageServer", "plan_transfer", "ship")
+_STORE_NAMES = ("CheckpointStore", "plan_transfer", "ship")
 
 
 def _import_store() -> None:
@@ -289,17 +288,9 @@ class MigrationPipeline:
         """
         txn["rolled_back"] = True
         txn["rollback_stage"] = stage
-        dst_fs = self.dst_machine.tmpfs
-        for path in list(dst_fs.listdir(ctx["dst_prefix"])):
-            dst_fs.remove(path)
-        cid = ctx.get("dst_checkpoint")
-        if (cid is not None and self.dst_store is not None
-                and not ctx.get("dst_had_checkpoint")
-                and cid in self.dst_store):
-            self.dst_store.delete(cid)
-        if self.dst_store is not None:
-            chunks_freed, bytes_freed = self.dst_store.gc()
-            txn["gc"] = {"chunks": chunks_freed, "bytes": bytes_freed}
+        freed = self._sweep_destination(ctx)
+        if freed is not None:
+            txn["gc"] = {"chunks": freed[0], "bytes": freed[1]}
         ctx["runtime"].resume()
         if self.injector is not None:
             self.injector.note("rollback", stage,
@@ -308,6 +299,21 @@ class MigrationPipeline:
             f"migration stage {stage!r} failed after {attempts} "
             f"attempt(s); rolled back to source ({exc})",
             stage=stage, attempts=attempts, txn=txn) from exc
+
+    def _sweep_destination(self, ctx: Dict) -> Optional[Tuple[int, int]]:
+        """Remove the destination's images and the checkpoint this
+        migration adopted there; returns the store GC's ``(chunks,
+        bytes)``, ``None`` without a destination store."""
+        dst_fs = self.dst_machine.tmpfs
+        for path in list(dst_fs.listdir(ctx["dst_prefix"])):
+            dst_fs.remove(path)
+        if self.dst_store is None:
+            return None
+        cid = ctx.get("dst_checkpoint")
+        if (cid is not None and not ctx.get("dst_had_checkpoint")
+                and cid in self.dst_store):
+            self.dst_store.delete(cid)
+        return self.dst_store.gc()
 
     # -- the pipeline ------------------------------------------------------------
 
@@ -398,9 +404,9 @@ class MigrationPipeline:
         # content-addressed delta: put into the source store, ship only
         # the chunks missing at the destination, materialize there.
         if self.use_store:
-            images, page_server = self._store_transfer(
-                process, images, page_server, stage_seconds, scaled,
-                stats, txn, ctx)
+            images = self._store_transfer(process, images, page_server,
+                                          stage_seconds, scaled, stats,
+                                          txn, ctx)
         else:
             images = self._plain_transfer(process, images, stage_seconds,
                                           scaled, txn, ctx)
@@ -410,14 +416,9 @@ class MigrationPipeline:
         images = self._verify_stage(process, images, stage_seconds,
                                     scaled, stats, txn, ctx)
 
-        # Post-copy chaos: maybe arm the page server to die mid
-        # fault-in; snapshot the left-behind pages *now* so the pre-copy
-        # fallback can finish the transfer from the snapshot even after
-        # the source is torn down.
-        fallback_pages = None
-        if lazy and injector is not None:
-            if injector.page_server_fault(page_server):
-                fallback_pages = page_server.pending_pages()
+        # Post-copy chaos: maybe arm the page server to die mid fault-in.
+        fallback = (lazy and injector is not None
+                    and injector.page_server_fault(page_server))
 
         # 5. restore. The source is torn down only *after* the restore
         # succeeds: until then it remains the rollback target, so a
@@ -438,8 +439,8 @@ class MigrationPipeline:
         if not hold_source:
             runtime.kill_source()
 
-        if fallback_pages is not None:
-            self._arm_precopy_fallback(restored, fallback_pages, txn)
+        if fallback:
+            self._arm_precopy_fallback(restored, page_server, txn)
 
         if injector is not None:
             stats["txn"] = txn
@@ -479,19 +480,9 @@ class MigrationPipeline:
             raise MigrationError(
                 "migration was not held open (hold_source=False) or "
                 "is already settled")
-        ctx = result.held_ctx
         if not result.process.exited:
             self.dst_machine.kill(result.process)
-        dst_fs = self.dst_machine.tmpfs
-        for path in list(dst_fs.listdir(ctx["dst_prefix"])):
-            dst_fs.remove(path)
-        cid = ctx.get("dst_checkpoint")
-        if (cid is not None and self.dst_store is not None
-                and not ctx.get("dst_had_checkpoint")
-                and cid in self.dst_store):
-            self.dst_store.delete(cid)
-        if self.dst_store is not None:
-            self.dst_store.gc()
+        self._sweep_destination(result.held_ctx)
         result.held_runtime.resume()
         result.held_runtime = None
         result.held_ctx = None
@@ -635,8 +626,8 @@ class MigrationPipeline:
                         stage_seconds: Dict[str, float], scaled,
                         stats: Dict, txn: Dict, ctx: Dict):
         """Store-backed stage 3. Returns the (materialized) image set
-        the destination restores from and the (possibly store-backed)
-        page server.
+        the destination restores from; a post-copy ``page_server`` moves
+        onto the source store.
 
         A retried attempt re-plans the delta: chunks that landed before
         the fault are already in the destination store, so each retry
@@ -680,14 +671,9 @@ class MigrationPipeline:
 
         if page_server is not None:
             # Post-copy + store: the left-behind pages live in the
-            # source store too, so the page server serves by digest and
-            # shares physical pages with every checkpoint.
-            digests = {vaddr: self.src_store.chunks.put(data)
-                       for vaddr, data in page_server.pending_pages().items()}
-            page_server = StorePageServer(
-                digests, self.src_store,
-                node_name=page_server.node_name,
-                log_limit=page_server.log_limit)
+            # source store too, so the page server shares physical
+            # pages with every checkpoint.
+            page_server.move_to(self.src_store.chunks)
 
         stats["store"] = {
             "checkpoint": put.checkpoint_id,
@@ -713,17 +699,17 @@ class MigrationPipeline:
                               label=(f"plan:{self.src_machine.name}->"
                                      f"{self.dst_machine.name}"),
                               a=len(plan.chunks_needed), b=shipped)
-        return images_dst, page_server
+        return images_dst
 
     # -- post-copy degradation ---------------------------------------------------
 
     def _arm_precopy_fallback(self, process: Process,
-                              pending: Dict[int, bytes],
-                              txn: Dict) -> None:
-        """Wrap the lazy restore's missing-page hook: if the page server
-        dies mid post-copy, bulk-install the snapshotted left-behind
-        pages (pre-copy fallback) and detach the hook — execution
-        continues with byte-identical memory, just paid for eagerly."""
+                              page_server: PageServer, txn: Dict) -> None:
+        """Wrap the lazy restore's missing-page hook (armed only by the
+        injector): if the page server dies mid post-copy, bulk-install
+        the pages it still holds (pre-copy fallback) and detach the hook
+        — execution continues with byte-identical memory, just paid for
+        eagerly."""
         aspace = process.aspace
         inner = aspace.missing_page_hook
 
@@ -731,26 +717,16 @@ class MigrationPipeline:
             try:
                 return inner(base)
             except PageServerDead:
-                installed = 0
-                for vaddr, data in pending.items():
-                    if vaddr == base:
-                        continue   # returned below; page() installs it
-                    # _pages membership, not page(): page() would
-                    # re-enter this hook for every missing page.
-                    if (vaddr not in aspace._pages
-                            and aspace.find_vma(vaddr) is not None):
-                        aspace.install_page(vaddr, data)
-                        installed += 1
+                pending = page_server.pending_pages()
+                data = pending.pop(base, None)   # page() installs it
+                installed = install_pending(aspace, pending)
                 aspace.missing_page_hook = None
                 txn["fallback"] = True
-                txn["fallback_pages"] = installed + (1 if base in pending
-                                                     else 0)
-                if self.injector is not None:
-                    self.injector.note(
-                        "fallback", "page-server",
-                        f"pre-copied {installed} pending pages",
-                        a=installed)
-                return pending.get(base)
+                txn["fallback_pages"] = installed + (data is not None)
+                self.injector.note("fallback", "page-server",
+                                   f"pre-copied {installed} pending pages",
+                                   a=installed)
+                return data
         aspace.missing_page_hook = hook
 
     # -- convenience ----------------------------------------------------------------

@@ -10,8 +10,7 @@ Three layers:
   ``materialize()`` back into a full :class:`~repro.criu.images.ImageSet`.
 * :mod:`repro.store.transfer` — the delta-transfer planner: ship only
   the chunks the destination store is missing, measured against a
-  :class:`~repro.core.costs.LinkProfile`; plus a store-backed post-copy
-  :class:`~repro.criu.lazy.PageServer`.
+  :class:`~repro.core.costs.LinkProfile`.
 * :mod:`repro.store.backend` — pluggable durable persistence: a
   simulated disk with crash-tearing semantics (:class:`SimDisk`), real
   files (:class:`OsDisk`), and the write-tmp/fsync/rename chunk-file
@@ -28,7 +27,7 @@ from .backend import DirBackend, OsDisk, SimDisk
 from .chunks import CODECS, ChunkStore, chunk_digest, register_codec
 from .checkpoints import (CheckpointStore, IncrementalCheckpointer,
                           PutResult, RecoveryReport, ScrubReport)
-from .transfer import StorePageServer, TransferPlan, plan_transfer, ship
+from .transfer import TransferPlan, plan_transfer, ship
 from .wal import WriteAheadLog, decode_wal, fold_wal
 
 __all__ = [
@@ -37,5 +36,5 @@ __all__ = [
     "RecoveryReport", "ScrubReport",
     "DirBackend", "OsDisk", "SimDisk",
     "WriteAheadLog", "decode_wal", "fold_wal",
-    "StorePageServer", "TransferPlan", "plan_transfer", "ship",
+    "TransferPlan", "plan_transfer", "ship",
 ]

@@ -171,12 +171,16 @@ class ChunkStore:
     def put(self, data: bytes) -> str:
         """Insert ``data`` and take one reference (raw-blob use)."""
         digest, _created = self.ensure(data)
-        self._chunks[digest].refs += 1
-        self.raw_pins[digest] = self.raw_pins.get(digest, 0) + 1
+        self.pin(digest)
         return digest
 
+    def pin(self, digest: str) -> None:
+        """Take one raw (non-manifest) reference on a stored chunk."""
+        self.incref(digest)
+        self.raw_pins[digest] = self.raw_pins.get(digest, 0) + 1
+
     def unpin(self, digest: str) -> None:
-        """Release one raw (non-manifest) reference taken by :meth:`put`."""
+        """Release one raw reference taken by :meth:`pin` or :meth:`put`."""
         pins = self.raw_pins.get(digest, 0)
         if pins <= 0:
             raise StoreError(f"unpin of unpinned chunk {digest[:12]}")

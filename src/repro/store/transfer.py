@@ -6,17 +6,12 @@ warm destinations (a node that has seen this program, or any program
 sharing pages with it) receive a small fraction of a full image copy.
 ``ship`` moves the plan's chunks (compressed, verified on arrival) and
 registers the chain's manifests root-first on the far side.
-
-:class:`StorePageServer` is the post-copy complement: instead of
-holding private page copies, it serves left-behind pages straight out
-of the source's chunk store by digest.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
-from ..criu.lazy import PageServer
 from ..errors import LinkDropFault, StoreError
 from .checkpoints import CheckpointStore
 
@@ -133,41 +128,3 @@ def ship(src: CheckpointStore, dst: CheckpointStore,
         dst.adopt_manifest(src.chunks.get(cid))
     return shipped
 
-
-class StorePageServer(PageServer):
-    """Post-copy page server backed by a chunk store.
-
-    Holds ``vaddr -> digest`` instead of page copies: the pages it
-    serves are exactly the checkpoint's chunks, so a store-backed lazy
-    migration keeps one physical copy of every page no matter how many
-    in-flight migrations reference it.
-    """
-
-    def __init__(self, page_digests: Dict[int, str], store: CheckpointStore,
-                 node_name: str = "source", log_limit: Optional[int] = None):
-        if log_limit is None:
-            super().__init__({}, node_name=node_name)
-        else:
-            super().__init__({}, node_name=node_name, log_limit=log_limit)
-        self._digests = dict(page_digests)
-        self._store = store
-
-    def remaining_pages(self) -> int:
-        return len(self._digests)
-
-    def remaining_bytes(self) -> int:
-        return sum(self._store.chunks.chunk(d).logical_size
-                   for d in self._digests.values())
-
-    def pending_pages(self) -> Dict[int, bytes]:
-        """Materialized copies of the not-yet-served pages (the
-        transactional pipeline snapshots these for its pre-copy
-        fallback)."""
-        return {vaddr: self._store.chunks.get(digest)
-                for vaddr, digest in self._digests.items()}
-
-    def _take(self, vaddr: int) -> Optional[bytes]:
-        digest = self._digests.pop(vaddr, None)
-        if digest is None:
-            return None
-        return self._store.chunks.get(digest)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.compiler import compile_source
+from repro.criu.lazy import PageServer
+from repro.store import ChunkStore
 from repro.testing.lockstep import Track
 
 try:
@@ -164,3 +166,16 @@ def counter_reference_output(counter_program):
 @pytest.fixture(scope="session")
 def threaded_reference_output(threaded_program):
     return _native_stdout(threaded_program)
+
+
+class OnChunkStore:
+    """Mixin for a page-server contract class, one whose tests build
+    servers through ``self.server(pages, **kwargs)``: reruns its tests on
+    a server moved onto a chunk store, as a store-backed migration
+    serves."""
+
+    @staticmethod
+    def server(pages, **kwargs):
+        server = PageServer(pages, **kwargs)
+        server.move_to(ChunkStore())
+        return server

@@ -11,6 +11,7 @@ from repro.isa import ARM_ISA, X86_ISA, Instruction
 from repro.isa.asm import AsmBlock, movi_symbol
 from repro.mem.paging import PAGE_SIZE
 from repro.vm import Machine
+from tests.conftest import OnChunkStore
 
 
 class TestAsmBlock:
@@ -131,8 +132,13 @@ class TestSchedulerDeterminism:
 
 
 class TestPageServer:
+    """The page-server contract; :class:`TestPageServerOnChunks` runs it
+    over a chunk store."""
+
+    server = staticmethod(PageServer)
+
     def test_fetch_consumes_page(self):
-        server = PageServer({0x1000: b"\xAA" * PAGE_SIZE})
+        server = self.server({0x1000: b"\xAA" * PAGE_SIZE})
         assert server.fetch(0x1000) == b"\xAA" * PAGE_SIZE
         assert server.fetch(0x1000) is None      # served exactly once
         assert server.pages_served == 1
@@ -140,19 +146,46 @@ class TestPageServer:
         assert server.remaining_pages() == 0
 
     def test_unknown_page_counts_as_request(self):
-        server = PageServer({})
+        server = self.server({})
         assert server.fetch(0x5000) is None
         assert server.requests == 1
         assert server.pages_served == 0
 
     def test_log_records_order(self):
-        server = PageServer({0x1000: bytes(PAGE_SIZE),
-                             0x2000: bytes(PAGE_SIZE)})
+        server = self.server({0x1000: bytes(PAGE_SIZE),
+                              0x2000: bytes(PAGE_SIZE)})
         server.fetch(0x2000)
         server.fetch(0x1000)
         assert [addr for _i, addr in server.log] == [0x2000, 0x1000]
 
     def test_remaining_bytes(self):
-        server = PageServer({0x1000: bytes(PAGE_SIZE),
-                             0x2000: bytes(PAGE_SIZE)})
+        server = self.server({0x1000: bytes(PAGE_SIZE),
+                              0x2000: bytes(PAGE_SIZE)})
         assert server.remaining_bytes() == 2 * PAGE_SIZE
+
+    def test_equal_pages_are_each_served_once(self):
+        """Two addresses with one digest: each is served once, and each
+        serve drops exactly its own pin."""
+        server = self.server({0x1000: bytes(PAGE_SIZE),
+                              0x2000: bytes(PAGE_SIZE)})
+        (digest,) = set(server.manifest.values())
+        assert server.source.raw_pins == {digest: 2}
+        assert server.fetch(0x2000) == bytes(PAGE_SIZE)
+        assert server.source.raw_pins == {digest: 1}
+        assert server.fetch(0x2000) is None
+        assert server.fetch(0x1000) == bytes(PAGE_SIZE)
+        assert server.source.raw_pins == {}
+        assert server.pages_served == 2
+
+    def test_close_releases_every_pin(self):
+        server = self.server({0x1000: b"\x01" * PAGE_SIZE,
+                              0x2000: b"\x02" * PAGE_SIZE})
+        server.fetch(0x1000)
+        server.close()
+        assert server.source.raw_pins == {}
+        assert server.remaining_pages() == 0
+        assert server.fetch(0x2000) is None
+
+
+class TestPageServerOnChunks(OnChunkStore, TestPageServer):
+    pass

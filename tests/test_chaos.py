@@ -29,6 +29,7 @@ from repro.isa import get_isa
 from repro.store import CheckpointStore
 from repro.store.transfer import plan_transfer, ship
 from repro.vm import Machine
+from tests.conftest import OnChunkStore
 
 
 @pytest.fixture(scope="module")
@@ -169,21 +170,23 @@ class TestNetworkStrict:
 
 
 class TestPageServerFailure:
+    server = staticmethod(PageServer)
+
     def test_scheduled_death_raises_typed_error(self):
-        server = PageServer({0x1000: b"\x01" * 4096})
+        server = self.server({0x1000: b"\x01" * 4096})
         server.schedule_death(after_requests=1)
         assert server.fetch(0x1000) is not None
         with pytest.raises(PageServerDead):
             server.fetch(0x2000)
 
     def test_kill_is_immediate(self):
-        server = PageServer({0x1000: b"\x01" * 4096})
+        server = self.server({0x1000: b"\x01" * 4096})
         server.kill()
         with pytest.raises(PageServerDead):
             server.fetch(0x1000)
 
     def test_strict_fetch_distinguishes_unowned_page(self):
-        server = PageServer({0x1000: b"\x01" * 4096})
+        server = self.server({0x1000: b"\x01" * 4096})
         # Default (lax) keeps the zero-fill contract.
         assert server.fetch(0x9000) is None
         with pytest.raises(LazyPageError) as err:
@@ -192,6 +195,10 @@ class TestPageServerFailure:
         # PageServerDead is a LazyPageError subtype: one except clause
         # catches both, isinstance distinguishes them.
         assert issubclass(PageServerDead, LazyPageError)
+
+
+class TestPageServerFailureOnChunks(OnChunkStore, TestPageServerFailure):
+    pass
 
 
 # -- mid-ship faults + orphan GC (satellite) -----------------------------------

@@ -1,5 +1,7 @@
 """Tests for the CRIU-style checkpoint/restore substrate and CRIT."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.migration import exe_path_for, install_program
@@ -11,10 +13,13 @@ from repro.criu.images import (CoreImage, FilesImage, ImageSet,
                                PagemapImage)
 from repro.criu.lazy import dump_process_lazy, restore_process_lazy
 from repro.criu.restore import restore_process
-from repro.errors import (CheckpointError, ImageFormatError, RestoreError)
+from repro.errors import (CheckpointError, ImageFormatError, LazyPageError,
+                          RestoreError)
 from repro.isa import X86_ISA
+from repro.mem import page_digest
 from repro.mem.paging import PAGE_SIZE, page_align_down
 from repro.mem.vma import Vma
+from repro.store import ChunkStore
 from repro.vm import Machine
 
 
@@ -333,6 +338,38 @@ class TestLazy:
         assert server.requests > 0
         assert server.pages_served > 0
         assert server.log
+
+    @pytest.mark.parametrize("on_chunks", [False, True],
+                             ids=["copies", "chunks"])
+    def test_tampered_page_is_refused_not_installed(self, parked,
+                                                    on_chunks):
+        """Every fetched page is checked against the manifest the
+        restore took: a page changed at the source after the dump raises
+        on first touch and never reaches the address space."""
+        machine, _process, runtime = parked
+        images, server = runtime.checkpoint_lazy()
+        runtime.kill_source()
+        chunks = ChunkStore()
+        if on_chunks:
+            server.move_to(chunks)
+        uses = Counter(server.manifest.values())
+        victim, digest = next(
+            (vaddr, digest) for vaddr, digest in sorted(
+                server.manifest.items()) if uses[digest] == 1)
+        bad = bytearray(server.source.get(digest))
+        bad[100] ^= 0x40
+        if on_chunks:
+            chunks.reinstall(digest, bytes(bad))
+        else:
+            server.source[digest] = bytes(bad)
+        restored = restore_process_lazy(machine, images, server)
+        with pytest.raises(LazyPageError) as err:
+            restored.aspace.read(victim, 8)
+        message = str(err.value)
+        for part in (f"{victim:#x}", server.node_name, digest,
+                     page_digest(bytes(bad))):
+            assert part in message
+        assert victim not in restored.aspace._pages
 
     def test_stack_pages_dumped_eagerly(self, parked):
         _machine, process, runtime = parked

@@ -32,7 +32,7 @@ from repro.core.rewriter import ImageMemory, ProcessRewriter
 from repro.core.runtime import DapperRuntime
 from repro.criu.dump import dump_process
 from repro.criu.images import ImageSet, PagemapImage
-from repro.criu.lazy import restore_process_lazy
+from repro.criu.lazy import dump_process_lazy, restore_process_lazy
 from repro.errors import ImageFormatError, MigrationRollback
 from repro.isa import ARM_ISA, X86_ISA
 from repro.mem import PageLeaves, page_digest
@@ -327,6 +327,46 @@ class TestHashOncePerChange:
         for store in stores:
             assert store.verify() == []
 
+    def test_lazy_dump_of_an_unchanged_arrival_hashes_nothing(
+            self, arrival, monkeypatch):
+        """A left-behind page that still equals its origin slice keeps
+        its known digest, and moving the server onto a chunk store
+        reuses the digests it holds (before: every page was hashed
+        again in ``chunks.put``)."""
+        process = arrival.process
+        counter = HashCounter(monkeypatch)
+        _images, server = dump_process_lazy(process, require_stopped=False)
+        assert server.remaining_pages() >= RESIDENT_PAGES
+        server.move_to(ChunkStore())
+        assert counter.pages == 0
+        assert server.pending_pages() == {
+            vaddr: data for vaddr, data in process.aspace.populated_pages()
+            if vaddr in server.manifest}
+
+    def test_lazy_dump_hashes_each_changed_page_once(
+            self, arrival, monkeypatch):
+        process = arrival.process
+        origin = process.aspace.origin
+        runtime = DapperRuntime(process.machine, process)
+        runtime.pause_at_equivalence_points()
+        counter = HashCounter(monkeypatch)
+        _images, server = runtime.checkpoint_lazy()
+        changed = sum(1 for vaddr in server.manifest
+                      if origin.page(vaddr) != process.aspace.page(vaddr))
+        assert counter.pages == changed
+
+    def test_lazy_dump_of_a_fresh_process_hashes_each_page_once(
+            self, resident_program, monkeypatch):
+        pingpong = PingPong(resident_program, RESIDENT_FILL_STEPS)
+        process = pingpong.process
+        runtime = DapperRuntime(process.machine, process)
+        runtime.pause_at_equivalence_points()
+        counter = HashCounter(monkeypatch)
+        _images, server = runtime.checkpoint_lazy()
+        assert counter.pages == server.remaining_pages() >= RESIDENT_PAGES
+        server.move_to(ChunkStore())
+        assert counter.pages == server.remaining_pages()
+
     def test_new_object_equal_content_rehashes(self, resident_program,
                                                monkeypatch):
         pingpong = PingPong(resident_program, RESIDENT_FILL_STEPS)
@@ -577,12 +617,15 @@ class TestNothingWeaker:
         images.page_digests()
         restored = restore_process_lazy(source.machine, images, server)
         assert set(restored.aspace.origin.offsets) == eager
+        counter = HashCounter(monkeypatch)
         restored.machine.step_all(3 * RESIDENT_ROUND_STEPS)
         assert server.pages_served > 0
+        # the destination hashes each fetched page once, to check it
+        assert counter.pages == server.pages_served
         arrival.process = restored
-        counter = HashCounter(monkeypatch)
         dumped = _paused_dump(arrival)
-        assert counter.pages == 0                    # a dump never hashes
+        # a dump never hashes: only the pages it faults in are checked
+        assert counter.pages == server.pages_served
         paged_in = set(dumped.page_leaves().offsets) - eager
         assert paged_in and not paged_in & set(dumped.page_leaves().digests)
         assert_memo_is_fresh(dumped)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -19,9 +20,10 @@ from repro.errors import CheckpointError, StoreError
 from repro.isa import ARM_ISA, X86_ISA
 from repro.mem.paging import PAGE_SIZE
 from repro.store import (CheckpointStore, ChunkStore,
-                         IncrementalCheckpointer, StorePageServer,
-                         chunk_digest, plan_transfer, ship)
+                         IncrementalCheckpointer, chunk_digest,
+                         plan_transfer, ship)
 from repro.vm import Machine
+from tests.conftest import OnChunkStore
 
 
 @pytest.fixture
@@ -420,23 +422,13 @@ class TestTransfer:
         with pytest.raises(StoreError):
             plan_transfer(CheckpointStore(), CheckpointStore(), "a" * 32)
 
-    def test_store_page_server_serves_by_digest(self):
-        store = CheckpointStore()
-        page = bytes(range(256)) * (PAGE_SIZE // 256)
-        digest = store.chunks.put(page)
-        server = StorePageServer({0x7000: digest}, store,
-                                 node_name="src")
-        assert server.remaining_pages() == 1
-        assert server.fetch(0x7000) == page
-        assert server.fetch(0x7000) is None
-        assert (server.requests, server.pages_served) == (2, 1)
-        assert server.bytes_served == PAGE_SIZE
-
 
 class TestPageServerLogCap:
+    server = staticmethod(PageServer)
+
     def test_log_capped_counters_exact(self):
         pages = {i * PAGE_SIZE: bytes(PAGE_SIZE) for i in range(10)}
-        server = PageServer(pages, log_limit=4)
+        server = self.server(pages, log_limit=4)
         for i in range(10):
             server.fetch(i * PAGE_SIZE)
         assert server.requests == 10
@@ -446,22 +438,27 @@ class TestPageServerLogCap:
         assert server.log_dropped == 6
 
     def test_unlimited_log_with_zero(self):
-        server = PageServer({}, log_limit=0)
+        server = self.server({}, log_limit=0)
         for i in range(PageServer.DEFAULT_LOG_LIMIT + 10):
             server.fetch(i * PAGE_SIZE)
         assert len(server.log) == PageServer.DEFAULT_LOG_LIMIT + 10
         assert server.log_dropped == 0
 
 
+class TestPageServerLogCapOnChunks(OnChunkStore, TestPageServerLogCap):
+    pass
+
+
 class TestStoreMigration:
-    def _migrate(self, program, use_store, src_store=None, dst_store=None,
-                 lazy=False):
+    def _pipeline(self, program, use_store, src_store=None, dst_store=None):
         src = Machine(X86_ISA, name="src")
         dst = Machine(ARM_ISA, name="dst")
-        pipeline = MigrationPipeline(src, dst, program,
-                                     use_store=use_store,
-                                     src_store=src_store,
-                                     dst_store=dst_store)
+        return MigrationPipeline(src, dst, program, use_store=use_store,
+                                 src_store=src_store, dst_store=dst_store)
+
+    def _migrate(self, program, use_store, src_store=None, dst_store=None,
+                 lazy=False):
+        pipeline = self._pipeline(program, use_store, src_store, dst_store)
         return pipeline.run_and_migrate(3000, lazy=lazy)
 
     def test_store_migration_output_matches_plain(self, counter_program,
@@ -496,9 +493,37 @@ class TestStoreMigration:
 
     def test_lazy_store_migration_uses_store_page_server(
             self, counter_program, counter_reference_output):
-        result = self._migrate(counter_program, use_store=True, lazy=True)
-        assert isinstance(result.page_server, StorePageServer)
+        pipeline = self._pipeline(counter_program, use_store=True)
+        result = pipeline.run_and_migrate(3000, lazy=True)
+        assert result.page_server.source is pipeline.src_store.chunks
         assert result.combined_output() == counter_reference_output
+
+    def test_lazy_store_migration_releases_every_pin(self, counter_program):
+        """Served pages are unpinned as they are served, the rest when
+        the server closes; then GC reclaims every left-behind page no
+        checkpoint references."""
+        pipeline = self._pipeline(counter_program, use_store=True)
+        process = pipeline.start()
+        pipeline.src_machine.step_all(3000)
+        result = pipeline.migrate(process, lazy=True)
+        server = result.page_server
+        left_behind = set(server.manifest.values())
+        chunks = pipeline.src_store.chunks
+        pipeline.dst_machine.run_process(result.process)
+        assert result.process.exit_code == 0
+        assert server.pages_served > 0
+        pending = Counter(server.manifest.values())
+        assert chunks.raw_pins == dict(pending)     # served: unpinned
+        server.close()
+        assert chunks.raw_pins == {}
+        manifest = pipeline.src_store.manifest(
+            result.stats["store"]["checkpoint"])
+        kept = {digest for _vaddr, digest in manifest["pages"]}
+        freed, _bytes = pipeline.src_store.gc()
+        assert freed == len(left_behind - kept) > 0
+        assert all(chunks.has(digest) == (digest in kept)
+                   for digest in left_behind)
+        assert pipeline.src_store.verify() == []
 
 
 class TestStoreReplayDeterminism:
@@ -551,6 +576,5 @@ class TestImportCost:
     def test_store_names_stay_reachable_through_the_pipeline_module(self):
         from repro.core import migration
         assert migration.CheckpointStore is CheckpointStore
-        assert migration.StorePageServer is StorePageServer
         assert migration.plan_transfer is plan_transfer
         assert migration.ship is ship
