@@ -16,24 +16,25 @@ one of two states:
   the reference output.
 
 Anything else — a half-migrated process, divergent output, leaked
-destination state — fails the trial. ``tools/chaos.py`` drives this
-over many seeds; ``tests/test_chaos.py`` pins specific ones.
+destination state — fails the trial. Every run is the journal's
+migrate scenario built from :meth:`ChaosHarness.trial_header`, so
+recording that header records the judged trial. ``tools/chaos.py``
+drives this over many seeds; ``tests/test_chaos.py`` pins specific ones.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..apps.registry import get_app
 from ..core.migration import MigrationPipeline
 from ..criu.lazy import install_pending
 from ..errors import MigrationRollback
-from ..isa import get_isa
+from ..replay.engine import migrate_header, migrate_scenario
 from ..verify import Quarantine
 from ..vm.kernel import Machine, Process
 from .faults import FaultPlan
-from .injector import FaultInjector
 
 
 def settle_lazy_pages(process: Process, page_server) -> None:
@@ -69,33 +70,75 @@ def memory_digest(process: Process) -> str:
 
 
 class TrialResult:
-    """One seeded chaos trial's verdict."""
+    """One chaos trial's verdict, for a migration or a group: ``ok``,
+    ``detail``, ``fallback`` and ``quarantined`` are read off the
+    invariant's ``problems`` and the fired ``faults``."""
 
-    __slots__ = ("seed", "outcome", "ok", "detail", "faults", "attempts",
-                 "fallback", "repaired_pages", "quarantined")
+    __slots__ = ("seed", "phase", "outcome", "problems", "faults",
+                 "repaired_pages")
 
-    def __init__(self, seed: int, outcome: str, ok: bool, detail: str,
-                 faults: Dict[str, int], attempts: Dict[str, int],
-                 fallback: bool, repaired_pages: int = 0,
-                 quarantined: bool = False):
+    def __init__(self, seed: int, outcome: str, problems: List[str],
+                 faults: Dict[str, int], *, phase: str = "",
+                 repaired_pages: int = 0):
         self.seed = seed
-        #: "completed" | "rolled-back"
+        #: forced group fault phase ("" for seeded / fault-free trials)
+        self.phase = phase
+        #: "completed" | "rolled-back" for a migration,
+        #: "committed" | "resumed" for a group
         self.outcome = outcome
-        #: did the complete-or-rollback invariant hold?
-        self.ok = ok
-        self.detail = detail
+        self.problems = list(problems)
         self.faults = dict(faults)
-        self.attempts = dict(attempts)
-        self.fallback = fallback
         #: pages the restore guard auto-repaired before restoring
         self.repaired_pages = repaired_pages
-        #: did the restore guard quarantine an unrepairable image?
-        self.quarantined = quarantined
+
+    @property
+    def ok(self) -> bool:
+        """Did the trial's invariant hold?"""
+        return not self.problems
+
+    @property
+    def detail(self) -> str:
+        return "; ".join(self.problems)
+
+    @property
+    def fallback(self) -> bool:
+        """Did a dead page server degrade the restore to pre-copy?"""
+        return self.faults.get("fallback", 0) > 0
+
+    @property
+    def quarantined(self) -> bool:
+        """Did the restore guard quarantine an unrepairable image?"""
+        return self.faults.get("quarantine", 0) > 0
 
     def __repr__(self) -> str:
         mark = "ok" if self.ok else "FAIL"
-        return (f"<Trial seed={self.seed} {self.outcome} [{mark}] "
+        which = f"fault={self.phase}" if self.phase else f"seed={self.seed}"
+        return (f"<Trial {which} {self.outcome} [{mark}] "
                 f"faults={self.faults}>")
+
+
+def audit_swept(machines: List[Machine], prefix: str, store=None
+                ) -> List[str]:
+    """What an aborted migration left behind on its destinations: image
+    files under ``prefix``, (half-)restored processes and — with a
+    destination ``store`` — orphan chunks and fsck problems."""
+    problems: List[str] = []
+    for machine in dict.fromkeys(machines):
+        leftover = machine.tmpfs.listdir(prefix)
+        if leftover:
+            problems.append(f"{machine.name} image tree not swept: "
+                            f"{leftover}")
+        if machine.processes:
+            problems.append(f"{machine.name} has a (half-)restored "
+                            f"process")
+    if store is not None:
+        orphans = store.chunks.orphans()
+        if orphans:
+            problems.append(f"{len(orphans)} orphan chunk(s) leaked")
+        fsck = store.verify()
+        if fsck:
+            problems.append(f"store fsck: {fsck}")
+    return problems
 
 
 class ChaosHarness:
@@ -104,77 +147,57 @@ class ChaosHarness:
                  retry_budget: int = 3, size: str = "small",
                  src_arch: str = "x86_64", dst_arch: str = "aarch64",
                  verify_gate: bool = False):
-        self.app = app
         self.lazy = lazy
-        self.use_store = use_store
-        self.warmup = warmup
-        self.retry_budget = retry_budget
-        self.src_arch = src_arch
-        self.dst_arch = dst_arch
-        # verify-gate mode: disable the transfer stage's own arrival
-        # digest check so injected corruption provably reaches — and is
-        # judged by — the restore guard instead of being re-copied.
-        self.verify_gate = verify_gate
-        self.program = get_app(app).compile(size)
+        # Trials run on the engine a default Machine runs. verify-gate
+        # mode turns the arrival digest check off so injected corruption
+        # provably reaches — and is judged by — the restore guard.
+        self._shape = dict(source=get_app(app).source(size), name=app,
+                           src_arch=src_arch, dst_arch=dst_arch,
+                           warmup=warmup, lazy=lazy, store=use_store,
+                           engine="chains", retries=retry_budget,
+                           verify_gate=verify_gate)
         # The oracle: one fault-free migration of the same shape.
-        result, pipeline = self._migrate(None)
+        pipeline, process = migrate_scenario(self.trial_header(None))
+        result = pipeline.migrate(process, lazy=lazy)
+        pipeline.dst_machine.run_process(result.process)
         settle_lazy_pages(result.process, result.page_server)
         self.expected_output = result.combined_output()
         self.expected_memory = memory_digest(result.process)
 
-    def _pipeline(self, injector: Optional[FaultInjector]
-                  ) -> MigrationPipeline:
-        return MigrationPipeline(
-            Machine(get_isa(self.src_arch), name="src"),
-            Machine(get_isa(self.dst_arch), name="dst"),
-            self.program, use_store=self.use_store, injector=injector,
-            retry_budget=self.retry_budget,
-            arrival_check=not self.verify_gate)
-
-    def _migrate(self, injector: Optional[FaultInjector]):
-        pipeline = self._pipeline(injector)
-        result = pipeline.run_and_migrate(warmup_steps=self.warmup,
-                                          lazy=self.lazy)
-        return result, pipeline
+    def trial_header(self, plan: Optional[FaultPlan]) -> Dict:
+        """The journal header of the trial ``plan`` drives (``None``:
+        the fault-free reference) — recording it records that trial."""
+        return migrate_header(**self._shape,
+                              chaos=plan.to_spec() if plan is not None
+                              else "")
 
     # -- one trial ---------------------------------------------------------
 
     def run_trial(self, plan: FaultPlan) -> TrialResult:
         """Run one seeded trial and audit the invariant."""
-        injector = FaultInjector(plan)
-        pipeline = self._pipeline(injector)
-        process = pipeline.start()
-        pipeline.src_machine.step_all(self.warmup)
+        pipeline, process = migrate_scenario(self.trial_header(plan))
         problems = []
         repaired_pages = 0
         try:
             result = pipeline.migrate(process, lazy=self.lazy)
         except MigrationRollback as exc:
             outcome = "rolled-back"
-            txn = dict(exc.txn)
-            attempts = dict(txn.get("attempts", {}))
-            fallback = False
+            txn = exc.txn
             problems += self._audit_rollback(pipeline, process)
         else:
             outcome = "completed"
             pipeline.dst_machine.run_process(result.process)
-            # Read the transaction record only after the destination ran
-            # to exit: the pre-copy fallback fires (and marks the txn)
-            # at fault-in time, mid-execution.
             txn = result.stats.get("txn", {})
-            attempts = dict(txn.get("attempts", {}))
-            fallback = bool(txn.get("fallback"))
             repaired_pages = result.stats.get("verify", {}).get(
                 "repaired_pages", 0)
             problems += self._audit_completed(pipeline, process, result)
-        faults = injector.counts()
-        quarantined = faults.get("quarantine", 0) > 0
+        # Counted only now: a pre-copy fallback fires at fault-in time,
+        # while the destination runs.
+        faults = pipeline.injector.counts()
         problems += self._audit_corrupt_caught(outcome, txn, faults,
                                                pipeline, repaired_pages)
-        return TrialResult(plan.seed, outcome, not problems,
-                           "; ".join(problems), faults, attempts, fallback,
-                           repaired_pages=repaired_pages,
-                           quarantined=quarantined)
+        return TrialResult(plan.seed, outcome, problems, faults,
+                           repaired_pages=repaired_pages)
 
     def _audit_completed(self, pipeline: MigrationPipeline,
                          source: Process, result) -> list:
@@ -186,7 +209,8 @@ class ChaosHarness:
         settle_lazy_pages(result.process, result.page_server)
         if memory_digest(result.process) != self.expected_memory:
             problems.append("settled memory differs from reference")
-        if self.use_store and pipeline.src_store.chunks.raw_pins:
+        if (pipeline.src_store is not None
+                and pipeline.src_store.chunks.raw_pins):
             problems.append("source store still holds page-server pins")
         if not source.exited:
             problems.append("source process still alive after completion")
@@ -194,21 +218,8 @@ class ChaosHarness:
 
     def _audit_rollback(self, pipeline: MigrationPipeline,
                         source: Process) -> list:
-        problems = []
-        dst = pipeline.dst_machine
-        leftover = dst.tmpfs.listdir(f"/images/{source.pid}")
-        if leftover:
-            problems.append(f"destination image tree not swept: "
-                            f"{leftover}")
-        if dst.processes:
-            problems.append("destination has a (half-)restored process")
-        if pipeline.dst_store is not None:
-            orphans = pipeline.dst_store.chunks.orphans()
-            if orphans:
-                problems.append(f"{len(orphans)} orphan chunk(s) leaked")
-            fsck = pipeline.dst_store.verify()
-            if fsck:
-                problems.append(f"destination store fsck: {fsck}")
+        problems = audit_swept([pipeline.dst_machine],
+                               f"/images/{source.pid}", pipeline.dst_store)
         if source.stopped or source.exited:
             problems.append("source did not resume after rollback")
         pipeline.src_machine.run_process(source)

@@ -144,7 +144,9 @@ class FaultInjector:
         fault not scheduled). The caller aborts the transfer *at*
         ``drop_at`` (chunks before it have already landed — exactly the
         partial state rollback must clean up) and flips one byte of the
-        chunk at ``corrupt_at`` so arrival re-hashing catches it.
+        chunk at ``corrupt_at`` so arrival re-hashing catches it. A
+        corrupt drawn at or past the drop is neither fired nor returned:
+        that chunk never ships, so no byte of it could flip.
         """
         drop_at = corrupt_at = None
         if nchunks > 0 and self._roll("drop", site):
@@ -154,8 +156,12 @@ class FaultInjector:
         if nchunks > 0 and self._roll("corrupt", site):
             corrupt_at = self.rng.randrange(nchunks,
                                             label=f"corrupt-at@{site}")
-            self._fire("corrupt", site, f"chunk {corrupt_at}/{nchunks}",
-                       a=corrupt_at, b=nchunks)
+            if drop_at is not None and corrupt_at >= drop_at:
+                corrupt_at = None
+            else:
+                self._fire("corrupt", site,
+                           f"chunk {corrupt_at}/{nchunks}",
+                           a=corrupt_at, b=nchunks)
         return drop_at, corrupt_at
 
     def corrupt_roll(self, site: str = "scp") -> bool:

@@ -14,7 +14,7 @@ and :class:`GroupChaosHarness` sweeps seeded faults across every
 protocol phase asserting commit-or-resume.
 """
 
-from .chaos import GroupChaosHarness, GroupTrial
+from .chaos import GroupChaosHarness
 from .coordinator import PHASES, GroupCoordinator, GroupResult
 from .migrate import restore_group, split_placements
 from .service import ConnectionBroker, GroupMember, ServiceGroup
@@ -29,7 +29,6 @@ __all__ = [
     "GroupMember",
     "GroupResult",
     "GroupSpec",
-    "GroupTrial",
     "ServiceGroup",
     "restore_group",
     "split_placements",

@@ -1,8 +1,8 @@
 """Group chaos harness: commit-or-resume, never half a group.
 
 One :class:`GroupChaosHarness` owns a fault-free *reference* run of a
-group migration (its per-member outputs and the committed broker state
-are the oracle) and runs faulted trials against it — either a forced
+group migration (its per-member outputs are the oracle) and runs
+faulted trials against it — either a forced
 deterministic fault at a named protocol phase (the sweep the CI
 ``group-smoke`` job runs) or seeded probabilistic chaos through the
 shared :class:`~repro.chaos.FaultInjector`. Every trial must land in
@@ -20,89 +20,59 @@ exactly one of two states:
   completion on the source with the reference output.
 
 Anything else — a half-committed group, divergent output, leaked
-destination or store state — fails the trial.
+destination or store state — fails the trial. Every run is the
+journal's group scenario built from
+:meth:`GroupChaosHarness.trial_header`, so recording that header
+records the judged trial.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from ..chaos import FaultInjector, FaultPlan
-from ..errors import GroupRollback
-from ..isa import get_isa
-from ..store import CheckpointStore
+from ..chaos import FaultPlan
+from ..chaos.harness import TrialResult, audit_swept
+from ..errors import GroupError, GroupRollback
+from ..replay.engine import group_header, group_scenario
 from ..vm.kernel import Machine
 from .coordinator import GroupCoordinator
-from .migrate import split_placements
 from .service import ServiceGroup
 from .spec import FAULT_PHASES, GroupSpec
 
 
-class GroupTrial:
-    """One group chaos trial's verdict."""
-
-    __slots__ = ("phase", "seed", "outcome", "ok", "detail", "faults")
-
-    def __init__(self, phase: str, seed: int, outcome: str, ok: bool,
-                 detail: str, faults: dict):
-        #: forced fault phase ("" for probabilistic / fault-free trials)
-        self.phase = phase
-        self.seed = seed
-        #: "committed" | "resumed"
-        self.outcome = outcome
-        #: did the commit-or-resume invariant hold?
-        self.ok = ok
-        self.detail = detail
-        self.faults = dict(faults)
-
-    def __repr__(self) -> str:
-        mark = "ok" if self.ok else "FAIL"
-        which = f"fault={self.phase}" if self.phase else f"seed={self.seed}"
-        return f"<GroupTrial {which} {self.outcome} [{mark}]>"
-
-
 class GroupChaosHarness:
     def __init__(self, spec: Optional[GroupSpec] = None):
-        base = spec if spec is not None else GroupSpec()
-        # The base spec must itself be fault-free; trials override it.
-        self.spec = GroupSpec(workers=base.workers, conns=base.conns,
-                              drain=base.drain, seed=base.seed,
-                              warmup=base.warmup, size=base.size)
+        # The trial shape; each trial sets its own fault phase.
+        self.spec = spec if spec is not None else GroupSpec()
+        if self.spec.size != "small":
+            raise GroupError("a group header has no size field: group "
+                             "chaos trials run size 'small' only")
         # The oracle: one fault-free run of the same shape.
-        trial, outputs, broker_digest = self._run(fault="", plan=None,
-                                                  audit=False)
+        self.expected_outputs: Optional[List[str]] = None
+        trial, self.expected_outputs = self._run(fault="", plan=None)
         if trial.outcome != "committed":
             raise GroupRollback(
                 "reference group run did not commit", phase="?")
-        self.expected_outputs = outputs
-        self.expected_broker_digest = broker_digest
+
+    def trial_header(self, fault: str = "",
+                     plan: Optional[FaultPlan] = None) -> Dict:
+        """The journal header of the trial :meth:`run_trial` runs for
+        ``fault`` / ``plan`` — recording it records that trial. A
+        seeded trial's broker draws from the plan's seed."""
+        base = self.spec
+        spec = GroupSpec(base.workers, base.conns, base.drain,
+                         plan.seed if plan is not None else base.seed,
+                         base.warmup, fault)
+        chaos = plan.to_spec() if plan is not None else ""
+        return dict(group_header(spec.to_spec(), chaos), engine="chains")
 
     # -- one trial -----------------------------------------------------------
 
-    def _build(self, fault: str, plan: Optional[FaultPlan]):
-        spec = GroupSpec(workers=self.spec.workers, conns=self.spec.conns,
-                         drain=self.spec.drain,
-                         seed=plan.seed if plan is not None else self.spec.seed,
-                         warmup=self.spec.warmup, fault=fault,
-                         size=self.spec.size)
-        group = ServiceGroup(spec)
-        group.warmup()
-        dst_a = Machine(get_isa("aarch64"), name="dst-a")
-        dst_b = Machine(get_isa("x86_64"), name="dst-b")
-        placements = split_placements(group, dst_a, dst_b)
-        injector = FaultInjector(plan) if plan is not None else None
-        coordinator = GroupCoordinator(group, placements,
-                                       store=CheckpointStore(),
-                                       injector=injector,
-                                       fault_phase=fault)
-        return group, placements, coordinator
-
-    def _run(self, fault: str, plan: Optional[FaultPlan], audit: bool
-             ):
-        group, placements, coordinator = self._build(fault, plan)
+    def _run(self, fault: str, plan: Optional[FaultPlan]):
+        group, placements, coordinator = group_scenario(
+            self.trial_header(fault, plan))
         pre_drain_digest = group.broker.digest()
         problems: List[str] = []
-        outputs: List[str] = []
         try:
             result = coordinator.migrate()
         except GroupRollback:
@@ -117,27 +87,23 @@ class GroupChaosHarness:
                 machine.run_process(process)
             outputs = [m.result.combined_output() for m in group.members]
             problems += self._audit_committed(group, coordinator, result)
-        if audit:
-            for i, (got, want) in enumerate(zip(outputs,
-                                                self.expected_outputs)):
-                if got != want:
-                    problems.append(
-                        f"member {group.members[i].name} output differs "
-                        f"from the fault-free reference")
+        for member, got, want in zip(group.members, outputs,
+                                     self.expected_outputs or ()):
+            if got != want:
+                problems.append(f"member {member.name} output differs "
+                                f"from the fault-free reference")
         faults = (coordinator.injector.counts()
                   if coordinator.injector is not None else {})
-        trial = GroupTrial(fault, plan.seed if plan is not None else 0,
-                           outcome, not problems, "; ".join(problems),
-                           faults)
-        return trial, outputs, group.broker.digest()
+        trial = TrialResult(plan.seed if plan is not None else 0, outcome,
+                            problems, faults, phase=fault)
+        return trial, outputs
 
     def run_trial(self, fault: str = "",
-                  plan: Optional[FaultPlan] = None) -> GroupTrial:
+                  plan: Optional[FaultPlan] = None) -> TrialResult:
         """One trial: a forced fault at ``fault`` (one of
         :data:`~repro.group.spec.FAULT_PHASES`), probabilistic chaos
         from ``plan``, or — with neither — a fault-free control."""
-        trial, _outputs, _digest = self._run(fault, plan, audit=True)
-        return trial
+        return self._run(fault, plan)[0]
 
     # -- audits ---------------------------------------------------------------
 
@@ -172,27 +138,13 @@ class GroupChaosHarness:
                        placements: List[Machine],
                        coordinator: GroupCoordinator,
                        pre_drain_digest: str) -> List[str]:
-        problems: List[str] = []
-        for machine in dict.fromkeys(placements):
-            if machine.processes:
-                problems.append(f"{machine.name} has a (half-)restored "
-                                f"process after abort")
-            leftover = machine.tmpfs.listdir("/images")
-            if leftover:
-                problems.append(f"{machine.name} image tree not swept: "
-                                f"{leftover}")
         store = coordinator.store
+        problems = audit_swept(placements, "/images", store)
         if store.group_ids():
             problems.append("aborted run left a group manifest behind")
         if store.checkpoint_ids():
             problems.append(f"{len(store.checkpoint_ids())} prepared "
                             f"checkpoint(s) not swept")
-        orphans = store.chunks.orphans()
-        if orphans:
-            problems.append(f"{len(orphans)} orphan chunk(s) leaked")
-        fsck = store.verify()
-        if fsck:
-            problems.append(f"store fsck after abort: {fsck}")
         if group.broker.digest() != pre_drain_digest:
             problems.append("broker state differs from its pre-drain "
                             "snapshot")
@@ -204,7 +156,7 @@ class GroupChaosHarness:
 
     # -- sweeps ----------------------------------------------------------------
 
-    def sweep_phases(self) -> List[GroupTrial]:
+    def sweep_phases(self) -> List[TrialResult]:
         """One forced-fault trial per protocol phase, plus a fault-free
         control — the commit-or-resume acceptance sweep."""
         trials = [self.run_trial(fault=phase) for phase in FAULT_PHASES]
@@ -212,7 +164,7 @@ class GroupChaosHarness:
         return trials
 
     def run_trials(self, nseeds: int, seed0: int = 0,
-                   **probabilities) -> List[GroupTrial]:
+                   **probabilities) -> List[TrialResult]:
         """One probabilistic trial per seed in ``[seed0, seed0+nseeds)``."""
         return [self.run_trial(plan=FaultPlan(seed, **probabilities))
                 for seed in range(seed0, seed0 + nseeds)]

@@ -2,14 +2,18 @@
 
 A journal header is a complete, self-contained description of a run —
 including the DapperC source text — so any journal can be re-executed
-from scratch. Three scenario shapes are supported:
+from scratch. The single-program scenario shapes:
 
 * ``run`` — spawn the program on one machine and run it to exit,
 * ``migrate`` — run, pause at equivalence points after a warmup,
   cross-ISA migrate via the full pipeline, finish on the destination,
 * ``rerandomize`` — run under the periodic stack re-randomizer, with
   every epoch-seed and frame-shuffle draw journaled via the RNG
-  service.
+  service,
+
+plus the ``fleet`` storm and the coordinated ``group`` checkpoint. The
+chaos harnesses judge trials that :func:`migrate_scenario` and
+:func:`group_scenario` build, so a trial and its journal are one run.
 
 The :class:`Replayer` re-executes a journal's scenario with optional
 overrides (a different execution engine — digests must not change — a
@@ -21,7 +25,7 @@ an arbitrary digest index).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..compiler import compile_source
 from ..core.migration import (MigrationPipeline, exe_path_for,
@@ -84,37 +88,52 @@ def _execute_run(header: Dict, recorder: FlightRecorder) -> Optional[int]:
     return process.exit_code
 
 
-def _execute_migrate(header: Dict, recorder: FlightRecorder
-                     ) -> Optional[int]:
-    program = _compile(header["source"], header["program"])
-    src_arch, dst_arch = header["src_arch"], header["dst_arch"]
-    src = _machine(header, src_arch, name="src")
-    dst = _machine(header, dst_arch, name="dst")
-    recorder.attach(src)
-    recorder.attach(dst)
-    # A "chaos" header field reconstructs the exact fault injector: the
-    # spec round-trips the seed + per-kind probabilities, every fault
-    # decision is an RNG-service draw the recorder journals, and fired
-    # faults land as EV_FAULT events — so a faulted migration replays
-    # bit-identically from its own journal.
-    injector = None
+def _chaos_injector(header: Dict, recorder: Optional[FlightRecorder]):
+    """The fault injector a ``chaos`` header field describes, or None.
+
+    The spec round-trips the seed + per-kind probabilities, every fault
+    decision is an RNG-service draw the recorder journals, and fired
+    faults land as EV_FAULT events — so a faulted run replays
+    bit-identically from its own journal."""
     chaos = header.get("chaos") or ""
-    if chaos:
-        from ..chaos import FaultInjector, FaultPlan
-        plan = FaultPlan.from_spec(chaos)
-        injector = FaultInjector(
-            plan, rng=RngService(plan.seed, observer=recorder.on_rng,
-                                 name="chaos"),
-            recorder=recorder)
-    pipeline = MigrationPipeline(src, dst, program,
-                                 use_store=bool(header.get("store", 0)),
-                                 injector=injector,
-                                 retry_budget=header.get("retries", 3) or 3)
+    if not chaos:
+        return None
+    from ..chaos import FaultInjector, FaultPlan
+    plan = FaultPlan.from_spec(chaos)
+    observer = recorder.on_rng if recorder is not None else None
+    return FaultInjector(
+        plan, rng=RngService(plan.seed, observer=observer, name="chaos"),
+        recorder=recorder)
+
+
+def migrate_scenario(header: Dict,
+                     recorder: Optional[FlightRecorder] = None):
+    """Build the migration a ``migrate`` header describes, up to its
+    cut: ``(pipeline, process)``, the process warmed up on the source
+    and ready for ``pipeline.migrate``."""
+    program = _compile(header["source"], header["program"])
+    src = _machine(header, header["src_arch"], name="src")
+    dst = _machine(header, header["dst_arch"], name="dst")
+    if recorder is not None:
+        recorder.attach(src)
+        recorder.attach(dst)
+    pipeline = MigrationPipeline(
+        src, dst, program, use_store=bool(header.get("store", 0)),
+        injector=_chaos_injector(header, recorder),
+        retry_budget=header.get("retries", 3) or 3,
+        arrival_check=not header.get("verify_gate", 0))
     process = pipeline.start()
     src.step_all(header.get("warmup", 5000))
     if process.exited:
         raise JournalError("process exited before the migration point; "
                            "lower warmup")
+    return pipeline, process
+
+
+def _execute_migrate(header: Dict, recorder: FlightRecorder
+                     ) -> Optional[int]:
+    pipeline, process = migrate_scenario(header, recorder)
+    max_steps = header.get("max_steps", DEFAULT_MAX_STEPS)
     try:
         result = pipeline.migrate(process, lazy=bool(header.get("lazy", 0)))
     except MigrationRollback as exc:
@@ -122,17 +141,16 @@ def _execute_migrate(header: Dict, recorder: FlightRecorder
         # run there. The rollback is part of the journaled control flow.
         recorder.on_event(jn.EV_MIGRATE, pid=process.pid,
                           label=f"rolled-back@{exc.stage}", a=exc.attempts)
-        src.run_process(process,
-                        header.get("max_steps", DEFAULT_MAX_STEPS))
+        pipeline.src_machine.run_process(process, max_steps)
         return process.exit_code
     recorder.on_event(jn.EV_CHECKPOINT, pid=process.pid,
                       a=result.images.total_bytes())
     recorder.on_event(jn.EV_REWRITE, label="cross-isa",
                       a=result.stats.get("frames", 0))
-    recorder.on_event(jn.EV_MIGRATE, label=f"{src_arch}->{dst_arch}",
+    recorder.on_event(jn.EV_MIGRATE,
+                      label=f"{header['src_arch']}->{header['dst_arch']}",
                       pid=result.process.pid)
-    dst.run_process(result.process,
-                    header.get("max_steps", DEFAULT_MAX_STEPS))
+    pipeline.dst_machine.run_process(result.process, max_steps)
     return result.process.exit_code
 
 
@@ -187,61 +205,57 @@ def _execute_fleet(header: Dict, recorder: FlightRecorder
     return 0 if result.invariant_ok else 1
 
 
-def _execute_group(header: Dict, recorder: FlightRecorder
-                   ) -> Optional[int]:
-    """Run (or re-run) a coordinated group checkpoint from its header.
-
-    The ``group`` spec string (which embeds the forced fault phase, if
-    any) and the optional ``chaos`` plan are the entire input; the
-    coordinator journals each protocol phase as an ``EV_GROUP`` event
-    with content-derived fields, every chaos decision draws through a
-    journal-observed RNG service, and the attached machines emit
-    periodic state digests — so a chaotic group checkpoint replays
-    bit-identically from its own journal, commit and abort alike.
-    """
+def group_scenario(header: Dict,
+                   recorder: Optional[FlightRecorder] = None):
+    """Build the group checkpoint a ``group`` header describes, up to
+    its cut: ``(group, placements, coordinator)``, every member warmed
+    up, the workers placed on ``dst_arch`` and the backend on a
+    same-ISA destination. The ``group`` spec (with its forced fault
+    phase, if any) and the optional ``chaos`` plan are the input."""
     # Lazy import: the group package pulls in the apps registry, which
     # plain run/migrate replays never need.
-    from ..errors import GroupRollback
     from ..group import GroupCoordinator, GroupSpec, ServiceGroup, \
         split_placements
     from ..store import CheckpointStore
     spec = GroupSpec.from_spec(header["group"])
-    injector = None
-    chaos = header.get("chaos") or ""
-    if chaos:
-        from ..chaos import FaultInjector, FaultPlan
-        plan = FaultPlan.from_spec(chaos)
-        injector = FaultInjector(
-            plan, rng=RngService(plan.seed, observer=recorder.on_rng,
-                                 name="chaos"),
-            recorder=recorder)
     src = _machine(header, header["src_arch"], name="src")
     group = ServiceGroup(spec, recorder=recorder, machine=src)
     group.warmup()
-    # The canonical split placement: workers cross to aarch64, the
-    # backend stays on a same-ISA destination.
     dst_a = _machine(header, header.get("dst_arch", "aarch64"),
                      name="dst-a")
     dst_b = _machine(header, header["src_arch"], name="dst-b")
-    recorder.attach(dst_a)
-    recorder.attach(dst_b)
+    if recorder is not None:
+        recorder.attach(dst_a)
+        recorder.attach(dst_b)
     placements = split_placements(group, dst_a, dst_b)
     coordinator = GroupCoordinator(
-        group, placements, store=CheckpointStore(), injector=injector,
-        recorder=recorder, fault_phase=spec.fault,
+        group, placements, store=CheckpointStore(),
+        injector=_chaos_injector(header, recorder), recorder=recorder,
+        fault_phase=spec.fault,
         retry_budget=header.get("retries", 3) or 3)
+    return group, placements, coordinator
+
+
+def _execute_group(header: Dict, recorder: FlightRecorder
+                   ) -> Optional[int]:
+    """Run (or re-run) a coordinated group checkpoint from its header.
+
+    Each protocol phase journals as a content-derived ``EV_GROUP``
+    event and every chaos decision draws through a journal-observed
+    RNG, so a group checkpoint replays bit-identically from its own
+    journal, commit and abort alike."""
+    from ..errors import GroupRollback
+    group, placements, coordinator = group_scenario(header, recorder)
+    max_steps = header.get("max_steps", DEFAULT_MAX_STEPS)
     try:
         result = coordinator.migrate()
     except GroupRollback:
         # Aborted: every member resumed at the cut — finish the run on
         # the source. The abort is part of the journaled control flow.
-        codes = group.run_to_exit_on_source(
-            header.get("max_steps", DEFAULT_MAX_STEPS))
-        return codes[-1]
+        return group.run_to_exit_on_source(max_steps)[-1]
     code: Optional[int] = 0
     for machine, process in zip(placements, result.processes):
-        code = machine.run_process(
-            process, header.get("max_steps", DEFAULT_MAX_STEPS))
+        code = machine.run_process(process, max_steps)
     return code
 
 
@@ -290,7 +304,10 @@ def _make_header(scenario: str, source: str, name: str, arch: str,
     return header
 
 
-def _record(header: Dict, fault: Optional[BitFlip]) -> ReplayResult:
+def record(header: Dict, fault: Optional[BitFlip] = None
+           ) -> ReplayResult:
+    """Record the scenario ``header`` describes under a fresh
+    :class:`FlightRecorder` at the header's digest cadence."""
     recorder = FlightRecorder(
         digest_every=header.get("digest_every", 1),
         record_syscalls=bool(header.get("record_syscalls", 1)),
@@ -306,10 +323,10 @@ def record_run(source: str, name: str, arch: str = "x86_64",
     """Record one plain run; returns the completed :class:`ReplayResult`."""
     header = _make_header("run", source, name, arch, engine, quantum,
                           digest_every, max_steps, record_syscalls, fault)
-    return _record(header, fault)
+    return record(header, fault)
 
 
-def record_migrate(source: str, name: str, src_arch: str = "x86_64",
+def migrate_header(source: str, name: str, src_arch: str = "x86_64",
                    dst_arch: str = "aarch64", warmup: int = 5000,
                    lazy: bool = False, store: bool = False,
                    engine: str = "blocks",
@@ -318,23 +335,31 @@ def record_migrate(source: str, name: str, src_arch: str = "x86_64",
                    record_syscalls: bool = True,
                    fault: Optional[BitFlip] = None,
                    chaos: str = "",
-                   retries: Optional[int] = None) -> ReplayResult:
-    """Record a run that live-migrates across ISAs mid-execution.
+                   retries: Optional[int] = None,
+                   verify_gate: bool = False) -> Dict:
+    """The self-contained journal header for one cross-ISA migration.
 
-    ``store=True`` routes the transfer through the content-addressed
-    checkpoint store (EV_STORE events land in the journal; they are
-    content-derived, so record and replay stay bit-identical).
-    ``chaos`` is a :meth:`~repro.chaos.FaultPlan.to_spec` string: it
-    turns the migration into a fault-injected transaction whose spec
-    (and ``retries`` budget) embed in the journal header, making the
-    chaotic run replayable bit-for-bit."""
-    header = _make_header("migrate", source, name, src_arch, engine,
-                          quantum, digest_every, max_steps,
-                          record_syscalls, fault, dst_arch=dst_arch,
-                          warmup=warmup, lazy=int(lazy),
-                          store=int(store) if store else None,
-                          chaos=chaos or None, retries=retries)
-    return _record(header, fault)
+    ``store=True`` transfers through the checkpoint store; ``chaos`` (a
+    :meth:`~repro.chaos.FaultPlan.to_spec` string) and its ``retries``
+    budget make it a fault-injected transaction; ``verify_gate`` turns
+    the arrival digest check off, so injected corruption is judged by
+    the restore guard. Fields left off are omitted from the header."""
+    return _make_header("migrate", source, name, src_arch, engine,
+                        quantum, digest_every, max_steps,
+                        record_syscalls, fault, dst_arch=dst_arch,
+                        warmup=warmup, lazy=int(lazy),
+                        store=int(store) if store else None,
+                        chaos=chaos or None, retries=retries,
+                        verify_gate=1 if verify_gate else None)
+
+
+def record_migrate(source: str, name: str, **shape) -> ReplayResult:
+    """Record a run that live-migrates across ISAs mid-execution; the
+    keywords are :func:`migrate_header`'s. Store operations land as
+    content-derived EV_STORE events and a chaotic run's faults as
+    EV_FAULT events, so record and replay stay bit-identical."""
+    return record(migrate_header(source, name, **shape),
+                  shape.get("fault"))
 
 
 def record_rerandomize(source: str, name: str, arch: str = "x86_64",
@@ -349,7 +374,7 @@ def record_rerandomize(source: str, name: str, arch: str = "x86_64",
                           quantum, digest_every, max_steps,
                           record_syscalls, fault, interval=interval,
                           seed=seed)
-    return _record(header, fault)
+    return record(header, fault)
 
 
 def fleet_header(fleet_spec: str, chaos: str = "",
@@ -409,10 +434,7 @@ def record_group(group_spec: str, chaos: str = "",
                  digest_every: int = 64) -> ReplayResult:
     """Record one coordinated group checkpoint (see
     :func:`group_header`)."""
-    recorder = FlightRecorder(digest_every=digest_every,
-                              record_syscalls=False)
-    return execute(group_header(group_spec, chaos, digest_every),
-                   recorder)
+    return record(group_header(group_spec, chaos, digest_every))
 
 
 class Replayer:
@@ -464,3 +486,22 @@ class Replayer:
             stop_at_instr=stop_at_instr,
             observer=observer)
         return execute(dict(self.header), recorder)
+
+
+def replay_check(recorded: ReplayResult, kinds) -> List[str]:
+    """Replay ``recorded`` from its own journal and compare its digest
+    stream and the event streams of ``kinds`` (``EV_*`` codes); returns
+    one line per stream that diverged (empty: bit-identical)."""
+    replayed = Replayer(recorded.journal).run()
+
+    def streams(journal: Journal):
+        yield "digest", journal.digest_stream()
+        for kind in kinds:
+            yield jn.KIND_NAMES[kind], [
+                (e.get("label", ""), e.get("a", 0), e.get("b", 0))
+                for e in journal.of_kind(kind)]
+
+    return [f"{name} stream DIVERGED ({len(a)} vs {len(b)} events)"
+            for (name, a), (_, b) in zip(streams(recorded.journal),
+                                         streams(replayed.journal))
+            if a != b]

@@ -113,6 +113,7 @@ HEADER_SCHEMA = wire.Schema("JournalHeader", [
     wire.field(21, "retries", "int"),
     wire.field(22, "fleet", "str"),
     wire.field(23, "group", "str"),
+    wire.field(24, "verify_gate", "int"),
 ])
 
 EVENT_SCHEMA = wire.Schema("JournalEvent", [

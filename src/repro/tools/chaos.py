@@ -20,7 +20,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from ..apps.registry import get_app
 from ..chaos import KINDS, FaultPlan
 from ..chaos.harness import ChaosHarness
 from ..errors import ReproError
@@ -56,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "check so corrupt faults reach (and must "
                              "be caught by) the restore guard")
     parser.add_argument("--replay-check", action="store_true",
-                        help="record the first faulted seed with the "
+                        help="record the first faulted trial with the "
                              "flight recorder and assert its journal "
                              "replays bit-identically")
     parser.add_argument("--quiet", action="store_true",
@@ -64,40 +63,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _replay_check(args, probabilities, faulted_seed: int) -> bool:
-    """Record one faulted migration, replay it from its own journal,
-    and compare the digest / RNG / fault event streams."""
+def _replay_check(harness: ChaosHarness, plan: FaultPlan) -> bool:
+    """Record the judged trial of ``plan`` from its own header, replay
+    it from its journal, and compare the digest / RNG / fault event
+    streams."""
     from ..replay import journal as jn
-    from ..replay.engine import Replayer, record_migrate
+    from ..replay.engine import record, replay_check
 
-    spec = FaultPlan(faulted_seed, **probabilities).to_spec()
-    source = get_app(args.app).source("small")
-    recorded = record_migrate(source, args.app, warmup=args.warmup,
-                              lazy=args.lazy, store=args.store,
-                              chaos=spec, retries=args.retry_budget)
-    replayed = Replayer(recorded.journal).run()
-
-    def streams(res):
-        events = res.journal.events
-        return (res.journal.digest_stream(),
-                [(e["label"], e["a"]) for e in events
-                 if e["kind"] == jn.EV_RNG],
-                [(e["label"], e["a"], e["b"]) for e in events
-                 if e["kind"] == jn.EV_FAULT])
-    names = ("digest", "rng", "fault")
-    ok = True
-    for name, a, b in zip(names, streams(recorded), streams(replayed)):
-        if a != b:
-            print(f"[replay-check] {name} stream DIVERGED "
-                  f"({len(a)} vs {len(b)} events)", file=sys.stderr)
-            ok = False
-    if ok:
-        faults = sum(1 for e in recorded.journal.events
-                     if e["kind"] == jn.EV_FAULT)
-        print(f"[replay-check] seed {faulted_seed} ({spec}): journal "
-              f"replays bit-identically ({faults} fault event(s))",
-              file=sys.stderr)
-    return ok
+    header = harness.trial_header(plan)
+    recorded = record(header)
+    diverged = replay_check(recorded, (jn.EV_RNG, jn.EV_FAULT))
+    for line in diverged:
+        print(f"[replay-check] {line}", file=sys.stderr)
+    if diverged:
+        return False
+    faults = len(recorded.journal.of_kind(jn.EV_FAULT))
+    print(f"[replay-check] seed {plan.seed} ({header['chaos']}): journal "
+          f"replays bit-identically ({faults} fault event(s))",
+          file=sys.stderr)
+    return True
 
 
 def _run(args: argparse.Namespace, probabilities: dict) -> int:
@@ -140,7 +124,8 @@ def _run(args: argparse.Namespace, probabilities: dict) -> int:
         if faulted is None:
             print("[replay-check] skipped: no trial fired a fault",
                   file=sys.stderr)
-        elif not _replay_check(args, probabilities, faulted):
+        elif not _replay_check(harness,
+                               FaultPlan(faulted, **probabilities)):
             return 1
     return 0
 

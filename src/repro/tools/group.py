@@ -79,35 +79,22 @@ def _spec(args: argparse.Namespace, fault: str = "") -> GroupSpec:
                      warmup=args.warmup, fault=fault)
 
 
-def _streams(result):
-    from ..replay import journal as jn
-    events = result.journal.events
-    return (result.journal.digest_stream(),
-            [(e["label"], e["a"]) for e in events
-             if e["kind"] == jn.EV_RNG],
-            [(e["label"], e["a"], e["b"]) for e in events
-             if e["kind"] == jn.EV_FAULT],
-            [(e["label"], e["a"], e["b"]) for e in events
-             if e["kind"] == jn.EV_GROUP])
-
-
 def _replay_check(recorded) -> bool:
     """Replay a recorded group run from its own journal and compare
     the digest / RNG / fault / group-protocol event streams."""
-    from ..replay.engine import Replayer
-    replayed = Replayer(recorded.journal).run()
-    ok = True
-    for name, a, b in zip(("digest", "rng", "fault", "group"),
-                          _streams(recorded), _streams(replayed)):
-        if a != b:
-            print(f"[replay-check] {name} stream DIVERGED "
-                  f"({len(a)} vs {len(b)} events)", file=sys.stderr)
-            ok = False
-    if ok:
-        phases = ", ".join(label for label, _, _ in _streams(recorded)[3])
-        print(f"[replay-check] journal replays bit-identically "
-              f"({phases})", file=sys.stderr)
-    return ok
+    from ..replay import journal as jn
+    from ..replay.engine import replay_check
+    diverged = replay_check(recorded, (jn.EV_RNG, jn.EV_FAULT,
+                                       jn.EV_GROUP))
+    for line in diverged:
+        print(f"[replay-check] {line}", file=sys.stderr)
+    if diverged:
+        return False
+    phases = ", ".join(e.get("label", "") for e in
+                       recorded.journal.of_kind(jn.EV_GROUP))
+    print(f"[replay-check] journal replays bit-identically ({phases})",
+          file=sys.stderr)
+    return True
 
 
 def _run_one(args: argparse.Namespace, chaos_spec: str) -> int:
@@ -168,9 +155,9 @@ def _run_chaos(args: argparse.Namespace, probabilities: dict) -> int:
     if failed:
         return 1
     if args.replay_check:
-        from ..replay.engine import record_group
-        spec = _spec(args, fault=FAULT_PHASES[0])
-        if not _replay_check(record_group(spec.to_spec())):
+        from ..replay.engine import record
+        header = harness.trial_header(fault=FAULT_PHASES[0])
+        if not _replay_check(record(header)):
             return 1
     return 0
 

@@ -10,6 +10,8 @@ bit-identity of faulted runs.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.apps.registry import get_app
@@ -265,6 +267,39 @@ class TestAbortedShipGc:
         assert dst_store.verify() == []
 
 
+class TestCorruptPastDrop:
+    """A corrupt drawn at or past the drop chunk never ships, so it is
+    not a fault that fired: reporting it would demand catch evidence
+    for a byte that never flipped."""
+
+    @staticmethod
+    def _ship_faults(seed):
+        injector = FaultInjector(FaultPlan(seed, drop=1.0, corrupt=1.0))
+        draws = []
+        injector.rng.observer = \
+            lambda _name, label, _value: draws.append(label)
+        return injector.ship_faults(8), injector.counts(), draws
+
+    @pytest.mark.parametrize("seed, drop_at", [(1, 1), (3, 2)])
+    def test_corrupt_at_or_past_drop_not_fired(self, seed, drop_at):
+        faults, counts, draws = self._ship_faults(seed)
+        assert faults == (drop_at, None)
+        assert counts == {"drop": 1}
+        # Both draws are still made, so no other seed's stream moves.
+        assert draws == ["drop@ship", "drop-at@ship", "corrupt@ship",
+                         "corrupt-at@ship"]
+
+    def test_corrupt_before_drop_still_fires(self):
+        faults, counts, _draws = self._ship_faults(0)
+        assert faults == (6, 4)
+        assert counts == {"drop": 1, "corrupt": 1}
+
+    def test_store_trial_with_drop_and_corrupt_holds(self):
+        harness = ChaosHarness("kmeans", use_store=True)
+        trial = harness.run_trial(FaultPlan(1, drop=0.3, corrupt=0.2))
+        assert trial.ok, trial.detail
+
+
 # -- the transactional pipeline ------------------------------------------------
 
 
@@ -504,3 +539,41 @@ class TestChaosReplay:
         recorded = self._round_trip()
         assert "chaos" not in recorded.journal.header
         assert self._streams(recorded)[2] == []
+
+
+# -- the judged trial is the recorded trial ------------------------------------
+
+
+def _fault_kinds(journal):
+    """``{kind: count}`` of a journal's ``chaos:<kind>@<site>`` events."""
+    from repro.replay import journal as jn
+    return Counter(e["label"].split(":", 1)[1].split("@", 1)[0]
+                   for e in journal.of_kind(jn.EV_FAULT))
+
+
+#: the chaos-smoke / verify-smoke modes: (harness kwargs, probabilities)
+CI_CHAOS_MODES = {
+    "plain": ({}, dict(drop=0.3, latency=0.3, corrupt=0.2)),
+    "lazy": (dict(lazy=True), dict(pskill=0.9)),
+    "lazy+store": (dict(lazy=True, use_store=True), dict(pskill=0.9)),
+    "store": (dict(use_store=True), dict(drop=0.4, partition=0.2)),
+    "verify-gate": (dict(verify_gate=True), dict(corrupt=0.5)),
+}
+
+
+class TestJudgedTrialIsRecorded:
+    @pytest.mark.parametrize("mode", sorted(CI_CHAOS_MODES))
+    def test_journal_records_the_judged_trial(self, mode):
+        from repro.replay import journal as jn
+        from repro.replay.engine import record
+        kwargs, probabilities = CI_CHAOS_MODES[mode]
+        harness = ChaosHarness("kmeans", **kwargs)
+        for seed in range(4):
+            plan = FaultPlan(seed, **probabilities)
+            trial = harness.run_trial(plan)
+            assert trial.ok, trial.detail
+            journal = record(harness.trial_header(plan)).journal
+            assert _fault_kinds(journal) == trial.faults, seed
+            rolled = [e for e in journal.of_kind(jn.EV_MIGRATE)
+                      if e["label"].startswith("rolled-back@")]
+            assert len(rolled) == (trial.outcome == "rolled-back"), seed

@@ -3,6 +3,8 @@ commit-or-resume invariant, the transactional connection drain, split
 cross-ISA group restore, bit-identical replay of chaotic group
 journals, and two-phase groups at fleet scale."""
 
+from collections import Counter
+
 import pytest
 
 from repro.chaos import FaultInjector, FaultPlan
@@ -198,6 +200,27 @@ class TestGroupChaos:
         trials = harness.run_trials(3, seed0=11, crash=0.4, corrupt=0.2)
         assert all(t.ok for t in trials), [t.detail for t in trials]
         assert {t.outcome for t in trials} <= {"committed", "resumed"}
+
+
+class TestGroupJudgedTrialIsRecorded:
+    def test_journal_records_the_judged_trial(self):
+        from repro.replay.engine import record
+        harness = GroupChaosHarness(GroupSpec(workers=1, conns=6, drain=3))
+        runs = [(trial, harness.trial_header(fault=trial.phase))
+                for trial in harness.sweep_phases()]
+        for seed in (11, 12):
+            plan = FaultPlan(seed, crash=0.4, corrupt=0.2)
+            runs.append((harness.run_trial(plan=plan),
+                         harness.trial_header(plan=plan)))
+        for trial, header in runs:
+            journal = record(header).journal
+            faults = Counter(e["label"].split(":", 1)[1].split("@", 1)[0]
+                             for e in journal.of_kind(jn.EV_FAULT))
+            assert faults == trial.faults, trial
+            last = journal.of_kind(jn.EV_GROUP)[-1]["label"]
+            want = ("group:committed" if trial.outcome == "committed"
+                    else "group:aborted")
+            assert last.startswith(want), (trial, last)
 
 
 class TestRestoreGroup:
