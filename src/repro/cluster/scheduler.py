@@ -35,10 +35,9 @@ from .node import SimNode
 class NodeHealth:
     """Per-node circuit breaker with deterministic half-open probes.
 
-    Shared supervisor logic: the eviction scheduler (below) and the
-    fleet's concurrent migration scheduler both dock a node's health on
-    a failed migration toward it, stop routing work there after
-    ``max_failures`` consecutive failures, and retry after an
+    The eviction scheduler (below) docks a node's health on a failed
+    migration toward it, stops routing work there after
+    ``max_failures`` consecutive failures, and retries after an
     exponential backoff. ``failed(name)`` returns the probe delay when
     the breaker *trips* (the caller schedules :meth:`probe`), else
     ``None``; a success calls :meth:`recovered` and resets the count.

@@ -20,29 +20,28 @@ and the exact register or memory byte.
 * :mod:`repro.replay.recorder` — :class:`FlightRecorder`, the hook
   object a :class:`~repro.vm.kernel.Machine` notifies per scheduling
   slice, syscall, trap, spawn and restore; also deterministic fault
-  injection (:class:`BitFlip`) and mid-replay stop conditions.
+  injection (:class:`BitFlip`) and :class:`StateAt`, the observer that
+  copies the machine state at instruction targets or digest indices
+  and stops the replay after the last one.
 * :mod:`repro.replay.engine` — scenarios (plain run, cross-ISA
   migration, periodic re-randomization) reconstructed from a journal
   header, and the :class:`Replayer` that re-executes them.
 * :mod:`repro.replay.divergence` — digest-stream bisection and
   byte-exact state diffing between a journal and a replay.
-* :mod:`repro.replay.resume` — :class:`ReplaySession`, a pausable,
-  resumable re-execution that stops at instruction targets while
-  keeping the journaled run bit-identical to a straight replay.
 """
 
 from ..errors import JournalTruncated
 from .journal import Journal, JournalError
-from .recorder import BitFlip, FlightRecorder, ReplayObserver, ReplayStop
+from .recorder import (BitFlip, FlightRecorder, ReplayObserver, ReplayStop,
+                       StateAt)
 from .engine import Replayer, record_migrate, record_rerandomize, record_run
 from .divergence import (DivergenceReport, bisect_digest_streams,
                          bisect_last_transition, diff_states,
                          pinpoint_by_reexecution, pinpoint_divergence)
-from .resume import ReplaySession
 
 __all__ = [
     "Journal", "JournalError", "JournalTruncated", "FlightRecorder",
-    "BitFlip", "ReplayObserver", "ReplayStop", "ReplaySession",
+    "BitFlip", "ReplayObserver", "ReplayStop", "StateAt",
     "Replayer", "record_run", "record_migrate", "record_rerandomize",
     "DivergenceReport", "bisect_digest_streams", "bisect_last_transition",
     "diff_states", "pinpoint_divergence", "pinpoint_by_reexecution",

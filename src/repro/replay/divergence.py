@@ -4,9 +4,10 @@ Two journals of the same scenario should carry bit-identical digest
 streams. When they do not — a nondeterminism bug, a broken execution
 engine, or an injected fault — this module locates the *first* quantum
 whose digest differs, then reconstructs the machine state on both sides
-at that quantum (by re-executing each journal with a digest-indexed
-stop point) and byte-diffs the snapshots down to individual registers
-and memory addresses.
+at that quantum (by re-executing each journal under a
+:class:`~repro.replay.recorder.StateAt` observer, the final digest
+included) and byte-diffs the snapshots down to individual registers and
+memory addresses.
 
 The digest stream is searched with a binary search (the streams of a
 deterministic run agree on a prefix and disagree on a suffix), then the
@@ -21,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .digest import page_diff
 from .engine import Replayer
 from .journal import EV_DIGEST, Journal
+from .recorder import StateAt
 
 
 def bisect_digest_streams(a: Sequence[bytes],
@@ -182,8 +184,18 @@ def _digest_event(journal: Journal, index: int) -> Optional[Dict]:
     return None
 
 
+def _state_at_digest(journal: Journal, index: int,
+                     engine: Optional[str] = None) -> Dict:
+    """Re-execute ``journal`` to digest ``index`` and copy its state."""
+    at = StateAt(digests=[index])
+    result = Replayer(journal, engine=engine).run(observer=at)
+    if not result.stopped:
+        at.capture_end(result.recorder)
+    taken = at.states.get(("digest", index))
+    return taken[2] if taken else {}
+
+
 def pinpoint_divergence(journal_a: Journal, journal_b: Journal,
-                        engine_a: Optional[str] = None,
                         engine_b: Optional[str] = None,
                         mem_limit: int = 64) -> Optional[DivergenceReport]:
     """Locate and explain the first divergence between two journals.
@@ -191,10 +203,11 @@ def pinpoint_divergence(journal_a: Journal, journal_b: Journal,
     Returns ``None`` when the digest streams agree (one may be a prefix
     of the other). Otherwise re-executes *both* journals' scenarios up
     to the diverging digest — each from its own self-contained header,
-    optionally on an overridden engine — captures byte-exact snapshots,
-    and diffs them down to registers and memory addresses. A journal
-    recorded with an injected fault re-injects it (the fault parameters
-    live in the header), so the divergent side reproduces exactly.
+    ``journal_b`` optionally on an overridden engine — captures
+    byte-exact snapshots, and diffs them down to registers and memory
+    addresses. A journal recorded with an injected fault re-injects it
+    (the fault parameters live in the header), so the divergent side
+    reproduces exactly.
     """
     stream_a = journal_a.digest_stream()
     stream_b = journal_b.digest_stream()
@@ -203,10 +216,9 @@ def pinpoint_divergence(journal_a: Journal, journal_b: Journal,
         return None
     event = (_digest_event(journal_a, index)
              or _digest_event(journal_b, index) or {})
-    result_a = Replayer(journal_a, engine=engine_a).run(stop_at_digest=index)
-    result_b = Replayer(journal_b, engine=engine_b).run(stop_at_digest=index)
     reg_diffs, mem_diffs, meta_diffs = diff_states(
-        result_a.snapshot or {}, result_b.snapshot or {},
+        _state_at_digest(journal_a, index),
+        _state_at_digest(journal_b, index, engine_b),
         mem_limit=mem_limit)
     return DivergenceReport(index, event.get("instr", 0),
                             stream_a[index], stream_b[index],

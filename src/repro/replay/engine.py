@@ -15,11 +15,11 @@ plus the ``fleet`` storm and the coordinated ``group`` checkpoint. The
 chaos harnesses judge trials that :func:`migrate_scenario` and
 :func:`group_scenario` build, so a trial and its journal are one run.
 
-The :class:`Replayer` re-executes a journal's scenario with optional
-overrides (a different execution engine — digests must not change — a
-different digest cadence, an injected fault) and optional stop points
-(used by the divergence detector to reconstruct the machine state at
-an arbitrary digest index).
+The :class:`Replayer` re-executes a journal's scenario, optionally on
+a different execution engine (digests must not change) and under a
+:class:`~repro.replay.recorder.ReplayObserver` (a
+:class:`~repro.replay.recorder.StateAt` reconstructs the machine state
+at an instruction count or digest index, and may stop the run there).
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ class ReplayResult:
         self.recorder = recorder
         self.stopped = stopped
         self.exit_code = exit_code
-        #: byte-exact machine state at the stop point (None if the run
-        #: completed without hitting a stop condition)
-        self.snapshot = recorder.snapshot
 
     def __repr__(self) -> str:
         state = "stopped" if self.stopped else f"exit={self.exit_code}"
@@ -438,52 +435,31 @@ def record_group(group_spec: str, chaos: str = "",
 
 
 class Replayer:
-    """Re-executes a journal's scenario, with optional overrides.
+    """Re-executes a journal's scenario.
 
     ``engine`` switches the execution engine (``"interp"`` /
     ``"blocks"`` / ``"chains"``); a correct engine produces a
     bit-identical digest stream, which is exactly what the CI
-    replay-smoke job asserts.
-    ``fault`` injects a deterministic bit flip; by default the fault
-    recorded in the journal's own header (if any) is re-injected, so a
-    divergent run reproduces from its own journal.
+    replay-smoke job asserts. The fault recorded in the journal's own
+    header (if any) is re-injected, so a divergent run reproduces from
+    its own journal.
     """
 
-    def __init__(self, journal: Journal, engine: Optional[str] = None,
-                 digest_every: Optional[int] = None,
-                 fault: Optional[BitFlip] = "inherit"):
+    def __init__(self, journal: Journal, engine: Optional[str] = None):
         self.header = dict(journal.header)
         if engine is not None:
             if engine not in ENGINES:
                 raise JournalError(f"unknown engine {engine!r}")
             self.header["engine"] = engine
-        if digest_every is not None:
-            self.header["digest_every"] = digest_every
-        if fault == "inherit":
-            fault = BitFlip.from_header(self.header)
-        elif fault is not None:
-            self.header.update(fault.header_fields())
-        self._fault_spec = fault
 
-    def _fresh_fault(self) -> Optional[BitFlip]:
-        # BitFlip carries `fired` state; every run needs its own copy.
-        spec = self._fault_spec
-        if spec is None:
-            return None
-        return BitFlip(spec.at_slice, spec.addr, spec.bit)
-
-    def run(self, stop_at_digest: Optional[int] = None,
-            stop_at_instr: Optional[int] = None,
-            observer=None) -> ReplayResult:
+    def run(self, observer=None) -> ReplayResult:
         """Execute the scenario; ``observer`` is a
         :class:`~repro.replay.recorder.ReplayObserver` notified at every
-        safe point (the pausable-session and snapshot hooks)."""
+        safe point (state capture and snapshot hooks)."""
         recorder = FlightRecorder(
             digest_every=self.header.get("digest_every", 1),
             record_syscalls=bool(self.header.get("record_syscalls", 1)),
-            fault=self._fresh_fault(),
-            stop_at_digest=stop_at_digest,
-            stop_at_instr=stop_at_instr,
+            fault=BitFlip.from_header(self.header),
             observer=observer)
         return execute(dict(self.header), recorder)
 

@@ -1,4 +1,4 @@
-"""The flight recorder: journaling hooks, fault injection, stop points.
+"""The flight recorder: journaling hooks, fault injection, state capture.
 
 A :class:`FlightRecorder` is attached to one or more
 :class:`~repro.vm.kernel.Machine` instances. The kernel notifies it —
@@ -16,16 +16,17 @@ workhorse:
   are engine-independent, so an injected fault reproduces exactly on
   either engine, which is what lets the divergence detector re-execute
   a faulty run to any digest point.
-* **Stop conditions** — ``stop_at_digest`` / ``stop_at_instr`` raise
-  :class:`ReplayStop` at a slice boundary, after capturing a byte-exact
-  state snapshot. Replays use this to reconstruct the machine state at
-  an arbitrary quantum (the ``seek`` operation and the byte-level
-  divergence diff).
+* **State capture** — :class:`StateAt`, a :class:`ReplayObserver`,
+  copies a byte-exact state snapshot at instruction targets or digest
+  indices and raises :class:`ReplayStop` after the last one. Replays
+  use it to reconstruct the machine state at an arbitrary quantum (the
+  ``seek`` operation and the byte-level divergence diff).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Set,
+                    Tuple)
 
 from ..errors import ReproError
 from ..mem.paging import page_align_down
@@ -40,14 +41,15 @@ if TYPE_CHECKING:
 class ReplayObserver:
     """Callbacks fired by a :class:`FlightRecorder` as a run progresses.
 
-    This is the replay engine's extension point: a pausable replay
-    session (:class:`~repro.replay.resume.ReplaySession`) blocks inside
-    :meth:`after_slice`, and the time-travel debugger's snapshot
-    capturer dumps machine state from :meth:`after_event` /
-    :meth:`on_mutation`. Every callback runs at a *safe point* — no
-    machine is mid-slice — and receives the recorder, through which the
-    attached machines, the journal so far, and the slice/instruction
-    counters are all reachable. The default implementations do nothing.
+    This is the replay engine's extension point: :class:`StateAt`
+    copies machine state from :meth:`after_slice`, and the time-travel
+    debugger's snapshot capturer dumps machine state from
+    :meth:`after_event` / :meth:`on_mutation`. Every callback runs at a
+    *safe point* — no machine is mid-slice — and receives the recorder,
+    through which the attached machines, the journal so far, and the
+    slice/instruction counters are all reachable. An observer may raise
+    :class:`ReplayStop` to end a replay there. The default
+    implementations do nothing.
     """
 
     def on_recorder(self, recorder: "FlightRecorder") -> None:
@@ -67,7 +69,8 @@ class ReplayObserver:
 
 
 class ReplayStop(ReproError):
-    """Raised by the recorder when a requested stop point is reached."""
+    """Raised by an observer to end a replay at a slice boundary; the
+    replay engine returns the partial run as a stopped result."""
 
     def __init__(self, slice_index: int, digest_index: int):
         super().__init__(f"replay stopped at slice {slice_index} "
@@ -145,15 +148,11 @@ class FlightRecorder:
     def __init__(self, journal: Optional[jn.Journal] = None,
                  digest_every: int = 1, record_syscalls: bool = True,
                  fault: Optional[BitFlip] = None,
-                 stop_at_digest: Optional[int] = None,
-                 stop_at_instr: Optional[int] = None,
                  observer: Optional[ReplayObserver] = None):
         self.journal = journal if journal is not None else jn.Journal()
         self.digest_every = digest_every
         self.record_syscalls = record_syscalls
         self.fault = fault
-        self.stop_at_digest = stop_at_digest
-        self.stop_at_instr = stop_at_instr
         self.observer = observer
         if observer is not None:
             observer.on_recorder(self)
@@ -161,7 +160,6 @@ class FlightRecorder:
         self.slices = 0
         self.instructions = 0
         self.digest_count = 0
-        self.snapshot: Optional[Dict] = None
         self.finalized = False
         self.digest_state = DigestState()
 
@@ -203,9 +201,6 @@ class FlightRecorder:
                     self.observer.after_event(self, event)
         if self.digest_every and self.slices % self.digest_every == 0:
             self._emit_digest()
-        if (self.stop_at_instr is not None
-                and self.instructions >= self.stop_at_instr):
-            self._stop()
         if self.observer is not None:
             self.observer.after_slice(self)
 
@@ -264,7 +259,7 @@ class FlightRecorder:
         if self.observer is not None:
             self.observer.after_event(self, event)
 
-    # -- digests and stop points ------------------------------------------
+    # -- digests ----------------------------------------------------------
 
     def current_digest(self) -> bytes:
         return self.digest_state.digest(self.machines)
@@ -281,13 +276,6 @@ class FlightRecorder:
         self.journal.events.append(
             {"kind": jn.EV_DIGEST, "a": index, "instr": self.instructions,
              "payload": digest})
-        if self.stop_at_digest is not None \
-                and self.digest_count > self.stop_at_digest:
-            self._stop()
-
-    def _stop(self) -> None:
-        self.snapshot = self.capture_state()
-        raise ReplayStop(self.slices, self.digest_count - 1)
 
     def finalize(self, exit_code: Optional[int] = None) -> jn.Journal:
         """Emit the final digest + end marker; returns the journal."""
@@ -298,3 +286,52 @@ class FlightRecorder:
                                 a=exit_code if exit_code is not None else 0)
             self.digest_state.clear()
         return self.journal
+
+
+#: A :class:`StateAt` point: ``("instr", n)`` or ``("digest", n)``.
+Point = Tuple[str, int]
+
+
+class StateAt(ReplayObserver):
+    """Copies the replayed machines' state at requested points.
+
+    A point is the first slice boundary at or past an instruction target
+    (``instrs``), or the boundary right after digest ``n`` is journaled
+    (``digests``). ``states`` maps each point reached to
+    ``(instructions, slices, state)``, ``state`` being a
+    :meth:`FlightRecorder.capture_state` copy; points reached at one
+    boundary share it. :class:`ReplayStop` ends the replay after the
+    last point. The final digest is emitted after the last slice, so no
+    boundary follows it: :meth:`capture_end` gives the digest targets a
+    completed run covers the end state.
+    """
+
+    def __init__(self, instrs: Iterable[int] = (),
+                 digests: Iterable[int] = ()):
+        self.pending: Set[Point] = ({("instr", n) for n in instrs}
+                                    | {("digest", n) for n in digests})
+        self.states: Dict[Point, Tuple[int, int, Dict]] = {}
+
+    def after_slice(self, recorder: FlightRecorder) -> None:
+        reached = [(kind, n) for kind, n in self.pending
+                   if (recorder.instructions >= n if kind == "instr"
+                       else recorder.digest_count > n)]
+        if reached:
+            self._capture(recorder, reached)
+            if not self.pending:
+                raise ReplayStop(recorder.slices, recorder.digest_count - 1)
+
+    def capture_end(self, recorder: FlightRecorder) -> None:
+        """After a completed run: capture the end state for the digest
+        targets up to the final digest."""
+        covered = [(kind, n) for kind, n in self.pending
+                   if kind == "digest" and n < recorder.digest_count]
+        if covered:
+            self._capture(recorder, covered)
+
+    def _capture(self, recorder: FlightRecorder,
+                 points: List[Point]) -> None:
+        taken = (recorder.instructions, recorder.slices,
+                 recorder.capture_state())
+        self.pending.difference_update(points)
+        self.states.update(dict.fromkeys(points, taken))

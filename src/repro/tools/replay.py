@@ -14,7 +14,7 @@ Examples::
     python -m repro.tools.replay diff good.jrn bad.jrn
 
     # reconstruct machine state at one or more instruction counts
-    # (a single re-execution pauses at each target in order)
+    # (a single re-execution copies the state at every target)
     python -m repro.tools.replay seek dhry.jrn --instr 2000 --instr 5000
 
     # summarize a journal
@@ -29,9 +29,9 @@ import sys
 from typing import List, Optional
 
 from ..errors import ReproError
-from ..replay import (BitFlip, Journal, Replayer, ReplaySession,
-                      pinpoint_by_reexecution, pinpoint_divergence,
-                      record_migrate, record_rerandomize, record_run)
+from ..replay import (BitFlip, Journal, Replayer, StateAt,
+                      pinpoint_divergence, record_migrate,
+                      record_rerandomize, record_run)
 from ..replay.journal import KIND_NAMES
 from ._cli import guarded
 
@@ -113,9 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "counts and dump thread state at each")
     seek.add_argument("journal")
     seek.add_argument("--instr", type=int, required=True, action="append",
-                      help="pause once this many instructions have retired "
+                      help="dump the state at the first slice boundary "
+                           "at or past this many retired instructions "
                            "(repeatable; one re-execution serves all "
-                           "targets in ascending order)")
+                           "targets)")
     seek.add_argument("--engine", choices=["blocks", "interp", "chains"])
 
     show = sub.add_parser("show", help="summarize a journal")
@@ -203,22 +204,17 @@ def _print_state(snapshot: dict) -> None:
 
 def _cmd_seek(args: argparse.Namespace) -> int:
     journal = Journal.load(args.journal)
-    targets = sorted(set(args.instr))
-    missed: List[int] = []
-    with ReplaySession(journal, engine=args.engine) as session:
-        for target in targets:
-            if not session.run_until(target):
-                missed = targets[targets.index(target):]
-                break
-            print(f"state at instr>={target} "
-                  f"(instr={session.instructions} "
-                  f"slices={session.slices}):")
-            _print_state(session.state())
-    if missed:
-        exit_code = session.result.exit_code if session.result else None
-        print(f"run completed (exit={exit_code}) before "
-              f"instruction {missed[0]}", file=sys.stderr)
-        return 1
+    at = StateAt(instrs=args.instr)
+    result = Replayer(journal, engine=args.engine).run(observer=at)
+    for target in sorted(set(args.instr)):
+        if ("instr", target) not in at.states:
+            print(f"run completed (exit={result.exit_code}) before "
+                  f"instruction {target}", file=sys.stderr)
+            return 1
+        instructions, slices, state = at.states[("instr", target)]
+        print(f"state at instr>={target} "
+              f"(instr={instructions} slices={slices}):")
+        _print_state(state)
     return 0
 
 

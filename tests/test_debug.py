@@ -1,7 +1,7 @@
-"""Tests for the time-travel debugger: resumable replay sessions, DAP
-framing, the snapshot-backed debug session (forward/reverse stepping,
-breakpoints, watchpoint bisection, cross-ISA inspection), the TCP DAP
-server end to end, and the repro-debug CLI error contract."""
+"""Tests for the time-travel debugger: DAP framing, the snapshot-backed
+debug session (forward/reverse stepping, breakpoints, watchpoint
+bisection, cross-ISA inspection), the TCP DAP server end to end, and
+the repro-debug CLI error contract."""
 
 import threading
 
@@ -13,8 +13,7 @@ from repro.debug.server import run_tcp
 from repro.debug.session import StopInfo
 from repro.debug.snapshots import SnapshotIndex, WorldSnapshot
 from repro.errors import DebugError, JournalTruncated
-from repro.replay import (Journal, ReplaySession, Replayer,
-                          bisect_last_transition, record_migrate,
+from repro.replay import (Journal, bisect_last_transition, record_migrate,
                           record_run)
 from repro.replay import journal as jn
 from repro.tools import debug as debug_cli
@@ -90,41 +89,6 @@ def clean(loop_session):
     loop_session.clear_watchpoints()
     loop_session.seek(loop_session.start_position())
     return loop_session
-
-
-# -- satellite: resumable replay sessions --------------------------------
-
-
-class TestReplaySession:
-    def test_pauses_at_targets(self, loop_recording):
-        with ReplaySession(loop_recording.journal) as session:
-            assert session.run_until(500)
-            assert session.paused and not session.finished
-            first = session.instructions
-            assert first >= 500
-            assert session.run_until(1500)
-            assert session.instructions >= 1500 > first
-
-    def test_journal_bit_identical_to_straight_replay(
-            self, loop_recording):
-        straight = Replayer(loop_recording.journal).run()
-        with ReplaySession(loop_recording.journal) as session:
-            session.run_until(700)
-            session.run_until(2500)
-            result = session.run_to_end()
-        assert result.journal.to_bytes() == straight.journal.to_bytes()
-
-    def test_rewind_rejected(self, loop_recording):
-        from repro.errors import JournalError
-        with ReplaySession(loop_recording.journal) as session:
-            session.run_until(2000)
-            with pytest.raises(JournalError):
-                session.run_until(100)
-
-    def test_close_mid_run_is_clean(self, loop_recording):
-        session = ReplaySession(loop_recording.journal)
-        session.run_until(1000)
-        session.close()  # no hang, no error
 
 
 # -- satellite: typed journal truncation ---------------------------------

@@ -1,5 +1,5 @@
 """Flight recorder: journal format, record/replay bit-identity, fault
-pinpointing, seek, and the repro-replay CLI."""
+pinpointing, state capture, and the repro-replay CLI."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from repro.errors import JournalError
 from repro.isa import X86_ISA
 from repro.mem import PAGE_SIZE, Prot, Vma
 from repro.replay import (BitFlip, FlightRecorder, Journal, ReplayObserver,
-                          Replayer, ReplaySession, bisect_digest_streams,
+                          Replayer, StateAt, bisect_digest_streams,
                           pinpoint_by_reexecution, pinpoint_divergence,
                           record_migrate, record_rerandomize, record_run)
 from repro.replay import digest as digest_mod
@@ -146,10 +146,12 @@ class TestRecordReplay:
             == recorded.journal.digest_stream()
 
     def test_seek_stops_at_instruction(self, loop_recording):
-        result = Replayer(loop_recording.journal).run(stop_at_instr=2000)
+        at = StateAt(instrs=[2000])
+        result = Replayer(loop_recording.journal).run(observer=at)
         assert result.stopped
-        assert result.snapshot is not None
-        (_, proc), = [(k, v) for k, v in result.snapshot.items()]
+        assert ("instr", 2000) in at.states
+        _instr, _slices, state = at.states[("instr", 2000)]
+        (_, proc), = [(k, v) for k, v in state.items()]
         assert proc["instr_total"] >= 2000
         assert not proc["exited"]
 
@@ -227,6 +229,64 @@ class TestFaultInjection:
             replayed = Replayer(bad.journal, engine=engine).run()
             assert replayed.journal.digest_stream() \
                 == bad.journal.digest_stream()
+
+    def test_divergence_only_the_final_digest_sees(self):
+        """A flip in the last slice of a run recorded with one digest
+        in total: the final digest, emitted after the last slice, is
+        the only one to see it, and its state comes from the end of
+        the run."""
+        program = compile_source(LOOP_SOURCE, "loop")
+        addr = program.binary("x86_64").symtab.address_of("acc")
+        good = record_run(LOOP_SOURCE, "loop", digest_every=1_000_000)
+        bad = record_run(LOOP_SOURCE, "loop", digest_every=1_000_000,
+                         fault=BitFlip(good.recorder.slices - 1, addr, 3))
+        report = pinpoint_divergence(good.journal, bad.journal)
+        assert report is not None
+        assert report.digest_index \
+            == len(good.journal.digest_stream()) - 1
+        assert report.first_addr == addr
+
+
+@pytest.fixture(scope="module")
+def kmeans_migration():
+    return record_migrate(get_app("kmeans").source("small"), "kmeans",
+                          warmup=5000)
+
+
+class TestStateAt:
+    """One replay copies the state at every requested point."""
+
+    def test_pauses_at_targets(self, loop_recording):
+        at = StateAt(instrs=[500, 1500])
+        result = Replayer(loop_recording.journal).run(observer=at)
+        assert result.stopped and not at.pending
+        first = at.states[("instr", 500)][0]
+        assert first >= 500
+        assert at.states[("instr", 1500)][0] >= 1500 > first
+
+    def test_journal_bit_identical_to_straight_replay(
+            self, loop_recording):
+        straight = Replayer(loop_recording.journal).run()
+        at = StateAt(instrs=[700, 2500, 10 ** 12])
+        result = Replayer(loop_recording.journal).run(observer=at)
+        assert not result.stopped and len(at.states) == 2
+        assert result.journal.to_bytes() == straight.journal.to_bytes()
+
+    def test_states_on_both_sides_of_a_migration(self, kmeans_migration):
+        at = StateAt(instrs=[2000, 8000])
+        assert Replayer(kmeans_migration.journal).run(observer=at).stopped
+        (src_key, src), = at.states[("instr", 2000)][2].items()
+        (dst_key, dst), = at.states[("instr", 8000)][2].items()
+        assert (src_key[0], src["isa"]) == (0, "x86_64")
+        assert (dst_key[0], dst["isa"]) == (1, "aarch64")
+
+    def test_migration_journal_unchanged_by_capture(self,
+                                                    kmeans_migration):
+        straight = Replayer(kmeans_migration.journal).run()
+        at = StateAt(instrs=[2000, 8000, 10 ** 12])
+        result = Replayer(kmeans_migration.journal).run(observer=at)
+        assert not result.stopped and len(at.states) == 2
+        assert result.journal.to_bytes() == straight.journal.to_bytes()
 
 
 @pytest.fixture
@@ -526,11 +586,19 @@ class TestRecorderLifetime:
         assert not recorded.recorder.digest_state._leaves
 
     def test_session_state_matches_a_fresh_capture(self, loop_recording):
-        with ReplaySession(loop_recording.journal) as session:
-            assert session.run_until(2000)
-            assert session.state() == capture_state(session.machines())
-            assert session.run_until(5000)
-            assert session.state() == capture_state(session.machines())
+        fresh = {}
+
+        class AlsoFresh(StateAt):
+            def after_slice(self, recorder):
+                for point in self.pending:
+                    if recorder.instructions >= point[1]:
+                        fresh[point] = capture_state(recorder.machines)
+                super().after_slice(recorder)
+
+        at = AlsoFresh(instrs=[2000, 5000])
+        Replayer(loop_recording.journal).run(observer=at)
+        for point in (("instr", 2000), ("instr", 5000)):
+            assert at.states[point][2] == fresh[point]
 
 
 class TestBitFlipAddressSpace:
@@ -616,6 +684,38 @@ class TestReplayCli:
         out = capsys.readouterr().out
         assert "first divergence" in out
         assert hex(addr) in out
+
+    def test_diff_pinpoints_a_fault_only_the_final_digest_sees(
+            self, source_file, tmp_path, capsys):
+        program = compile_source(LOOP_SOURCE, "loop")
+        addr = program.binary("x86_64").symtab.address_of("acc")
+        good = str(tmp_path / "good.jrn")
+        bad = str(tmp_path / "bad.jrn")
+        sparse = ["--digest-every", "1000000"]
+        assert replay_cli.main(["record", source_file, "-o", good]
+                               + sparse) == 0
+        last = Journal.load(good).summary()["sched"]
+        assert replay_cli.main(["record", source_file, "-o", bad,
+                                "--fault-slice", str(last - 1),
+                                "--fault-addr", hex(addr),
+                                "--fault-bit", "3"] + sparse) == 0
+        capsys.readouterr()
+        assert replay_cli.main(["diff", good, bad]) == 1
+        out = capsys.readouterr().out
+        assert "first divergence at digest #" in out
+        assert hex(addr) in out
+
+    def test_replay_flags_a_corrupt_final_digest(self, source_file,
+                                                 tmp_path, capsys):
+        path = str(tmp_path / "loop.jrn")
+        assert replay_cli.main(["record", source_file, "-o", path]) == 0
+        journal = Journal.load(path)
+        final = journal.of_kind(jn.EV_DIGEST)[-1]
+        final["payload"] = bytes(len(final["payload"]))
+        journal.save(path)
+        capsys.readouterr()
+        assert replay_cli.main(["replay", path]) == 1
+        assert "replay DIVERGED" in capsys.readouterr().out
 
     def test_diff_identical_journals(self, source_file, tmp_path, capsys):
         a = str(tmp_path / "a.jrn")
