@@ -14,9 +14,10 @@ crash-consistency invariants.
 """
 
 from .crashpoints import (CrashPointInjector, SweepResult, SweepTrial,
-                          sweep)
+                          store_sweep_ops, sweep)
 from .faults import BP, KINDS, FaultPlan
 from .injector import FaultInjector, FiredFault
 
 __all__ = ["BP", "KINDS", "FaultPlan", "FaultInjector", "FiredFault",
-           "CrashPointInjector", "SweepResult", "SweepTrial", "sweep"]
+           "CrashPointInjector", "SweepResult", "SweepTrial",
+           "store_sweep_ops", "sweep"]

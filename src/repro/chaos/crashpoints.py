@@ -30,10 +30,12 @@ journal bit-identically.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
+from ..criu.images import ImageSet
 from ..errors import StoreCrash
-from ..store import CheckpointStore, DirBackend, SimDisk
+from ..store import (CheckpointStore, DirBackend, SimDisk, plan_transfer,
+                     ship)
 
 
 class CrashPointInjector:
@@ -200,6 +202,42 @@ def sweep(setup: Callable[[CheckpointStore], object],
         trials.append(SweepTrial(index, site, report,
                                  recovered.checkpoint_ids(), problems))
     return SweepResult(label, sites, trials)
+
+
+def store_sweep_ops(first: ImageSet, second: Optional[ImageSet] = None
+                    ) -> Dict[str, Tuple[Callable, Callable, bool]]:
+    """The store's five mutations as :func:`sweep` rows, ``name ->
+    (setup, op, atomic)``: put, put_group, delete, gc and adopt.
+
+    ``first`` is the image set each row puts or builds its baseline
+    from; ``adopt`` ships ``second`` (default ``first``) from a fresh
+    in-memory source store, so with two successive dumps it lands real
+    chunk overlap."""
+    shipped = first if second is None else second
+
+    def nothing(store):
+        return None
+
+    def put_first(store):
+        return store.put(first).checkpoint_id
+
+    def delete_then_gc(store, cid):
+        store.delete(cid)
+        store.gc()
+
+    def adopt(store, _ctx):
+        src = CheckpointStore()
+        cid = src.put(shipped).checkpoint_id
+        ship(src, store, plan_transfer(src, store, cid))
+
+    return {
+        "put": (nothing, lambda store, _ctx: store.put(first), True),
+        "put_group": (put_first, lambda store, cid: store.put_group(
+            [cid], label="sweep"), True),
+        "delete": (put_first, lambda store, cid: store.delete(cid), True),
+        "gc": (put_first, delete_then_gc, False),
+        "adopt": (nothing, adopt, False),
+    }
 
 
 def _judge(store: CheckpointStore, report, baseline_ids, after_ids,

@@ -148,15 +148,12 @@ class MigrationPipeline:
     def __init__(self, src_machine: Machine, dst_machine: Machine,
                  program: CompiledProgram,
                  link: Optional[LinkProfile] = None,
-                 src_profile: Optional[NodeProfile] = None,
-                 dst_profile: Optional[NodeProfile] = None,
                  recode_profile: Optional[NodeProfile] = None,
                  byte_scale: float = 1.0,
                  target_footprint_bytes: Optional[float] = None,
                  use_store: bool = False,
                  src_store: Optional[CheckpointStore] = None,
                  dst_store: Optional[CheckpointStore] = None,
-                 store_codec: str = "zlib",
                  network=None,
                  injector=None,
                  retry_budget: int = 3,
@@ -177,10 +174,8 @@ class MigrationPipeline:
                                              dst_machine.name, strict=True)
         else:
             self.link = infiniband_link()
-        self.src_profile = src_profile or profile_for_arch(
-            src_machine.isa.name)
-        self.dst_profile = dst_profile or profile_for_arch(
-            dst_machine.isa.name)
+        self.src_profile = profile_for_arch(src_machine.isa.name)
+        self.dst_profile = profile_for_arch(dst_machine.isa.name)
         # The paper: "we can always transform the process image on the
         # most powerful machine" — default to recoding at the source.
         self.recode_profile = recode_profile or self.src_profile
@@ -209,10 +204,8 @@ class MigrationPipeline:
         self.use_store = use_store
         if use_store:
             _import_store()
-            self.src_store = src_store or CheckpointStore(
-                codec=store_codec)
-            self.dst_store = dst_store or CheckpointStore(
-                codec=store_codec)
+            self.src_store = src_store or CheckpointStore()
+            self.dst_store = dst_store or CheckpointStore()
         else:
             self.src_store = src_store
             self.dst_store = dst_store

@@ -236,9 +236,6 @@ class ProcessRewriter:
         self.policies: List[TransformationPolicy] = list(policies or [])
         self.clock = clock
 
-    def add_policy(self, policy: TransformationPolicy) -> None:
-        self.policies.append(policy)
-
     def rewrite(self, images: ImageSet,
                 policy: Optional[TransformationPolicy] = None
                 ) -> List[RewriteReport]:

@@ -16,9 +16,6 @@ from ..vm.kernel import Process
 from .images import ImageSet
 from .plugins.base import DumpContext
 from .plugins.registry import PluginRegistry, default_registry
-# Re-exported for callers that drive page selection directly (the lazy
-# dumper historically lived on these; tests use them too).
-from .plugins.vmas import _select_pages, _write_pages  # noqa: F401
 
 
 def dump_process(process: Process, require_stopped: bool = True,

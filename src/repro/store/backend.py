@@ -17,8 +17,8 @@ longest-valid-prefix recoverable:
 
 Two disks implement the same primitive surface:
 
-* :class:`OsDisk` — real files under a real directory (the CLI's
-  ``--backend dir``), with real ``os.fsync``.
+* :class:`OsDisk` — real files under a real directory (every store
+  directory the CLI opens), with real ``os.fsync``.
 * :class:`SimDisk` — a simulated disk with a page cache: writes land
   in a pending set and only ``fsync`` makes them durable. ``crash()``
   discards the in-memory store and **tears** every pending write at a

@@ -26,6 +26,7 @@ from ..criu.dump import dump_process
 from ..criu.images import ImageSet, PagemapEntry, PagemapImage
 from ..errors import ReproError, StoreError
 from ..mem.paging import PAGE_SIZE
+from .backend import DirBackend, OsDisk
 from .chunks import CODECS, ChunkStore, chunk_digest
 from .wal import WriteAheadLog, decode_wal, fold_wal
 
@@ -902,58 +903,32 @@ class CheckpointStore:
             "dup_puts": self.chunks.dup_puts,
         }
 
-    # -- directory persistence (the CLI's on-disk format) -----------------
-
-    def save_dir(self, path: str) -> None:
-        chunk_dir = os.path.join(path, "chunks")
-        os.makedirs(chunk_dir, exist_ok=True)
-        index = {"codec": self.chunks.codec_name, "chunks": {},
-                 "checkpoints": list(self._checkpoints)}
-        for chunk in self.chunks:
-            with open(os.path.join(chunk_dir, chunk.digest), "wb") as fh:
-                fh.write(chunk.payload)
-            index["chunks"][chunk.digest] = {
-                "codec": chunk.codec,
-                "logical": chunk.logical_size,
-                "refs": chunk.refs,
-            }
-        # prune chunk files dropped since the last save (gc'd chunks)
-        for stale in os.listdir(chunk_dir):
-            if stale not in index["chunks"]:
-                os.unlink(os.path.join(chunk_dir, stale))
-        with open(os.path.join(path, "index.json"), "w") as fh:
-            json.dump(index, fh, indent=1, sort_keys=True)
+    # -- the on-disk form every tool opens ----------------------------------
 
     @classmethod
-    def load_dir(cls, path: str) -> "CheckpointStore":
-        index_path = os.path.join(path, "index.json")
-        try:
-            with open(index_path) as fh:
-                index = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise StoreError(f"cannot load store at {path!r}: "
-                             f"{exc}") from exc
-        store = cls(codec=index.get("codec", "zlib"))
-        for digest, info in index.get("chunks", {}).items():
-            try:
-                with open(os.path.join(path, "chunks", digest),
-                          "rb") as fh:
-                    payload = fh.read()
-            except OSError as exc:
-                raise StoreError(f"missing chunk file {digest[:12]}: "
-                                 f"{exc}") from exc
-            store.chunks.adopt(digest, info["codec"], payload,
-                               info["logical"])
-            store.chunks.chunk(digest).refs = int(info.get("refs", 0))
-        for cid in index.get("checkpoints", []):
-            try:
-                manifest = json.loads(store.chunks.get(cid))
-            except ValueError as exc:
-                raise StoreError(f"checkpoint {cid[:12]}: manifest is "
-                                 f"not JSON: {exc}") from exc
-            # refs were persisted; register without increfing again
-            store._index(cid, manifest)
-        return store
+    def open_dir(cls, path: str, create: bool = False, codec: str = "zlib"
+                 ) -> Tuple["CheckpointStore", RecoveryReport]:
+        """Open the durable store in directory ``path``.
+
+        A directory holding a ``wal`` is reopened with :meth:`recover`,
+        so a store a crash interrupted is rolled to its committed state
+        first and the report says what that took. With ``create``, a
+        directory that holds no store becomes a new durable store
+        (codec ``codec``, empty report). Anything else raises
+        :class:`StoreError`, and nothing is created on disk: the
+        ``wal`` test runs before :class:`OsDisk` makes the directory.
+        """
+        if os.path.isfile(os.path.join(path, "wal")):
+            return cls.recover(DirBackend(OsDisk(path)))
+        if os.path.exists(os.path.join(path, "index.json")):
+            # Recovery would quarantine its raw chunk files: refuse.
+            raise StoreError(f"{path!r} holds the retired chunks/ + "
+                             f"index.json layout; put its image sets "
+                             f"into a new store")
+        if not create:
+            raise StoreError(f"no store at {path!r} (missing wal)")
+        return (cls(codec=codec, backend=DirBackend(OsDisk(path))),
+                RecoveryReport())
 
 
 class IncrementalCheckpointer:

@@ -52,6 +52,15 @@ def load_image_set(directory: str) -> ImageSet:
     return ImageSet(files)
 
 
+def save_image_set(images: ImageSet, directory: str) -> None:
+    """Write ``images`` as ``.img`` files (what :func:`load_image_set`
+    reads back), making ``directory`` if need be."""
+    os.makedirs(directory, exist_ok=True)
+    for name, blob in sorted(images.files.items()):
+        with open(os.path.join(directory, name), "wb") as handle:
+            handle.write(blob)
+
+
 def _run(args: argparse.Namespace) -> int:
     if args.command == "show":
         print(critlib.show(load_image_set(args.directory)))

@@ -20,6 +20,7 @@ from ..core.migration import MigrationPipeline, exe_path_for, \
 from ..isa import ISAS, get_isa
 from ..vm import Machine
 from ._cli import guarded
+from .crit import save_image_set
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,10 +75,7 @@ def _run(args: argparse.Namespace) -> int:
           file=sys.stderr)
 
     if args.keep_images:
-        os.makedirs(args.keep_images, exist_ok=True)
-        for filename, blob in sorted(result.images.files.items()):
-            with open(os.path.join(args.keep_images, filename), "wb") as f:
-                f.write(blob)
+        save_image_set(result.images, args.keep_images)
         print(f"[images] wrote {len(result.images.files)} files to "
               f"{args.keep_images}", file=sys.stderr)
     return 0 if match else 1

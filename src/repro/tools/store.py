@@ -1,24 +1,20 @@
 """store — checkpoint-store CLI (put / get / ls / stat / gc / verify,
-plus recover / scrub / sweep for crash-consistent dir-backend stores).
+plus recover / scrub / sweep).
 
-Operates on two on-disk layouts, auto-detected per store directory:
-
-* **legacy** — ``chunks/`` + ``index.json``, as written by
-  :meth:`repro.store.CheckpointStore.save_dir`; mutations rewrite the
-  whole index (not crash-safe).
-* **dir** — the crash-consistent backend
-  (:class:`repro.store.DirBackend` over :class:`repro.store.OsDisk`):
-  content-addressed chunk files installed via write-tmp/fsync/rename
-  plus a write-ahead intent log (``wal``). Every mutation is durable
-  when the command returns, and ``recover`` reopens the store after a
-  crash at any point.
+A store directory is the crash-consistent store
+(:class:`repro.store.DirBackend` over :class:`repro.store.OsDisk`):
+content-addressed chunk files installed via write-tmp/fsync/rename
+plus a write-ahead intent log (``wal``). Every mutation is durable
+when the command returns, and every command opens the directory with
+:meth:`repro.store.CheckpointStore.open_dir`, which recovers it first,
+so a store a crash interrupted opens at its committed state.
 
 Checkpoint image directories are ``.img`` files (the format ``crit``
 and ``migrate --keep-images`` use).
 
 Examples::
 
-    python -m repro.tools.store put  mystore/ images/ --backend dir
+    python -m repro.tools.store put  mystore/ images/
     python -m repro.tools.store ls   mystore/
     python -m repro.tools.store get  mystore/ <checkpoint-id> out-images/
     python -m repro.tools.store recover mystore/
@@ -29,14 +25,13 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
 from ..errors import ReproError
-from ..store import CheckpointStore, DirBackend, OsDisk
+from ..store import CheckpointStore
 from ._cli import guarded
-from .crit import load_image_set
+from .crit import load_image_set, save_image_set
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,12 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     put.add_argument("--codec", default="zlib",
                      help="codec when creating a new store "
                           "(default: zlib)")
-    put.add_argument("--backend", choices=("legacy", "dir"),
-                     default="legacy",
-                     help="layout when creating a new store: 'dir' is "
-                          "the crash-consistent WAL backend (default: "
-                          "legacy index.json; existing stores are "
-                          "auto-detected)")
 
     get = sub.add_parser("get", help="materialize a checkpoint into an "
                                      "image directory")
@@ -89,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("store_dir")
 
     recover = sub.add_parser(
-        "recover", help="crash-recover a dir-backend store: roll the "
+        "recover", help="crash-recover a store: roll the "
                         "WAL forward/back, quarantine torn chunks, "
                         "sweep orphans, fsck")
     recover.add_argument("store_dir")
@@ -121,31 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dir_backend(path: str) -> DirBackend:
-    return DirBackend(OsDisk(path))
-
-
-def _is_dir_backend(path: str) -> bool:
-    return os.path.exists(os.path.join(path, "wal"))
-
-
-def _open_store(path: str, codec: str = "zlib", create: bool = False,
-                backend: str = "auto") -> CheckpointStore:
-    if backend == "dir" or (backend == "auto" and _is_dir_backend(path)):
-        be = _dir_backend(path)
-        if be.has_wal():
-            store, _report = CheckpointStore.recover(be)
-            return store
-        if not create:
-            raise ReproError(f"no store at {path!r} (missing wal)")
-        return CheckpointStore(codec=codec, backend=be)
-    if os.path.exists(os.path.join(path, "index.json")):
-        return CheckpointStore.load_dir(path)
-    if not create:
-        raise ReproError(f"no store at {path!r} (missing index.json)")
-    return CheckpointStore(codec=codec)
-
-
 def _resolve_id(store: CheckpointStore, prefix: str) -> str:
     matches = [cid for cid in store.checkpoint_ids()
                if cid.startswith(prefix)]
@@ -158,24 +122,25 @@ def _resolve_id(store: CheckpointStore, prefix: str) -> str:
 
 
 def _run(args: argparse.Namespace) -> int:
+    if args.command == "sweep":
+        return _run_sweep(args)
     if args.command == "put":
-        backend = args.backend if args.backend == "dir" else "auto"
-        store = _open_store(args.store_dir, codec=args.codec,
-                            create=True, backend=backend)
         images = load_image_set(args.image_dir)
+        store, _report = CheckpointStore.open_dir(
+            args.store_dir, create=True, codec=args.codec)
         parent = (_resolve_id(store, args.parent)
                   if args.parent else None)
         result = store.put(images, parent=parent)
-        if not store.durable:
-            store.save_dir(args.store_dir)
         kind = "delta" if result.delta else "full"
         print(f"{result.checkpoint_id} {kind} "
               f"new_chunks={result.new_chunks} "
               f"dup_chunks={result.dup_chunks} "
               f"physical+={result.new_physical_bytes}B "
               f"logical={result.logical_bytes}B")
-    elif args.command == "get":
-        store = _open_store(args.store_dir)
+        return 0
+    # Every other command reads an existing store: recovered on open.
+    store, report = CheckpointStore.open_dir(args.store_dir)
+    if args.command == "get":
         cid = _resolve_id(store, args.checkpoint)
         binary = None
         if args.binary:
@@ -184,15 +149,11 @@ def _run(args: argparse.Namespace) -> int:
                 binary = DelfBinary.from_bytes(fh.read())
         images = store.materialize(cid, verify=args.verify,
                                    binary=binary)
-        os.makedirs(args.out_dir, exist_ok=True)
-        for name, blob in sorted(images.files.items()):
-            with open(os.path.join(args.out_dir, name), "wb") as fh:
-                fh.write(blob)
+        save_image_set(images, args.out_dir)
         print(f"materialized {cid} -> {args.out_dir} "
               f"({images.total_bytes()}B, "
               f"{len(images.files)} files)")
     elif args.command == "ls":
-        store = _open_store(args.store_dir)
         for cid in store.checkpoint_ids():
             manifest = store.manifest(cid)
             parent = manifest.get("parent", "") or "-"
@@ -202,23 +163,20 @@ def _run(args: argparse.Namespace) -> int:
         if not store.checkpoint_ids():
             print("(no checkpoints)")
     elif args.command == "stat":
-        stats = _open_store(args.store_dir).stats()
+        stats = store.stats()
         for key in ("checkpoints", "chunks", "logical_bytes",
                     "unique_bytes", "physical_bytes"):
             print(f"{key:15} {stats[key]}")
         print(f"{'dedup_ratio':15} {stats['dedup_ratio']:.2f}x")
     elif args.command == "gc":
-        store = _open_store(args.store_dir)
         if args.delete:
             cid = _resolve_id(store, args.delete)
             store.delete(cid)
             print(f"deleted {cid}")
         count, freed = store.gc()
-        if not store.durable:
-            store.save_dir(args.store_dir)
         print(f"gc: reclaimed {count} chunks, {freed}B")
     elif args.command == "verify":
-        problems = _open_store(args.store_dir).verify()
+        problems = store.verify()
         for problem in problems:
             print(problem)
         if problems:
@@ -226,11 +184,6 @@ def _run(args: argparse.Namespace) -> int:
             return 1
         print("store is clean")
     elif args.command == "recover":
-        if not _is_dir_backend(args.store_dir):
-            raise ReproError(f"{args.store_dir!r} is not a dir-backend "
-                             f"store (no wal); only dir-backend stores "
-                             f"are crash-recoverable")
-        store, report = CheckpointStore.recover(_dir_backend(args.store_dir))
         print(f"recovered {len(report.checkpoints)} checkpoint(s) "
               f"({'clean' if report.clean else 'with damage handled'})")
         for name in ("quarantined", "damaged", "rolled_back",
@@ -249,7 +202,6 @@ def _run(args: argparse.Namespace) -> int:
                   f"recovery")
             return 1
     elif args.command == "scrub":
-        store = _open_store(args.store_dir)
         binary = None
         if args.binary:
             from ..binfmt.delf import DelfBinary
@@ -269,60 +221,22 @@ def _run(args: argparse.Namespace) -> int:
             for digest in sorted(unrepaired):
                 print(f"  UNREPAIRED {digest}")
             return 1
-    elif args.command == "sweep":
-        return _run_sweep(args)
     return 0
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    from ..chaos import sweep as crash_sweep
-    from ..store.transfer import plan_transfer, ship
+    from ..chaos import store_sweep_ops, sweep as crash_sweep
 
-    images = load_image_set(args.image_dir)
-
-    def op_put():
-        return (lambda store: None,
-                lambda store, ctx: store.put(images), True)
-
-    def op_put_group():
-        def setup(store):
-            return store.put(images).checkpoint_id
-        return (setup,
-                lambda store, cid: store.put_group([cid], label="cli"),
-                True)
-
-    def op_delete():
-        def setup(store):
-            return store.put(images).checkpoint_id
-        return (setup, lambda store, cid: store.delete(cid), True)
-
-    def op_gc():
-        def setup(store):
-            return store.put(images).checkpoint_id
-
-        def op(store, cid):
-            store.delete(cid)
-            store.gc()
-        return (setup, op, False)
-
-    def op_adopt():
-        def op(store, ctx):
-            src = CheckpointStore()
-            cid = src.put(images).checkpoint_id
-            ship(src, store, plan_transfer(src, store, cid))
-        return (lambda store: None, op, False)
-
-    builders = {"put": op_put, "put_group": op_put_group,
-                "delete": op_delete, "gc": op_gc, "adopt": op_adopt}
+    rows = store_sweep_ops(load_image_set(args.image_dir))
     ops = [name.strip() for name in args.ops.split(",") if name.strip()]
     for name in ops:
-        if name not in builders:
+        if name not in rows:
             raise ReproError(f"unknown sweep op {name!r}; known: "
-                             f"{', '.join(sorted(builders))}")
+                             f"{', '.join(sorted(rows))}")
     failures = 0
     total_sites = 0
     for name in ops:
-        setup, op, atomic = builders[name]()
+        setup, op, atomic = rows[name]
         result = crash_sweep(setup, op, label=name, seed=args.seed,
                              atomic=atomic)
         total_sites += len(result.sites)

@@ -35,7 +35,7 @@ from ..store import CheckpointStore
 from ..verify import (DIAGNOSIS_FILE, ImageVerifier, Quarantine,
                       image_page_digests)
 from ._cli import guarded
-from .crit import load_image_set
+from .crit import load_image_set, save_image_set
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,7 +110,8 @@ def _verifier_from(args: argparse.Namespace) -> ImageVerifier:
                    for vaddr, digest in manifest.get("pages", {}).items()}
         if args.expect is None and "content_digest" in manifest:
             args.expect = manifest["content_digest"]
-    store = CheckpointStore.load_dir(args.store) if args.store else None
+    store = (CheckpointStore.open_dir(args.store)[0] if args.store
+             else None)
     return ImageVerifier(binary=binary, store=store, page_digests=digests,
                          expected_digest=args.expect)
 
@@ -149,9 +150,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
               f"{'+'.join(report.passes_run)})")
         return 0
     if fixed is not None:
-        for name, blob in sorted(fixed.files.items()):
-            with open(os.path.join(args.image_dir, name), "wb") as fh:
-                fh.write(blob)
+        save_image_set(fixed, args.image_dir)
         pages = ", ".join(f"{f.vaddr:#x}" for f in report.repaired)
         print(f"repaired {len(report.repaired)} page(s) in place "
               f"({pages}); image verifies clean")

@@ -8,7 +8,11 @@ import os
 
 import pytest
 
+from repro.core.migration import exe_path_for, install_program
+from repro.core.runtime import DapperRuntime
 from repro.criu.images import DIGEST_FORMAT
+from repro.isa import X86_ISA
+from repro.store import CheckpointStore, IncrementalCheckpointer
 from repro.tools import chaos as chaos_cli
 from repro.tools import crit as crit_cli
 from repro.tools import fleet as fleet_cli
@@ -17,6 +21,8 @@ from repro.tools import dapperc, migrate, run as run_cli
 from repro.tools import replay as replay_cli
 from repro.tools import store as store_cli
 from repro.tools import verify as verify_cli
+from repro.tools.crit import save_image_set
+from repro.vm import Machine
 
 SOURCE = """
 global int total;
@@ -255,6 +261,28 @@ class TestReproVerify:
                                 "--digests",
                                 guarded_setup["fingerprint"]]) == 0
 
+    def test_doctor_repairs_from_a_store_that_put_made(
+            self, guarded_setup, tmp_path, capsys):
+        """``store put`` writes the crash-consistent store and
+        ``--store`` opens it: a flipped stack page (no binary source)
+        is re-fetched from the store by digest."""
+        store = str(tmp_path / "store")
+        assert store_cli.main(["put", store, guarded_setup["images"]]) == 0
+        assert os.path.isfile(os.path.join(store, "wal"))
+        self._flip(guarded_setup, -10)
+        code = verify_cli.main(
+            ["doctor", guarded_setup["images"],
+             "--digests", guarded_setup["fingerprint"],
+             "--store", store,
+             "--quarantine", guarded_setup["quarantine"]])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "repaired 1 page(s) in place" in out
+        assert verify_cli.main(["verify", guarded_setup["images"],
+                                "--digests",
+                                guarded_setup["fingerprint"]]) == 0
+        assert not os.path.exists(guarded_setup["quarantine"])
+
     def test_doctor_quarantines_unrepairable(self, guarded_setup,
                                              capsys):
         self._flip(guarded_setup, -10)  # stack page: no repair source
@@ -282,6 +310,94 @@ class TestReproVerify:
         capsys.readouterr()
         verify_cli.main(["quarantine", "ls", guarded_setup["quarantine"]])
         assert "empty" in capsys.readouterr().out
+
+
+class TestStoreCli:
+    """One store directory driven through every ``repro-store``
+    command, and the directories the tool must refuse."""
+
+    @pytest.fixture
+    def dumps(self, counter_program, tmp_path):
+        """Image directories of a full dump and of a delta against it."""
+        machine = Machine(X86_ISA, name="src")
+        install_program(machine, counter_program)
+        process = machine.spawn_process(exe_path_for("counter", "x86_64"))
+        machine.step_all(2500)
+        runtime = DapperRuntime(machine, process)
+        runtime.pause_at_equivalence_points()
+        ckpt = IncrementalCheckpointer(CheckpointStore(), process,
+                                       runtime=runtime)
+        full, delta = str(tmp_path / "full"), str(tmp_path / "delta")
+        ckpt.checkpoint()
+        save_image_set(ckpt.last_images, full)
+        runtime.resume()
+        machine.step_all(3000)
+        runtime.pause_at_equivalence_points()
+        ckpt.checkpoint()
+        save_image_set(ckpt.last_images, delta)
+        return full, delta
+
+    @staticmethod
+    def _ok(capsys, *argv) -> str:
+        code = store_cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        return captured.out
+
+    def test_lifecycle_on_one_directory(self, dumps, tmp_path, capsys):
+        full, delta = dumps
+        store = str(tmp_path / "store")
+        root, kind = self._ok(capsys, "put", store, full).split()[:2]
+        assert kind == "full"
+        assert os.path.isfile(os.path.join(store, "wal"))
+        assert not os.path.exists(os.path.join(store, "index.json"))
+        leaf, kind = self._ok(capsys, "put", store, delta,
+                              "--parent", root[:12]).split()[:2]
+        assert kind == "delta"
+        listing = self._ok(capsys, "ls", store).splitlines()
+        assert [line.split()[0] for line in listing] == [root, leaf]
+        assert f"parent={root[:12]}" in listing[1]
+        assert "checkpoints     2" in self._ok(capsys, "stat", store)
+        out = str(tmp_path / "out")
+        self._ok(capsys, "get", store, root[:12], out)
+        assert sorted(os.listdir(out)) == sorted(os.listdir(full))
+        for name in os.listdir(full):
+            with open(os.path.join(out, name), "rb") as got, \
+                    open(os.path.join(full, name), "rb") as want:
+                assert got.read() == want.read(), name
+        assert self._ok(capsys, "verify", store) == "store is clean\n"
+        assert self._ok(capsys, "recover", store) == \
+            "recovered 2 checkpoint(s) (clean)\n"
+        assert ": 0 corrupt," in self._ok(capsys, "scrub", store)
+        # The delta pins its parent: delete the leaf, then the root.
+        for cid in (leaf, root):
+            out_gc = self._ok(capsys, "gc", store, "--delete", cid[:12])
+            assert out_gc.startswith(f"deleted {cid}\ngc: reclaimed ")
+        assert self._ok(capsys, "ls", store) == "(no checkpoints)\n"
+        assert self._ok(capsys, "verify", store) == "store is clean\n"
+
+    def test_index_json_layout_is_refused(self, dumps, tmp_path, capsys):
+        old = tmp_path / "old"
+        (old / "chunks").mkdir(parents=True)
+        (old / "index.json").write_text(
+            '{"codec": "zlib", "chunks": {}, "checkpoints": []}')
+        for argv in (["ls", str(old)], ["recover", str(old)],
+                     ["put", str(old), dumps[0]]):
+            assert store_cli.main(argv) == 1
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("store: error: ")
+            assert "index.json" in lines[0]
+        assert sorted(os.listdir(old)) == ["chunks", "index.json"]
+
+    def test_read_on_a_missing_path_creates_nothing(self, tmp_path,
+                                                    capsys):
+        missing = tmp_path / "nowhere"
+        for command in ("ls", "stat", "verify", "recover", "scrub"):
+            assert store_cli.main([command, str(missing)]) == 1
+            assert capsys.readouterr().err.startswith(
+                "store: error: no store at ")
+        assert not missing.exists()
 
 
 class TestUnifiedErrorHandling:

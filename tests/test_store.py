@@ -243,15 +243,14 @@ class TestCheckpointStore:
         assert sizes["aarch64"].dup_chunks > 0
         assert store.verify() == []
 
-    def test_save_load_dir_roundtrip(self, parked, tmp_path):
+    def test_open_dir_roundtrip(self, parked, tmp_path):
         machine, process, runtime = parked
-        store = CheckpointStore()
+        store, _ = CheckpointStore.open_dir(str(tmp_path), create=True)
         ckpt = IncrementalCheckpointer(store, process, runtime=runtime)
         ckpt.checkpoint()
         advance(machine, runtime)
         leaf = ckpt.checkpoint().checkpoint_id
-        store.save_dir(str(tmp_path))
-        loaded = CheckpointStore.load_dir(str(tmp_path))
+        loaded, _ = CheckpointStore.open_dir(str(tmp_path))
         assert loaded.checkpoint_ids() == store.checkpoint_ids()
         assert loaded.verify() == []
         assert loaded.materialize(leaf).files == \
@@ -268,10 +267,11 @@ class TestCheckpointStore:
 
     def test_stats_totals_are_kept_not_recomputed(self, parked, tmp_path):
         """stats() reads running totals (it sits on the store-backed
-        migrate path); they track put / put_group / delete / gc /
-        load_dir exactly, and verify() catches books that drifted."""
+        migrate path); they track put / put_group / delete / gc and
+        recovery (open_dir) exactly, and verify() catches books that
+        drifted."""
         machine, process, runtime = parked
-        store = CheckpointStore()
+        store, _ = CheckpointStore.open_dir(str(tmp_path), create=True)
 
         def fresh(s):
             chunks = list(s.chunks)
@@ -292,8 +292,8 @@ class TestCheckpointStore:
         assert store.logical_bytes(gid) == (store.logical_bytes(root)
                                             + store.logical_bytes(leaf))
         assert kept(store) == fresh(store)
-        store.save_dir(str(tmp_path))
-        assert kept(CheckpointStore.load_dir(str(tmp_path))) == kept(store)
+        assert kept(CheckpointStore.open_dir(str(tmp_path))[0]) == \
+            kept(store)
         store.delete(gid)
         store.delete(leaf)
         store.gc()

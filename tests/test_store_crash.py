@@ -5,7 +5,8 @@ durable fleet resume, and bit-identical EV_RECOVER journals."""
 
 import pytest
 
-from repro.chaos import CrashPointInjector, FaultPlan, sweep
+from repro.chaos import (CrashPointInjector, FaultPlan, store_sweep_ops,
+                         sweep)
 from repro.core.migration import exe_path_for, install_program
 from repro.core.runtime import DapperRuntime
 from repro.criu.dump import dump_process
@@ -16,7 +17,7 @@ from repro.isa import X86_ISA
 from repro.replay import journal as jn
 from repro.replay.recorder import FlightRecorder
 from repro.store import (CODECS, CheckpointStore, DirBackend, SimDisk,
-                         chunk_digest, decode_wal, plan_transfer, ship)
+                         chunk_digest, decode_wal)
 from repro.store.wal import MAGIC, encode_record
 from repro.vm import Machine
 
@@ -246,45 +247,11 @@ class TestVerifyRefcountAudit:
 
 
 class TestCrashSweepMatrix:
-    def _ops(self, first, second):
-        def op_put():
-            return (lambda s: None, lambda s, ctx: s.put(first), True)
-
-        def op_put_group():
-            def setup(s):
-                return s.put(first).checkpoint_id
-            return (setup,
-                    lambda s, cid: s.put_group([cid], label="m"), True)
-
-        def op_delete():
-            def setup(s):
-                return s.put(first).checkpoint_id
-            return (setup, lambda s, cid: s.delete(cid), True)
-
-        def op_gc():
-            def setup(s):
-                return s.put(first).checkpoint_id
-
-            def op(s, cid):
-                s.delete(cid)
-                s.gc()
-            return (setup, op, False)
-
-        def op_adopt():
-            def op(s, ctx):
-                src = CheckpointStore()
-                cid = src.put(second).checkpoint_id
-                ship(src, s, plan_transfer(src, s, cid))
-            return (lambda s: None, op, False)
-
-        return {"put": op_put, "put_group": op_put_group,
-                "delete": op_delete, "gc": op_gc, "adopt": op_adopt}
-
     @pytest.mark.parametrize("name", ["put", "put_group", "delete",
                                       "gc", "adopt"])
     def test_every_site_recovers(self, image_pair, name):
         first, second = image_pair
-        setup, op, atomic = self._ops(first, second)[name]()
+        setup, op, atomic = store_sweep_ops(first, second)[name]
         result = sweep(setup, op, label=name, seed=11, atomic=atomic)
         assert result.sites, f"{name} exposed no durability sites"
         assert result.ok, "\n".join(
