@@ -181,7 +181,7 @@ def durability(program) -> dict:
 
     swept = crash_sweep(lambda s: None,
                         lambda s, ctx: s.put(first_images),
-                        label="put", seed=0, atomic=True)
+                        seed=0, atomic=True)
     return {
         "checkpoints": len(recovered.checkpoint_ids()),
         "chunks": len(recovered.chunks),
@@ -189,8 +189,8 @@ def durability(program) -> dict:
         "scrub_chunks": scrubbed.scanned,
         "scrub_mb_per_s": round(
             scrubbed.logical_bytes / elapsed / 1e6, 2),
-        "crash_sites": len(swept.sites),
-        "crash_sweep_ok": swept.ok,
+        "crash_sites": len(swept),
+        "crash_sweep_ok": all(trial.ok for trial in swept),
     }
 
 

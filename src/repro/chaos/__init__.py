@@ -9,15 +9,13 @@ own journals.
 The crash-point engine (:mod:`repro.chaos.crashpoints`) is the
 exhaustive counterpart: instead of rolling dice it enumerates every
 durability site the checkpoint store's backend touches and kills the
-store at each one, reopening the survivors and asserting the
-crash-consistency invariants.
+store at each one, reopening the survivors and judging each site into
+the same :class:`TrialResult` every chaos trial reports.
 """
 
-from .crashpoints import (CrashPointInjector, SweepResult, SweepTrial,
-                          store_sweep_ops, sweep)
-from .faults import BP, KINDS, FaultPlan
+from .crashpoints import CrashPointInjector, store_sweep_ops, sweep
+from .faults import BP, KINDS, FaultPlan, TrialResult
 from .injector import FaultInjector, FiredFault
 
 __all__ = ["BP", "KINDS", "FaultPlan", "FaultInjector", "FiredFault",
-           "CrashPointInjector", "SweepResult", "SweepTrial",
-           "store_sweep_ops", "sweep"]
+           "TrialResult", "CrashPointInjector", "store_sweep_ops", "sweep"]

@@ -20,7 +20,8 @@ the sweep kills the store at **every one of them**, once each:
 3. each reopened store is held to the crash-consistency invariants:
    fsck clean, refcount books balanced, committed checkpoints
    materialize byte-identically, uncommitted ones fully absent, and
-   recovery idempotent (recovering twice yields the identical store).
+   recovery idempotent (recovering twice yields the identical store,
+   and the second recovery writes nothing).
 
 The sweep is deterministic end to end — sites are counted, not
 sampled; tears are seeded — so a failing site number reproduces
@@ -36,6 +37,7 @@ from ..criu.images import ImageSet
 from ..errors import StoreCrash
 from ..store import (CheckpointStore, DirBackend, SimDisk, plan_transfer,
                      ship)
+from .faults import TrialResult
 
 
 class CrashPointInjector:
@@ -68,50 +70,6 @@ class CrashPointInjector:
                 site=label, index=index)
 
 
-class SweepTrial:
-    """One site's crash + recovery, and how it was judged."""
-
-    __slots__ = ("index", "site", "report", "recovered_ids", "problems")
-
-    def __init__(self, index: int, site: str, report, recovered_ids,
-                 problems):
-        self.index = index
-        self.site = site
-        self.report = report
-        self.recovered_ids = list(recovered_ids)
-        self.problems = list(problems)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def __repr__(self) -> str:
-        verdict = "ok" if self.ok else f"FAIL({len(self.problems)})"
-        return f"<SweepTrial #{self.index} {self.site} {verdict}>"
-
-
-class SweepResult:
-    """The whole matrix row: every site of one operation, judged."""
-
-    def __init__(self, label: str, sites: List[str],
-                 trials: List[SweepTrial]):
-        self.label = label
-        self.sites = list(sites)
-        self.trials = trials
-
-    @property
-    def ok(self) -> bool:
-        return all(t.ok for t in self.trials)
-
-    def failures(self) -> List[SweepTrial]:
-        return [t for t in self.trials if not t.ok]
-
-    def __repr__(self) -> str:
-        verdict = "ok" if self.ok else f"{len(self.failures())} FAILED"
-        return (f"<SweepResult {self.label}: {len(self.trials)} sites "
-                f"{verdict}>")
-
-
 def _capture(store: CheckpointStore) -> Dict[str, Dict[str, bytes]]:
     """Byte-level snapshot of every materializable checkpoint."""
     out: Dict[str, Dict[str, bytes]] = {}
@@ -124,10 +82,15 @@ def _capture(store: CheckpointStore) -> Dict[str, Dict[str, bytes]]:
 
 def sweep(setup: Callable[[CheckpointStore], object],
           op: Callable[[CheckpointStore, object], object],
-          label: str = "op", seed: int = 0, atomic: bool = False,
+          seed: int = 0, atomic: bool = False,
           recorder_factory: Optional[Callable[[], object]] = None
-          ) -> SweepResult:
+          ) -> List[TrialResult]:
     """Kill ``op`` at every durability site and judge each recovery.
+
+    Returns one :class:`~repro.chaos.faults.TrialResult` per site, in
+    execution order: ``seed`` is the site index, ``phase`` the site
+    label, ``outcome`` ``"recovered"``, and ``faults`` is
+    ``{"crash": 1}`` when the armed crash fired.
 
     ``setup(store)`` builds the committed baseline on a fresh durable
     store and returns a context object; ``op(store, ctx)`` is the
@@ -168,7 +131,7 @@ def sweep(setup: Callable[[CheckpointStore], object],
     after_capture = _capture(count_store)
 
     # -- one trial per site ------------------------------------------------
-    trials: List[SweepTrial] = []
+    trials: List[TrialResult] = []
     for index, site in enumerate(sites):
         recorder = recorder_factory() if recorder_factory else None
         disk = base_disk.clone()
@@ -191,17 +154,23 @@ def sweep(setup: Callable[[CheckpointStore], object],
         problems.extend(_judge(recovered, report, baseline_ids,
                                after_ids, baseline_capture,
                                after_capture, atomic))
-        # Idempotency: recovering the recovered disk changes nothing.
-        again, again_report = CheckpointStore.recover(DirBackend(disk))
+        # Idempotency: recovering the recovered disk changes nothing
+        # and writes nothing.
+        quiet = DirBackend(disk, injector=CrashPointInjector())
+        again, again_report = CheckpointStore.recover(quiet)
         if set(again.checkpoint_ids()) != set(recovered.checkpoint_ids()):
             problems.append("recovery is not idempotent: second recover "
                             "yields a different checkpoint set")
+        if quiet.injector.sites:
+            problems.append(f"second recovery wrote to disk: "
+                            f"{quiet.injector.sites}")
         if not again_report.clean:
             problems.append("second recovery not clean: "
                             + "; ".join(again_report.fsck))
-        trials.append(SweepTrial(index, site, report,
-                                 recovered.checkpoint_ids(), problems))
-    return SweepResult(label, sites, trials)
+        trials.append(TrialResult(index, "recovered", problems,
+                                  {"crash": 1} if crashed else {},
+                                  phase=site))
+    return trials
 
 
 def store_sweep_ops(first: ImageSet, second: Optional[ImageSet] = None

@@ -1,4 +1,6 @@
-"""The fault taxonomy and its seeded schedule (the :class:`FaultPlan`).
+"""The fault taxonomy, its seeded schedule (the :class:`FaultPlan`),
+and the one verdict every chaos trial is judged into
+(:class:`TrialResult`).
 
 A plan is a compact, fully deterministic description of *what can go
 wrong and how often* during one chaos run:
@@ -26,7 +28,7 @@ replayable bit-for-bit from its own journal.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from ..errors import ReproError
 
@@ -102,3 +104,53 @@ class FaultPlan:
 
     def __repr__(self) -> str:
         return f"<FaultPlan {self.to_spec()}>"
+
+
+class TrialResult:
+    """One chaos trial's verdict — a migration, a group, or one site of
+    a crash-point sweep: ``ok``, ``detail``, ``fallback`` and
+    ``quarantined`` are read off the invariant's ``problems`` and the
+    fired ``faults``."""
+
+    __slots__ = ("seed", "phase", "outcome", "problems", "faults",
+                 "repaired_pages")
+
+    def __init__(self, seed: int, outcome: str, problems: List[str],
+                 faults: Dict[str, int], *, phase: str = "",
+                 repaired_pages: int = 0):
+        self.seed = seed
+        #: forced group fault phase, or the crash site's label ("" for
+        #: seeded / fault-free trials)
+        self.phase = phase
+        #: "completed" | "rolled-back" for a migration,
+        #: "committed" | "resumed" for a group, "recovered" for a site
+        self.outcome = outcome
+        self.problems = list(problems)
+        self.faults = dict(faults)
+        #: pages the restore guard auto-repaired before restoring
+        self.repaired_pages = repaired_pages
+
+    @property
+    def ok(self) -> bool:
+        """Did the trial's invariant hold?"""
+        return not self.problems
+
+    @property
+    def detail(self) -> str:
+        return "; ".join(self.problems)
+
+    @property
+    def fallback(self) -> bool:
+        """Did a dead page server degrade the restore to pre-copy?"""
+        return self.faults.get("fallback", 0) > 0
+
+    @property
+    def quarantined(self) -> bool:
+        """Did the restore guard quarantine an unrepairable image?"""
+        return self.faults.get("quarantine", 0) > 0
+
+    def __repr__(self) -> str:
+        mark = "ok" if self.ok else "FAIL"
+        which = f"fault={self.phase}" if self.phase else f"seed={self.seed}"
+        return (f"<Trial {which} {self.outcome} [{mark}] "
+                f"faults={self.faults}>")

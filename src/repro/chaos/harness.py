@@ -34,7 +34,7 @@ from ..errors import MigrationRollback
 from ..replay.engine import migrate_header, migrate_scenario
 from ..verify import Quarantine
 from ..vm.kernel import Machine, Process
-from .faults import FaultPlan
+from .faults import FaultPlan, TrialResult
 
 
 def settle_lazy_pages(process: Process, page_server) -> None:
@@ -67,54 +67,6 @@ def memory_digest(process: Process) -> str:
         return h.hexdigest()
     finally:
         aspace.missing_page_hook = hook
-
-
-class TrialResult:
-    """One chaos trial's verdict, for a migration or a group: ``ok``,
-    ``detail``, ``fallback`` and ``quarantined`` are read off the
-    invariant's ``problems`` and the fired ``faults``."""
-
-    __slots__ = ("seed", "phase", "outcome", "problems", "faults",
-                 "repaired_pages")
-
-    def __init__(self, seed: int, outcome: str, problems: List[str],
-                 faults: Dict[str, int], *, phase: str = "",
-                 repaired_pages: int = 0):
-        self.seed = seed
-        #: forced group fault phase ("" for seeded / fault-free trials)
-        self.phase = phase
-        #: "completed" | "rolled-back" for a migration,
-        #: "committed" | "resumed" for a group
-        self.outcome = outcome
-        self.problems = list(problems)
-        self.faults = dict(faults)
-        #: pages the restore guard auto-repaired before restoring
-        self.repaired_pages = repaired_pages
-
-    @property
-    def ok(self) -> bool:
-        """Did the trial's invariant hold?"""
-        return not self.problems
-
-    @property
-    def detail(self) -> str:
-        return "; ".join(self.problems)
-
-    @property
-    def fallback(self) -> bool:
-        """Did a dead page server degrade the restore to pre-copy?"""
-        return self.faults.get("fallback", 0) > 0
-
-    @property
-    def quarantined(self) -> bool:
-        """Did the restore guard quarantine an unrepairable image?"""
-        return self.faults.get("quarantine", 0) > 0
-
-    def __repr__(self) -> str:
-        mark = "ok" if self.ok else "FAIL"
-        which = f"fault={self.phase}" if self.phase else f"seed={self.seed}"
-        return (f"<Trial {which} {self.outcome} [{mark}] "
-                f"faults={self.faults}>")
 
 
 def audit_swept(machines: List[Machine], prefix: str, store=None

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..chaos import FaultPlan
-from ..chaos.harness import TrialResult, audit_swept
+from ..chaos import FaultPlan, TrialResult
+from ..chaos.harness import audit_swept
 from ..errors import GroupError, GroupRollback
 from ..replay.engine import group_header, group_scenario
 from ..vm.kernel import Machine

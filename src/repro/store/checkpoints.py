@@ -27,7 +27,7 @@ from ..criu.images import ImageSet, PagemapEntry, PagemapImage
 from ..errors import ReproError, StoreError
 from ..mem.paging import PAGE_SIZE
 from .backend import DirBackend, OsDisk
-from .chunks import CODECS, ChunkStore, chunk_digest
+from .chunks import ChunkStore, check_chunk, chunk_digest
 from .wal import WriteAheadLog, decode_wal, fold_wal
 
 #: every image file except the page data itself
@@ -206,16 +206,11 @@ class CheckpointStore:
 
         pagemap = images.pagemap()
         if parent is not None:
-            resolvable = self.resolve_pages(parent)
-            for entry in pagemap.entries:
-                if not entry.in_parent:
-                    continue
-                for i in range(entry.nr_pages):
-                    base = entry.vaddr + i * PAGE_SIZE
-                    if base not in resolvable:
-                        raise StoreError(
-                            f"delta references page {base:#x} that "
-                            f"parent chain {parent[:12]} cannot resolve")
+            unresolved = self.unresolved_pages(parent, pagemap)
+            if unresolved:
+                raise StoreError(
+                    f"delta references page {unresolved[0]:#x} that "
+                    f"parent chain {parent[:12]} cannot resolve")
 
         new_chunks = 0
         dup_chunks = 0
@@ -375,26 +370,47 @@ class CheckpointStore:
         except ValueError as exc:
             raise StoreError(f"manifest {digest[:12]} is not JSON: "
                              f"{exc}") from exc
-        parent = manifest.get("parent", "")
-        if parent and parent not in self._checkpoints:
-            raise StoreError(f"manifest {digest[:12]} parent "
-                             f"{parent[:12]} not registered — ship the "
-                             f"chain root first")
-        for member in manifest.get("members", ()):
-            if member not in self._checkpoints:
-                raise StoreError(f"group manifest {digest[:12]} member "
-                                 f"{member[:12]} not registered — ship "
-                                 f"the members first")
-        for ref in self._manifest_refs(digest, manifest):
-            if not self.chunks.has(ref):
-                raise StoreError(f"manifest {digest[:12]} references "
-                                 f"missing chunk {ref[:12]}")
+        _refs, problems = self._admit(digest, manifest)
+        if problems:
+            raise StoreError(problems[0])
         if self.durable:
             txn = self.wal.begin("adopt", cid=digest)
             self._persist_refs(digest, manifest)
             self.wal.commit(txn)
         self._register(digest, manifest)
         return digest
+
+    def _admit(self, checkpoint_id: str, manifest
+               ) -> Tuple[List[str], List[str]]:
+        """The manifest-admission rule: ``manifest`` is an object, its
+        parent and members are registered checkpoints, its references
+        are well-formed digests, and every one of them is a present
+        chunk. Returns ``(references, problems)``; no problems means
+        the manifest may register. :meth:`adopt_manifest` raises the
+        first problem, :meth:`recover` skips the manifest as damaged,
+        and :meth:`verify` reports every one."""
+        where = f"manifest {checkpoint_id[:12]}"
+        if not isinstance(manifest, dict):
+            return [], [f"{where} is not an object"]
+        group = manifest.get("kind") == "group"
+        try:
+            refs = self._manifest_refs(checkpoint_id, manifest)
+            linked = list(manifest["members"]) if group \
+                else [manifest.get("parent") or ""]
+            # a checkpoint is measured by its pagemap when it registers
+            wellformed = (group or "pagemap.img" in manifest["meta"]) \
+                and all(isinstance(ref, str) for ref in refs + linked)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            wellformed = False
+        if not wellformed:
+            return [], [f"{where} is malformed"]
+        link = "member" if group else "parent"
+        problems = [f"{where}: {link} {cid[:12]} not registered"
+                    for cid in linked
+                    if cid and cid not in self._checkpoints]
+        problems.extend(f"{where}: missing chunk {ref[:12]}"
+                        for ref in refs if not self.chunks.has(ref))
+        return refs, problems
 
     def _manifest_refs(self, checkpoint_id: str, manifest: dict
                        ) -> List[str]:
@@ -491,6 +507,19 @@ class CheckpointStore:
         live = set(self._pagemap(checkpoint_id).page_addresses())
         return {vaddr: digest for vaddr, digest in resolved.items()
                 if vaddr in live}
+
+    def unresolved_pages(self, parent: str, pagemap: PagemapImage
+                         ) -> List[int]:
+        """The delta-resolvability rule: every ``PE_PARENT`` page of
+        ``pagemap`` resolves through ``parent``'s chain. Returns the
+        page addresses that do not, in pagemap order; raises
+        :class:`StoreError` for an unknown parent or a broken chain."""
+        resolvable = self.resolve_pages(parent)
+        return [base for entry in pagemap.entries if entry.in_parent
+                for base in range(entry.vaddr,
+                                  entry.vaddr + entry.nr_pages * PAGE_SIZE,
+                                  PAGE_SIZE)
+                if base not in resolvable]
 
     def _pagemap(self, checkpoint_id: str) -> PagemapImage:
         digest = self.manifest(checkpoint_id)["meta"]["pagemap.img"]
@@ -632,20 +661,12 @@ class CheckpointStore:
         """
         problems = self.chunks.verify()
         expected: Counter = Counter()
+        admitted = True
         for cid, manifest in self._checkpoints.items():
-            parent = manifest.get("parent", "")
-            if parent and parent not in self._checkpoints:
-                problems.append(f"checkpoint {cid[:12]}: parent "
-                                f"{parent[:12]} not registered")
-            for member in manifest.get("members", ()):
-                if member not in self._checkpoints:
-                    problems.append(f"group {cid[:12]}: member "
-                                    f"{member[:12]} not registered")
-            for ref in self._manifest_refs(cid, manifest):
-                expected[ref] += 1
-                if not self.chunks.has(ref):
-                    problems.append(f"checkpoint {cid[:12]}: missing "
-                                    f"chunk {ref[:12]}")
+            refs, found = self._admit(cid, manifest)
+            problems.extend(found)
+            expected.update(refs)
+            admitted = admitted and not found
         pins = self.chunks.raw_pins
         for digest in self.chunks.digests():
             refs = self.chunks.chunk(digest).refs
@@ -657,6 +678,8 @@ class CheckpointStore:
                 problems.append(f"chunk {digest[:12]}: over-referenced "
                                 f"({refs} > {want}; {refs - want} "
                                 f"reference(s) unaccounted for)")
+        if not admitted:
+            return problems                # unmeasurable: reported above
         try:
             logical = sum(map(self._measure, self._checkpoints))
         except ReproError:
@@ -693,7 +716,8 @@ class CheckpointStore:
            transfers;
         6. fsck the result (:meth:`verify`);
         7. compact the WAL to one snapshot record, making recovery
-           idempotent: recovering again reopens the identical store.
+           idempotent: recovering again reopens the identical store
+           (and, the log being compact already, rewrites nothing).
 
         Every step is content-derived from the surviving disk, so a
         crash/recover run journals (``EV_RECOVER`` via ``recorder``)
@@ -723,8 +747,7 @@ class CheckpointStore:
         for cid in state.registered:
             if cid in store._checkpoints:
                 continue
-            problem = store._recover_manifest(cid)
-            if problem is not None:
+            if not store._recover_manifest(cid):
                 report.damaged.append(cid)
 
         # 4. roll back open transactions
@@ -767,35 +790,18 @@ class CheckpointStore:
                               b=report.damage_handled)
         return store, report
 
-    def _recover_manifest(self, cid: str) -> Optional[str]:
-        """Try to register one committed checkpoint during recovery;
-        returns a problem string (and registers nothing) on damage."""
-        if not self.chunks.has(cid):
-            return f"manifest chunk {cid[:12]} missing or quarantined"
+    def _recover_manifest(self, cid: str) -> bool:
+        """Register one committed checkpoint during recovery; False
+        (and nothing registered) when its manifest chunk is missing or
+        unreadable or the manifest is not admissible."""
         try:
             manifest = json.loads(self.chunks.get(cid))
-        except (StoreError, ValueError) as exc:
-            return f"manifest {cid[:12]} unreadable: {exc}"
-        if not isinstance(manifest, dict):
-            return f"manifest {cid[:12]} is not an object"
-        parent = manifest.get("parent", "")
-        if parent and parent not in self._checkpoints:
-            return (f"manifest {cid[:12]} parent {parent[:12]} "
-                    f"not recovered")
-        for member in manifest.get("members", ()):
-            if member not in self._checkpoints:
-                return (f"group {cid[:12]} member {member[:12]} "
-                        f"not recovered")
-        try:
-            refs = self._manifest_refs(cid, manifest)
-        except (KeyError, TypeError):
-            return f"manifest {cid[:12]} malformed"
-        for ref in refs:
-            if not self.chunks.has(ref):
-                return (f"manifest {cid[:12]} references missing "
-                        f"chunk {ref[:12]}")
+        except (StoreError, ValueError):
+            return False
+        if self._admit(cid, manifest)[1]:
+            return False
         self._register(cid, manifest)
-        return None
+        return True
 
     # -- scrubbing ---------------------------------------------------------
 
@@ -837,25 +843,18 @@ class CheckpointStore:
         return report
 
     def _chunk_intact(self, digest: str) -> bool:
-        """Both copies of one chunk still hash to their address."""
+        """Both copies of one chunk (memory and, when durable, disk)
+        pass :func:`~repro.store.chunks.check_chunk`."""
         chunk = self.chunks.chunk(digest)
-        codec = CODECS.get(chunk.codec)
         try:
-            data = codec.decompress(chunk.payload) if codec else None
-        except StoreError:
-            data = None
-        if data is None or chunk_digest(data) != digest \
-                or len(data) != chunk.logical_size:
-            return False
-        if self.durable:
-            try:
+            check_chunk(digest, chunk.codec, chunk.payload,
+                        chunk.logical_size)
+            if self.durable:
                 info = self.backend.read_chunk(digest)
-                disk = CODECS[info["codec"]].decompress(info["payload"])
-            except (StoreError, KeyError):
-                return False
-            if chunk_digest(disk) != digest \
-                    or len(disk) != info["logical"]:
-                return False
+                check_chunk(digest, info["codec"], info["payload"],
+                            info["logical"])
+        except StoreError:
+            return False
         return True
 
     def _rebuild_page(self, digest: str, binary) -> Optional[bytes]:

@@ -7,7 +7,9 @@ architectures' images the same read-only data pages) — occupy storage
 exactly once. Each chunk carries a reference count maintained by the
 checkpoint layer; ``gc()`` sweeps unreferenced chunks, and ``verify()``
 is the fsck: it re-hashes every chunk and reports any whose stored
-payload no longer decompresses to its digest.
+payload no longer decompresses to its digest. That rule is
+:func:`check_chunk`, and every reader that re-hashes a chunk — adopt,
+fsck, recovery, the scrubber — calls it.
 
 Compression codecs are pluggable (``register_codec``); ``raw`` and
 ``zlib`` ship built in. A chunk that does not shrink under the store's
@@ -72,6 +74,28 @@ CODECS: Dict[str, Codec] = {"raw": RawCodec(), "zlib": ZlibCodec()}
 
 def register_codec(codec: Codec) -> None:
     CODECS[codec.name] = codec
+
+
+def check_chunk(digest: str, codec: str, payload: bytes,
+                logical_size: int) -> bytes:
+    """The chunk-integrity rule: ``payload`` names a known codec,
+    decodes under it, and decodes to ``logical_size`` bytes that hash
+    to ``digest``. Returns those bytes; raises :class:`StoreError`
+    naming the first broken clause."""
+    impl = CODECS.get(codec)
+    if impl is None:
+        raise StoreError(f"chunk {digest[:12]}: unknown codec {codec!r}")
+    try:
+        data = impl.decompress(payload)
+    except StoreError as exc:
+        raise StoreError(f"chunk {digest[:12]}: {exc}") from exc
+    if chunk_digest(data) != digest:
+        raise StoreError(f"chunk {digest[:12]}: payload does not match "
+                         f"its digest (corrupt)")
+    if len(data) != logical_size:
+        raise StoreError(f"chunk {digest[:12]}: logical size mismatch "
+                         f"({len(data)} != {logical_size})")
+    return data
 
 
 class Chunk:
@@ -202,15 +226,12 @@ class ChunkStore:
         silently keeping the local copy would mask it. Returns True if
         a new chunk was installed.
         """
-        if codec not in CODECS:
-            raise StoreError(f"adopt: unknown codec {codec!r}")
-        data = CODECS[codec].decompress(payload)
-        if chunk_digest(data) != digest or len(data) != logical_size:
-            raise StoreError(f"adopt: chunk {digest[:12]} does not match "
-                             f"its digest")
-        existing = self._chunks.get(digest)
-        if existing is not None:
-            if CODECS[existing.codec].decompress(existing.payload) != data:
+        try:
+            data = check_chunk(digest, codec, payload, logical_size)
+        except StoreError as exc:
+            raise StoreError(f"adopt: {exc}") from exc
+        if digest in self._chunks:
+            if self.get(digest) != data:
                 raise StoreError(
                     f"adopt: digest collision on {digest[:12]} — incoming "
                     f"payload differs from the stored chunk")
@@ -284,25 +305,12 @@ class ChunkStore:
     def verify(self) -> List[str]:
         """Re-hash every chunk; returns human-readable problem list."""
         problems: List[str] = []
-        for digest in sorted(self._chunks):
-            chunk = self._chunks[digest]
-            codec = CODECS.get(chunk.codec)
-            if codec is None:
-                problems.append(f"chunk {digest[:12]}: unknown codec "
-                                f"{chunk.codec!r}")
-                continue
+        for chunk in self:
             try:
-                data = codec.decompress(chunk.payload)
+                check_chunk(chunk.digest, chunk.codec, chunk.payload,
+                            chunk.logical_size)
             except StoreError as exc:
-                problems.append(f"chunk {digest[:12]}: {exc}")
-                continue
-            if chunk_digest(data) != digest:
-                problems.append(f"chunk {digest[:12]}: payload does not "
-                                f"hash to its digest (corrupt)")
-            elif len(data) != chunk.logical_size:
-                problems.append(f"chunk {digest[:12]}: logical size "
-                                f"mismatch ({len(data)} != "
-                                f"{chunk.logical_size})")
+                problems.append(str(exc))
         for name, kept, fresh in (
                 ("physical", self._physical,
                  sum(len(c.payload) for c in self._chunks.values())),

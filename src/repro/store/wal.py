@@ -158,10 +158,13 @@ class WriteAheadLog:
     # -- compaction --------------------------------------------------------
 
     def compact(self, codec: str, checkpoints: List[str]) -> None:
-        """Atomically rewrite the log as one snapshot record."""
+        """Atomically rewrite the log as one snapshot record — unless it
+        already is exactly that record, so reopening a store that
+        nothing changed since its last recovery writes nothing."""
         blob = MAGIC + encode_record({"op": "snapshot", "codec": codec,
                                       "checkpoints": list(checkpoints)})
-        self.backend.wal_replace(blob)
+        if self.backend.wal_read() != blob:
+            self.backend.wal_replace(blob)
         self.next_txn = 1
 
 

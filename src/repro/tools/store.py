@@ -237,16 +237,15 @@ def _run_sweep(args: argparse.Namespace) -> int:
     total_sites = 0
     for name in ops:
         setup, op, atomic = rows[name]
-        result = crash_sweep(setup, op, label=name, seed=args.seed,
-                             atomic=atomic)
-        total_sites += len(result.sites)
-        bad = result.failures()
+        trials = crash_sweep(setup, op, seed=args.seed, atomic=atomic)
+        total_sites += len(trials)
+        bad = [trial for trial in trials if not trial.ok]
         failures += len(bad)
-        print(f"{name:10} {len(result.sites):3} site(s) "
-              f"{'ok' if result.ok else f'{len(bad)} FAILED'}")
+        print(f"{name:10} {len(trials):3} site(s) "
+              f"{f'{len(bad)} FAILED' if bad else 'ok'}")
         for trial in bad:
             for problem in trial.problems:
-                print(f"  #{trial.index} {trial.site}: {problem}")
+                print(f"  #{trial.seed} {trial.phase}: {problem}")
     verdict = ("all recovered" if not failures
                else f"{failures} FAILURE(S)")
     print(f"sweep: {total_sites} crash site(s) across {len(ops)} "

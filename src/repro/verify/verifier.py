@@ -458,20 +458,15 @@ class ImageVerifier:
                         f"not in the store"))
             return
         try:
-            resolvable = self.store.resolve_pages(inventory.parent)
+            unresolved = self.store.unresolved_pages(inventory.parent,
+                                                     pagemap)
         except ReproError as exc:
             add(Finding(PASS_STRUCTURAL, "delta-broken-chain", str(exc)))
             return
-        for entry in pagemap.entries:
-            if not entry.in_parent:
-                continue
-            for i in range(entry.nr_pages):
-                base = entry.vaddr + i * PAGE_SIZE
-                if base not in resolvable:
-                    add(Finding(PASS_STRUCTURAL, "delta-unresolvable",
-                                f"PE_PARENT page {base:#x} is not "
-                                f"resolvable through the parent chain",
-                                vaddr=base))
+        for base in unresolved:
+            add(Finding(PASS_STRUCTURAL, "delta-unresolvable",
+                        f"PE_PARENT page {base:#x} is not resolvable "
+                        f"through the parent chain", vaddr=base))
 
     def _check_page_digests(self, images: ImageSet, mm,
                             report: VerifyReport) -> None:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.migration import exe_path_for, install_program
-from repro.core.regmap import register_mapping, translate_registers
+from repro.core.policies.cross_isa import CrossIsaPolicy
 from repro.core.rewriter import ImageMemory, ProcessRewriter
 from repro.core.runtime import DapperRuntime
 from repro.core.stack_rewrite import unwind_thread
@@ -185,40 +185,42 @@ class TestUnwinding:
 
 
 class TestRegisterMapping:
-    def test_fig4_style_mapping(self, counter_program):
-        x86_entry = counter_program.binary("x86_64").stackmaps.entry_for(
-            "work")
-        arm_entry = counter_program.binary("aarch64").stackmaps.entry_for(
-            "work")
-        mapping = register_mapping(x86_entry, arm_entry)
-        assert mapping, "parameters must map register-to-register"
-        name, src_dwarf, dst_dwarf = mapping[0]
-        assert name == "i"
-        assert src_dwarf == 5      # rdi
-        assert dst_dwarf == 0      # x0
+    """Paper Fig. 4 on the real rewrite path: the thread parked at
+    ``work``'s entry carries parameter ``i`` in rdi (DWARF 5) on x86-64,
+    and the rewritten aarch64 core carries it in x0 (DWARF 0)."""
 
-    def test_translate_concrete_values(self, counter_program):
-        x86_entry = counter_program.binary("x86_64").stackmaps.entry_for(
-            "work")
-        arm_entry = counter_program.binary("aarch64").stackmaps.entry_for(
-            "work")
-        translated = translate_registers({5: 1234}, x86_entry, arm_entry)
-        assert translated == {0: 1234}
+    @pytest.fixture
+    def parked(self, counter_program, checkpoint):
+        """(x86 core, x86 eqpoint, aarch64 core, aarch64 eqpoint)."""
+        src_core = checkpoint.cores()[0]
+        ProcessRewriter().rewrite(checkpoint, CrossIsaPolicy(
+            counter_program.binary("x86_64"),
+            counter_program.binary("aarch64"),
+            exe_path_for("counter", "aarch64")))
+        dst_core = checkpoint.cores()[0]
+        return (src_core,
+                counter_program.binary("x86_64").stackmaps.by_addr[
+                    src_core.pc],
+                dst_core,
+                counter_program.binary("aarch64").stackmaps.by_addr[
+                    dst_core.pc])
 
-    def test_mismatched_eqpoints_rejected(self, counter_program):
-        maps = counter_program.binary("x86_64").stackmaps
-        entry_a = maps.entry_for("work")
-        entry_b = maps.entry_for("main")
-        with pytest.raises(RewriteError):
-            register_mapping(entry_a, entry_b)
+    def test_fig4_style_mapping(self, parked):
+        _src_core, src_point, dst_core, dst_point = parked
+        assert dst_core.arch == "aarch64"
+        for point in (src_point, dst_point):
+            assert (point.func, point.kind) == ("work", "entry")
+        src_i, dst_i = ([lv for lv in point.live if lv.name == "i"][0]
+                        for point in (src_point, dst_point))
+        assert src_i.value_id == dst_i.value_id
+        assert src_i.dwarf_reg == 5      # rdi
+        assert dst_i.dwarf_reg == 0      # x0
 
-    def test_missing_source_register_rejected(self, counter_program):
-        x86_entry = counter_program.binary("x86_64").stackmaps.entry_for(
-            "work")
-        arm_entry = counter_program.binary("aarch64").stackmaps.entry_for(
-            "work")
-        with pytest.raises(RewriteError):
-            translate_registers({}, x86_entry, arm_entry)
+    def test_translate_concrete_values(self, parked):
+        src_core, _src_point, dst_core, _dst_point = parked
+        # The rewriter zero-fills every register it does not translate.
+        assert src_core.regs[5] != 0
+        assert dst_core.regs[0] == src_core.regs[5]
 
 
 class TestTlsTranslation:

@@ -256,6 +256,17 @@ class TestCheckpointStore:
         assert loaded.materialize(leaf).files == \
             store.materialize(leaf).files
 
+    def test_reopen_leaves_a_compact_wal_alone(self, parked, tmp_path):
+        _machine, _process, runtime = parked
+        store, _ = CheckpointStore.open_dir(str(tmp_path), create=True)
+        store.put(runtime.checkpoint())
+        wal = tmp_path / "wal"
+        CheckpointStore.open_dir(str(tmp_path))   # compacts the new put
+        before = (wal.stat().st_ino, wal.read_bytes())
+        reopened, _ = CheckpointStore.open_dir(str(tmp_path))
+        assert (wal.stat().st_ino, wal.read_bytes()) == before
+        assert reopened.checkpoint_ids() == store.checkpoint_ids()
+
     def test_stats_report_dedup(self, parked):
         _machine, _process, runtime = parked
         store = CheckpointStore()

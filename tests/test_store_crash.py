@@ -3,6 +3,8 @@ fuzzing, adopt digest-collision rejection, refcount-book audits, the
 systematic crash-point sweep matrix, group-coordinator crash recovery,
 durable fleet resume, and bit-identical EV_RECOVER journals."""
 
+import json
+
 import pytest
 
 from repro.chaos import (CrashPointInjector, FaultPlan, store_sweep_ops,
@@ -16,8 +18,10 @@ from repro.group import GroupCoordinator, GroupSpec
 from repro.isa import X86_ISA
 from repro.replay import journal as jn
 from repro.replay.recorder import FlightRecorder
-from repro.store import (CODECS, CheckpointStore, DirBackend, SimDisk,
-                         chunk_digest, decode_wal)
+from repro.store import (CODECS, ChunkStore, CheckpointStore, DirBackend,
+                         SimDisk, chunk_digest, decode_wal)
+from repro.store.backend import encode_chunk_file
+from repro.store.chunks import Chunk
 from repro.store.wal import MAGIC, encode_record
 from repro.vm import Machine
 
@@ -201,6 +205,140 @@ class TestAdoptCollision:
 
 
 # ---------------------------------------------------------------------------
+# each integrity rule has one home, so every caller of it agrees
+
+
+_DATA = b"one chunk of bytes " * 64
+
+#: (codec, payload, logical size) that break one clause of the chunk
+#: rule for a chunk addressed ``chunk_digest(_DATA)``
+BAD_CHUNKS = {
+    "unknown-codec": ("lz-imaginary", _DATA, len(_DATA)),
+    "undecodable": ("zlib", b"\x00 not a zlib stream", len(_DATA)),
+    "wrong-hash": ("raw", _DATA[::-1], len(_DATA)),
+    "wrong-size": ("raw", _DATA, len(_DATA) + 1),
+}
+
+
+#: damaged manifest -> the words its refusal names
+BAD_MANIFESTS = {
+    "missing-chunk": "missing chunk",
+    "unregistered-parent": "parent",
+    "unregistered-member": "member",
+    "empty-object": "malformed",
+    "not-an-object": "not an object",
+    "non-object-meta": "malformed",
+}
+
+
+def bad_manifest(name, store):
+    """One damaged manifest over ``store``'s single checkpoint. Its
+    pagemap chunk is present but is no checkpoint, so a link to it
+    breaks only the registration clause."""
+    base = store.manifest(store.checkpoint_ids()[0])
+    pagemap = base["meta"]["pagemap.img"]
+    return {
+        "missing-chunk": {"parent": "", "meta": {"pagemap.img": pagemap,
+                                                  "mm.img": "e" * 32},
+                          "pages": []},
+        "unregistered-parent": {"parent": pagemap,
+                                "meta": {"pagemap.img": pagemap},
+                                "pages": []},
+        "unregistered-member": {"kind": "group", "label": "",
+                                "members": [pagemap]},
+        "empty-object": {},
+        "not-an-object": [],
+        "non-object-meta": {"parent": "", "meta": 5, "pages": []},
+    }[name]
+
+
+class TestOneChunkRule:
+    """adopt, fsck, recovery and both halves of the scrub judge a
+    damaged chunk by the same rule, in the same words."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_CHUNKS))
+    def test_every_caller_refuses(self, name):
+        digest = chunk_digest(_DATA)
+        codec, payload, logical = BAD_CHUNKS[name]
+
+        with pytest.raises(StoreError) as exc:
+            ChunkStore().adopt(digest, codec, payload, logical)
+        assert str(exc.value).startswith("adopt: ")
+
+        chunks = ChunkStore()
+        chunks._install(Chunk(digest, codec, payload, logical))
+        assert chunks.verify() == [str(exc.value)[len("adopt: "):]]
+
+        memory = CheckpointStore()
+        memory.chunks._install(Chunk(digest, codec, payload, logical))
+        assert memory.scrub().corrupt == [digest]
+
+        disk, durable = durable_store(seed=5)
+        durable.chunks.ensure(_DATA)
+        durable._persist_chunk(digest)
+        assert durable.scrub().corrupt == []
+        disk.write(durable.backend.chunk_name(digest),
+                   encode_chunk_file(digest, codec, logical, payload))
+        disk.fsync(durable.backend.chunk_name(digest))
+        _store, report = CheckpointStore.recover(DirBackend(disk.clone()))
+        assert report.quarantined == [digest]
+        assert durable.scrub().corrupt == [digest]
+
+
+class TestOneAdmissionRule:
+    """A damaged manifest is refused by adopt, skipped as damaged by
+    recovery and reported by fsck — never a bare KeyError."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_MANIFESTS))
+    def test_every_caller_refuses(self, images, name):
+        store = CheckpointStore()
+        store.put(images)
+        manifest = bad_manifest(name, store)
+        blob = json.dumps(manifest).encode()
+        cid = chunk_digest(blob)
+
+        with pytest.raises(StoreError, match=BAD_MANIFESTS[name]) as exc:
+            store.adopt_manifest(blob)
+        assert cid not in store
+
+        disk, durable = durable_store(seed=6)
+        durable.put(images)
+        durable.chunks.ensure(blob)
+        durable._persist_chunk(cid)
+        durable.wal.commit(durable.wal.begin("adopt", cid=cid))
+        recovered, report = CheckpointStore.recover(DirBackend(disk))
+        assert report.damaged == [cid]
+        assert cid not in recovered
+        assert report.fsck == []
+
+        # A registered manifest that broke: fsck names the problem
+        # adopt refused it for.
+        store._checkpoints[cid] = manifest
+        assert str(exc.value) in store.verify()
+
+
+# ---------------------------------------------------------------------------
+# reopening a store that nothing changed writes nothing
+
+
+class TestReopenWritesNothing:
+    def test_second_recover_touches_no_durability_site(self, images):
+        disk, store = durable_store(seed=9)
+        store.put(images)
+        first = DirBackend(disk, injector=CrashPointInjector())
+        CheckpointStore.recover(first)
+        # The first reopen after a mutation still compacts the log.
+        assert first.injector.sites == ["wal.compact-write",
+                                        "wal.compact-fsync",
+                                        "wal.compact-rename"]
+        again = DirBackend(disk, injector=CrashPointInjector())
+        reopened, report = CheckpointStore.recover(again)
+        assert again.injector.sites == []
+        assert reopened.checkpoint_ids() == store.checkpoint_ids()
+        assert report.clean
+
+
+# ---------------------------------------------------------------------------
 # verify(): refcount books vs live manifest references
 
 
@@ -252,16 +390,19 @@ class TestCrashSweepMatrix:
     def test_every_site_recovers(self, image_pair, name):
         first, second = image_pair
         setup, op, atomic = store_sweep_ops(first, second)[name]
-        result = sweep(setup, op, label=name, seed=11, atomic=atomic)
-        assert result.sites, f"{name} exposed no durability sites"
-        assert result.ok, "\n".join(
-            f"#{t.index} {t.site}: {'; '.join(t.problems)}"
-            for t in result.failures())
+        trials = sweep(setup, op, seed=11, atomic=atomic)
+        assert trials, f"{name} exposed no durability sites"
+        assert all(t.ok for t in trials), "\n".join(
+            f"#{t.seed} {t.phase}: {t.detail}"
+            for t in trials if not t.ok)
+        assert all(t.outcome == "recovered" and t.faults == {"crash": 1}
+                   for t in trials)
 
     def test_put_sites_cover_every_durability_kind(self, images):
-        result = sweep(lambda s: None, lambda s, ctx: s.put(images),
-                       label="put", seed=0, atomic=True)
-        kinds = {site.split(":")[0] for site in result.sites}
+        trials = sweep(lambda s: None, lambda s, ctx: s.put(images),
+                       seed=0, atomic=True)
+        assert [t.seed for t in trials] == list(range(len(trials)))
+        kinds = {t.phase.split(":")[0] for t in trials}
         assert {"chunk.write", "chunk.fsync", "chunk.rename",
                 "wal.append", "wal.fsync"} <= kinds
 
@@ -356,10 +497,9 @@ class TestRecoverJournal:
             recorders.append(recorder)
             return recorder
 
-        result = sweep(lambda s: None, lambda s, ctx: s.put(images),
-                       label="put", seed=7, recorder_factory=factory,
-                       atomic=True)
-        assert result.ok
+        trials = sweep(lambda s: None, lambda s, ctx: s.put(images),
+                       seed=7, recorder_factory=factory, atomic=True)
+        assert all(t.ok for t in trials)
         return [list(r.journal.events) for r in recorders]
 
     def test_recover_events_are_bit_identical_across_runs(self, images):
