@@ -14,11 +14,13 @@ interval the harness records a fixed run, then performs a burst of
 reverse steps from the deep end of the timeline plus a reverse-continue
 to a breakpoint, and reports slices re-executed per operation.
 
-Writes ``BENCH_debug.json`` at the repo root.
+Writes ``BENCH_debug.json`` at the repo root; ``--out PATH`` writes
+the record there instead. ``--smoke`` writes no record unless given
+``--out``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_debug.py [--smoke]
+    PYTHONPATH=src python benchmarks/bench_debug.py [--smoke] [--out PATH]
 
 ``--smoke`` asserts the bars: per-reverse-step cost bounded by the
 snapshot gap (+1 partial slice), growing with the gap, and far below
@@ -94,6 +96,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="assert the O(gap) acceptance bars")
+    parser.add_argument("--out", default=None,
+                        help="write the JSON record here (default: "
+                             "BENCH_debug.json at the repo root; "
+                             "--smoke writes nothing without --out)")
     args = parser.parse_args()
 
     recorded = record_run(SOURCE, "revseek", digest_every=8)
@@ -134,7 +140,10 @@ def main() -> int:
         "reverse_steps_sampled": REVERSE_STEPS,
         "results": results,
     }
-    out_path = os.path.join(REPO_ROOT, "BENCH_debug.json")
+    out_path = args.out or (
+        None if args.smoke else os.path.join(REPO_ROOT, "BENCH_debug.json"))
+    if out_path is None:
+        return 0
     with open(out_path, "w") as handle:
         json.dump(record, handle, indent=2)
         handle.write("\n")

@@ -15,11 +15,12 @@ hundreds of services, a load spike, a rolling-update wave bounded at
   the warm-transfer fraction the model uses (``warm_bp``).
 
 Writes ``BENCH_fleet.json`` at the repo root so the trajectory is
-tracked across PRs.
+tracked across PRs; ``--out PATH`` writes the record there instead.
+``--smoke`` writes no record unless given ``--out``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_fleet.py [--smoke]
+    PYTHONPATH=src python benchmarks/bench_fleet.py [--smoke] [--out PATH]
 
 ``--smoke`` runs a small fleet (32 nodes) and asserts the invariants
 only — no timing gates, CI-safe.
@@ -75,6 +76,10 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--smoke", action="store_true",
                         help="small fleet, invariants only (CI)")
+    parser.add_argument("--out", default=None,
+                        help="write the JSON record here (default: "
+                             "BENCH_fleet.json at the repo root; "
+                             "--smoke writes nothing without --out)")
     args = parser.parse_args()
 
     params = SMOKE if args.smoke else FULL
@@ -124,11 +129,13 @@ def main() -> int:
         if lat["p99_storm"] <= lat["p50"]:
             failures.append("storm p99 not above baseline p50")
 
-    path = os.path.join(REPO_ROOT, "BENCH_fleet.json")
-    with open(path, "w") as handle:
-        json.dump(out, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"[fleet-bench] wrote {os.path.relpath(path, REPO_ROOT)}")
+    path = args.out or (
+        None if args.smoke else os.path.join(REPO_ROOT, "BENCH_fleet.json"))
+    if path is not None:
+        with open(path, "w") as handle:
+            json.dump(out, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"[fleet-bench] wrote {path}")
 
     for failure in failures:
         print(f"[fleet-bench] FAIL: {failure}", file=sys.stderr)

@@ -39,7 +39,8 @@ not a result.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_interp_speed.py [--smoke]
+    PYTHONPATH=src python benchmarks/bench_interp_speed.py [--smoke] \
+        [--out PATH]
 
 ``--smoke`` is the quick CI signal: every app runs once at the small
 size under all three tiers and the default machine (fingerprint
@@ -50,7 +51,10 @@ not timings); then a short timed Dhrystone medium comparison asserts
 that tier-3 is at least as fast as tier-2 — the one ordering that must
 survive even a noisy shared runner — and prints the default machine's
 speed next to them. Full mode records the cold row in
-``BENCH_interp.json`` as ``cold``.
+``BENCH_interp.json`` as ``cold``. ``--out PATH`` writes the record to
+``PATH`` instead of the repo root; ``--smoke`` writes one (mode
+``smoke``: the cold row and the Dhrystone speeds) only when given
+``--out``.
 """
 
 from __future__ import annotations
@@ -198,7 +202,7 @@ def cold_row() -> dict:
             "budget": COLD_BUDGET}
 
 
-def smoke() -> int:
+def smoke(out_path=None) -> int:
     for app in APPS:
         for arch in ARCHES:
             check_fingerprints(app, arch, "small")
@@ -223,11 +227,22 @@ def smoke() -> int:
     print(f"dhrystone medium x86_64: tier2={best['tier2']/1e6:.2f} M i/s "
           f"tier3={best['tier3']/1e6:.2f} M i/s "
           f"default={best['default']/1e6:.2f} M i/s")
+    if out_path is not None:
+        write_record(out_path, {"benchmark": "interp_speed",
+                                "mode": "smoke", "cold": cold,
+                                "dhrystone_medium_ips": best})
     if best["tier3"] < best["tier2"]:
         print("FAIL: tier-3 chains slower than tier-2 blocks on Dhrystone")
         return 1
     print("OK: tier3 >= tier2 on Dhrystone")
     return 0
+
+
+def write_record(path: str, payload: dict) -> None:
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+    print(f"wrote {os.path.normpath(path)}")
 
 
 def main() -> int:
@@ -239,10 +254,14 @@ def main() -> int:
     parser.add_argument("--min-speedup", type=float, default=10.0,
                         help="required tier-3 speedup on Dhrystone and "
                              "K-means (default 10.0)")
+    parser.add_argument("--out", default=None,
+                        help="write the JSON record here (default: "
+                             "BENCH_interp.json at the repo root; "
+                             "--smoke writes nothing without --out)")
     args = parser.parse_args()
 
     if args.smoke:
-        return smoke()
+        return smoke(args.out)
 
     reps = max(1, args.reps)
     rows = []
@@ -271,11 +290,8 @@ def main() -> int:
         "trace_cache": blocks.trace_cache_info(),
         "chain_cache": chains.chain_cache_info(),
     }
-    out_path = os.path.join(REPO_ROOT, "BENCH_interp.json")
-    with open(out_path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {os.path.normpath(out_path)}")
+    write_record(args.out or os.path.join(REPO_ROOT, "BENCH_interp.json"),
+                 payload)
 
     gated = [r for r in rows if r["app"] in ("dhrystone", "kmeans")]
     failing = [r for r in gated if r["tier3_speedup"] < args.min_speedup]

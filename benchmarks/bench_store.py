@@ -25,11 +25,13 @@ plain copy-the-images pipeline:
   restored output must be byte-identical on every path.
 
 Writes ``BENCH_store.json`` at the repo root so the trajectory is
-tracked across PRs.
+tracked across PRs; ``--out PATH`` writes the record there instead.
+``--smoke`` writes no record unless given ``--out``, so a smoke run
+never replaces the committed full-mode one.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_store.py [--smoke]
+    PYTHONPATH=src python benchmarks/bench_store.py [--smoke] [--out PATH]
 
 ``--smoke`` runs the small app size only and *asserts* the acceptance
 bar: a warm delta migration ships < 50% of the bytes of a full-copy
@@ -259,6 +261,10 @@ def main() -> int:
     parser.add_argument("--size", default=None,
                         help="app size override (default: small for "
                              "--smoke, medium otherwise)")
+    parser.add_argument("--out", default=None,
+                        help="write the JSON record here (default: "
+                             "BENCH_store.json at the repo root; "
+                             "--smoke writes nothing without --out)")
     args = parser.parse_args()
     size = args.size or ("small" if args.smoke else "medium")
 
@@ -309,7 +315,10 @@ def main() -> int:
         "mode": "smoke" if args.smoke else "full",
         "results": results,
     }
-    out_path = os.path.join(REPO_ROOT, "BENCH_store.json")
+    out_path = args.out or (
+        None if args.smoke else os.path.join(REPO_ROOT, "BENCH_store.json"))
+    if out_path is None:
+        return 0
     with open(out_path, "w") as handle:
         json.dump(record, handle, indent=2)
         handle.write("\n")

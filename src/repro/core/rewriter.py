@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import struct
 import time
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional
 
 from ..criu.images import ImageSet, PagemapEntry, PagemapImage
@@ -31,7 +33,8 @@ class ImageMemory:
     "untouched" is a fact of construction: :meth:`flush` carries the
     digests the image's :class:`~repro.mem.leaves.PageLeaves` already
     hold for untouched pages over to the rewritten image, which
-    therefore hashes only what the policy actually wrote.
+    therefore hashes only what the policy actually wrote, and copies
+    them out as whole stretches of the old blob.
     """
 
     def __init__(self, images: ImageSet):
@@ -174,36 +177,50 @@ class ImageMemory:
     # -- flush ------------------------------------------------------------------
 
     def flush(self) -> None:
-        """Write the page view back into pagemap.img / pages-1.img."""
+        """Write the page view back into pagemap.img / pages-1.img, in
+        address order. Untouched pages go out as slices of the old blob,
+        one per stretch between touched pages, and keep their digests;
+        a flush that changes no byte leaves both files as they were."""
+        leaves, clean, touched = self._leaves, self._clean, self._pages
+        cut = sorted(leaves.offsets.keys() - clean.keys())
+        view = memoryview(leaves.blob)
+        pieces = [(base, 1, store) for base, store in touched.items()]
+        if leaves.ordered:
+            for vaddr, offset, count in leaves.spans:
+                end = vaddr + count * PAGE_SIZE
+                at = bisect_left(cut, vaddr)
+                while vaddr < end:
+                    stop = cut[at] if at < len(cut) and cut[at] < end \
+                        else end
+                    if stop > vaddr:
+                        pieces.append((vaddr, (stop - vaddr) // PAGE_SIZE,
+                                       view[offset:offset + stop - vaddr]))
+                    offset += stop + PAGE_SIZE - vaddr
+                    vaddr = stop + PAGE_SIZE
+                    at += 1
+        else:       # a pagemap no flush wrote: page by page
+            pieces += [(base, 1, view[offset:offset + PAGE_SIZE])
+                       for base, offset in clean.items()]
+        pieces.sort(key=itemgetter(0))
         entries: List[PagemapEntry] = []
-        parts = []          # joined once; untouched pages copy straight
-        known = {}          # vaddr -> digest of pages never touched
-        view = memoryview(self._leaves.blob)    # from the old blob
-        digests = self._leaves.digests
-        clean = self._clean
-        run_start = None
-        run_len = 0
-        for base in self.page_bases():
-            offset = clean.get(base)
-            if offset is None:
-                parts.append(self._pages[base])
+        run_end = None
+        for vaddr, count, _data in pieces:
+            if vaddr == run_end:
+                entries[-1].nr_pages += count
             else:
-                parts.append(view[offset:offset + PAGE_SIZE])
-                digest = digests.get(base)
-                if digest is not None:
-                    known[base] = digest
-            if run_start is not None and base == run_start + run_len * PAGE_SIZE:
-                run_len += 1
-            else:
-                if run_start is not None:
-                    entries.append(PagemapEntry(run_start, run_len))
-                run_start = base
-                run_len = 1
-        if run_start is not None:
-            entries.append(PagemapEntry(run_start, run_len))
-        self._images.set_pagemap(PagemapImage(entries))
-        self._images.set_pages(b"".join(parts))
-        self._images.page_leaves().digests.update(known)
+                entries.append(PagemapEntry(vaddr, count))
+            run_end = vaddr + count * PAGE_SIZE
+        pagemap = PagemapImage(entries)
+        images = self._images
+        if not (touched or cut) and leaves.ordered \
+                and pagemap.to_bytes() == images.files["pagemap.img"]:
+            return
+        images.set_pagemap(pagemap)
+        images.set_pages(b"".join([data for _, _, data in pieces]))
+        digests = images.page_leaves().digests
+        digests.update(leaves.digests)
+        for base in cut:
+            digests.pop(base, None)
 
 
 class RewriteReport:

@@ -384,8 +384,8 @@ class ImageSet:
 
     Digests follow the same identity rule. :meth:`page_leaves` keeps the
     :class:`~repro.mem.leaves.PageLeaves` of ``pagemap.img`` +
-    ``pages-1.img`` (page offsets from one pagemap walk, page digests
-    hashed on first request) for as long as both files are the objects
+    ``pages-1.img`` (page offsets from one pagemap walk, one page-digest
+    manifest built on first request) for as long as both files are the objects
     it was built from, and :meth:`file_digest` keeps each file's chunk
     address while the file is the object that was hashed;
     :meth:`content_digest` folds those. A new ``ImageSet`` — from
@@ -488,11 +488,9 @@ class ImageSet:
 
     def page_digests(self) -> Dict[int, str]:
         """``vaddr -> digest`` of every page with data in this set (the
-        sender-side manifest, the chunk store's page addresses); each
-        page is hashed the first time any caller needs it."""
-        leaves = self.page_leaves()
-        digest = leaves.digest
-        return {vaddr: digest(vaddr) for vaddr in leaves.offsets}
+        sender-side manifest, the chunk store's page addresses): the
+        leaves' one memoised manifest, shared and read-only."""
+        return self.page_leaves().manifest()
 
     def page_at(self, vaddr: int) -> Optional[bytes]:
         """Dumped page contents for a page-aligned address, if present.
@@ -524,12 +522,13 @@ class ImageSet:
     def _pages_term(self) -> bytes:
         """``pages-1.img``'s term in the fold. When the pagemap walk
         covers the blob exactly — every byte in one page slice — it is
-        the page digests in pagemap order, under ``L``; otherwise (no
-        or an undecodable pagemap, a short or long blob, runs that
-        share an address) the blob's chunk digest, under ``R``. Total
-        on garbage, and every byte is covered either way; the run count
-        is judged before the walk, so a garbage pagemap never drives
-        one."""
+        the page digests in pagemap order (the leaves' memoised
+        manifest, so a second call costs one join), under ``L``;
+        otherwise (no or an undecodable pagemap, a short or long blob,
+        runs that share an address) the blob's chunk digest, under
+        ``R``. Total on garbage, and every byte is covered either way;
+        the run count is judged before the walk, so a garbage pagemap
+        never drives one."""
         size = len(self._blob("pages-1.img"))
         try:
             runs = self.section("pagemap.img", PagemapImage).entries
@@ -540,9 +539,7 @@ class ImageSet:
                 if not run.in_parent and run.nr_pages > 0):
             leaves = self.page_leaves()
             if len(leaves.offsets) * PAGE_SIZE == size:
-                digest = leaves.digest
-                return b"L" + "".join([digest(vaddr)
-                                       for vaddr in leaves.offsets]).encode()
+                return b"L" + "".join(leaves.manifest().values()).encode()
         return b"R" + self.file_digest("pages-1.img").encode()
 
     def content_digest(self) -> str:

@@ -4,8 +4,7 @@ See :mod:`repro.criu.plugins.base` for the hook model and
 :func:`default_registry` for the built-in plugin order.
 """
 
-from .base import (CheckpointPlugin, DumpContext, RestoreContext,
-                   frozen_in_parent)
+from .base import CheckpointPlugin, DumpContext, RestoreContext
 from .files import FilesPlugin
 from .registers import RegistersPlugin
 from .registry import PluginRegistry, default_registry
@@ -17,7 +16,7 @@ from .vmas import VmasPlugin
 
 __all__ = [
     "CheckpointPlugin", "DumpContext", "RestoreContext",
-    "frozen_in_parent", "PluginRegistry", "default_registry",
+    "PluginRegistry", "default_registry",
     "TaskPlugin", "RegistersPlugin", "VmasPlugin", "TlsPlugin",
     "FilesPlugin", "TmpfsPlugin", "SocketsPlugin",
     "SocketsImage", "sockets_img", "TmpfsImage", "tmpfs_img",

@@ -12,7 +12,7 @@ touching the core dump/restore drivers.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ...errors import CheckpointError
 from ...vm.cpu import ThreadStatus
@@ -148,15 +148,3 @@ class CheckpointPlugin:
         return (code in self.codes
                 or any(code.startswith(p) for p in self.code_prefixes))
 
-
-def frozen_in_parent(ctx: DumpContext,
-                     dump_pages: Set[int]) -> FrozenSet[int]:
-    """Pages that stay behind as PE_PARENT runs in a delta dump: held by
-    the parent chain AND not written since. A page that is clean but
-    newly selected (e.g. the pc moved into a fresh code page) still
-    ships its data."""
-    if ctx.parent is None:
-        return frozenset()
-    return frozenset(base for base in dump_pages
-                     if base in ctx.parent_pages
-                     and base not in ctx.dirty_pages)

@@ -24,20 +24,15 @@ image just written the new origin. A page is hashed once per change.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Set, Tuple
+from typing import List
 
 from ...errors import MemoryError_, RestoreError
 from ...mem import AddressSpace
 from ...mem.paging import PAGE_SIZE, page_align_down
 from ...mem.vma import Vma
-from ...vm.cpu import ThreadStatus
 from ..images import (PE_PARENT, ImageSet, MmImage, PagemapEntry,
                       PagemapImage)
-from .base import CheckpointPlugin, DumpContext, RestoreContext, \
-    frozen_in_parent
-
-
-_ZERO_PAGE = bytes(PAGE_SIZE)
+from .base import CheckpointPlugin, DumpContext, RestoreContext
 
 
 class VmasPlugin(CheckpointPlugin):
@@ -51,97 +46,57 @@ class VmasPlugin(CheckpointPlugin):
     def dump(self, ctx: DumpContext, images) -> None:
         process = ctx.process
         images.set_mm(MmImage(process.aspace.vmas, process.heap_end))
-        if ctx.lazy:
-            eager, lazy = _partition_pages(process)
-            _write_pages(process, sorted(eager), images)
-            for base in lazy:
-                data = process.aspace.page(base)
-                ctx.lazy_pages[base] = bytes(data) if data is not None \
-                    else bytes(PAGE_SIZE)
-            return
-        dump_pages = _select_pages(process)
-        in_parent = frozen_in_parent(ctx, dump_pages)
-        _write_pages(process, sorted(dump_pages), images, in_parent)
+        _write_pages(ctx, images)
 
     def restore(self, ctx: RestoreContext, images) -> None:
         ctx.aspace = _build_address_space(images, ctx.binary)
 
 
-def _select_pages(process) -> Set[int]:
-    """Page-aligned addresses to dump."""
-    selected: Set[int] = set()
-    exec_pages = {page_align_down(t.pc)
-                  for t in process.threads.values()
-                  if t.status != ThreadStatus.DEAD}
-    for base, _data in process.aspace.populated_pages():
-        vma = process.aspace.find_vma(base)
-        if vma is None:
-            continue
-        if vma.file_backed:
-            # Execution context only: the page under each thread's pc
-            # (and its successor, since an instruction can straddle).
-            if base in exec_pages or (base - PAGE_SIZE) in exec_pages:
-                selected.add(base)
-        else:
-            selected.add(base)
-    return selected
-
-
-def _partition_pages(process) -> Tuple[Set[int], Set[int]]:
-    """Split populated pages into (eagerly dumped, left at source)."""
-    eager: Set[int] = set()
-    lazy: Set[int] = set()
-    exec_pages = {page_align_down(t.pc)
-                  for t in process.threads.values()
-                  if t.status != ThreadStatus.DEAD}
-    for base, _data in process.aspace.populated_pages():
-        vma = process.aspace.find_vma(base)
-        if vma is None:
-            continue
-        if vma.file_backed:
-            if base in exec_pages or (base - PAGE_SIZE) in exec_pages:
-                eager.add(base)
-            continue   # other clean code pages: reload from the binary
-        if vma.name.startswith("stack:") or vma.name.startswith("tls:"):
-            eager.add(base)
-        else:
-            lazy.add(base)
-    return eager, lazy
-
-
-def _write_pages(process, pages: List[int], images: ImageSet,
-                 in_parent: FrozenSet[int] = frozenset()) -> None:
-    aspace = process.aspace
-    origin = aspace.origin
+def _write_pages(ctx: DumpContext, images: ImageSet) -> None:
+    """Select and write the pages in one walk over the live pages in
+    address order, looking a VMA up only when the walk leaves the last
+    one. A file-backed (code) VMA gives only the execution context: the
+    page under each live thread's pc, and its successor, since an
+    instruction can straddle. A lazy dump writes stack and TLS pages and
+    stashes the rest on ``ctx.lazy_pages``; a delta dump writes a page
+    the parent chain holds and nothing wrote since as a PE_PARENT run."""
+    aspace = ctx.process.aspace
+    unchanged = aspace.origin.unchanged if aspace.origin is not None else None
+    exec_pages = {page_align_down(t.pc) for t in ctx.live}
+    in_parent = ctx.parent_pages if ctx.parent is not None \
+        and not ctx.lazy else ()
     known = {}              # vaddr -> digest of pages unchanged since origin
     entries: List[PagemapEntry] = []
     parts = []              # page stores, joined once: no regrowing copy
-    run_start = None
-    run_len = 0
-    run_flags = 0
-    for base in pages:
-        flags = PE_PARENT if base in in_parent else 0
-        if flags == 0:
-            data = aspace.page(base)
-            if data is None:
-                parts.append(_ZERO_PAGE)
-            else:
-                parts.append(data)
-                if origin is not None:
-                    digest = origin.unchanged(base, data)
-                    if digest is not None:
-                        known[base] = digest
-        if (run_start is not None and flags == run_flags
-                and base == run_start + run_len * PAGE_SIZE):
-            run_len += 1
+    start = end = 0         # the VMA the walk is in
+    code = eager = False
+    run_end = None
+    for base, data in aspace.populated_pages():
+        if not start <= base < end:
+            vma = aspace.find_vma(base)
+            if vma is None:
+                continue
+            start, end, code = vma.start, vma.end, vma.file_backed
+            eager = not ctx.lazy or vma.name.startswith(("stack:", "tls:"))
+        if code:
+            if base not in exec_pages and base - PAGE_SIZE not in exec_pages:
+                continue    # clean code pages reload from the binary
+        elif not eager:
+            ctx.lazy_pages[base] = bytes(data)
+            continue
+        if base in in_parent and base not in ctx.dirty_pages:
+            flags = PE_PARENT
         else:
-            if run_start is not None:
-                entries.append(PagemapEntry(run_start, run_len, run_flags))
-            run_start = base
-            run_len = 1
-            run_flags = flags
-    if run_start is not None:
-        entries.append(PagemapEntry(run_start, run_len, run_flags))
+            flags = 0
+            parts.append(data)
+            digest = unchanged and unchanged(base, data)
+            if digest:
+                known[base] = digest
+        if base == run_end and entries[-1].flags == flags:
+            entries[-1].nr_pages += 1
+        else:
+            entries.append(PagemapEntry(base, 1, flags))
+        run_end = base + PAGE_SIZE
     images.set_pagemap(PagemapImage(entries))
     images.set_pages(b"".join(parts))
     leaves = aspace.origin = images.page_leaves()
@@ -171,10 +126,9 @@ def _build_address_space(images: ImageSet, binary) -> AddressSpace:
     # Overlay every dumped page (stacks, data, heap, TLS, and the
     # rewritten execution-context code pages).
     leaves = images.page_leaves()
-    pages = memoryview(leaves.blob)         # page slices copy nothing
-    if len(pages) < leaves.data_bytes:
+    if len(leaves.blob) < leaves.data_bytes:
         raise RestoreError(
-            f"pages-1.img holds {len(pages)} bytes but the pagemap "
+            f"pages-1.img holds {len(leaves.blob)} bytes but the pagemap "
             f"claims {leaves.data_bytes // PAGE_SIZE} data page(s) "
             f"({leaves.data_bytes} bytes)")
     if leaves.parent_run is not None:
@@ -182,11 +136,16 @@ def _build_address_space(images: ImageSet, binary) -> AddressSpace:
             f"pagemap run at {leaves.parent_run:#x} references a parent "
             f"checkpoint — materialize the delta through the "
             f"checkpoint store first")
-    for base, offset in leaves.offsets.items():
-        if aspace.find_vma(base) is None:
-            raise RestoreError(
-                f"pagemap run page {base:#x} falls outside every "
-                f"dumped VMA")
-        aspace.install_page(base, pages[offset:offset + PAGE_SIZE])
+    for vaddr, offset, count in leaves.spans:
+        end = vaddr + count * PAGE_SIZE
+        cursor = vaddr
+        while cursor < end:         # one lookup per VMA the run crosses
+            vma = aspace.find_vma(cursor)
+            if vma is None:
+                raise RestoreError(
+                    f"pagemap run page {cursor:#x} falls outside every "
+                    f"dumped VMA")
+            cursor = vma.end
+        aspace.install_pages(vaddr, leaves.blob, offset, count)
     aspace.origin = leaves
     return aspace

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SegmentationFault, MemoryError_
 from .paging import (LAST_U64_SLOT, PAGE_MASK, PAGE_SIZE, page_align_down,
@@ -168,10 +168,9 @@ class AddressSpace:
             self._pages[base] = store
         return store
 
-    def populated_pages(self) -> Iterator[Tuple[int, bytearray]]:
+    def populated_pages(self) -> List[Tuple[int, bytearray]]:
         """All pages that own backing store, in address order."""
-        for base in sorted(self._pages):
-            yield base, self._pages[base]
+        return sorted(self._pages.items())
 
     def drop_page(self, base: int) -> None:
         self._pages.pop(base, None)
@@ -183,6 +182,25 @@ class AddressSpace:
         self._pages[base] = bytearray(data)
         if self._dirty is not None:
             self._dirty.add(base)
+
+    def install_pages(self, base: int, blob: bytes, offset: int,
+                      count: int) -> None:
+        """Install ``count`` whole pages at ``base`` from ``blob`` at
+        ``offset`` (the restore path): each page a ``bytearray`` copy of
+        its slice, cut and copied by C-level iteration, with no call per
+        page."""
+        size = count * PAGE_SIZE
+        if offset + size > len(blob):
+            raise MemoryError_(f"{count} page(s) at offset {offset} overrun "
+                               f"a {len(blob)}-byte blob")
+        cuts = map(slice, range(offset, offset + size, PAGE_SIZE),
+                   range(offset + PAGE_SIZE, offset + size + PAGE_SIZE,
+                         PAGE_SIZE))
+        bases = range(base, base + size, PAGE_SIZE)
+        self._pages.update(zip(bases, map(bytearray, map(
+            memoryview(blob).__getitem__, cuts))))
+        if self._dirty is not None:
+            self._dirty.update(bases)
 
     # -- byte-level access ----------------------------------------------------
 

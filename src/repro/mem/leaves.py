@@ -19,7 +19,7 @@ objects, get new leaves and are hashed again.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .paging import PAGE_SIZE
 
@@ -37,12 +37,19 @@ def page_digest(data) -> str:
 class PageLeaves:
     """The pages of one ``pages-1.img`` blob: ``offsets`` maps each
     page-aligned address with data in ``blob`` to its byte offset (in
-    pagemap order), ``digests`` holds the page digests known so far,
+    pagemap order), ``spans`` lists each data run as ``(vaddr, offset,
+    pages)``, ``digests`` holds the page digests known so far (handed
+    over by the dump or flush that wrote the blob, or filled by
+    :meth:`manifest`),
     ``data_bytes`` is the blob length the pagemap calls for and
     ``parent_run`` the address of the first run whose data lives in a
-    parent checkpoint (``None`` for a full image)."""
+    parent checkpoint (``None`` for a full image). ``ordered`` says the
+    runs are what a dump or a rewrite writes: page-aligned, in address
+    order with a gap between runs, no parent run, and the blob exactly
+    their length — so a run is one slice of the blob."""
 
-    __slots__ = ("blob", "offsets", "digests", "data_bytes", "parent_run")
+    __slots__ = ("blob", "offsets", "spans", "digests", "data_bytes",
+                 "parent_run", "ordered", "_manifest")
 
     def __init__(self, blob: bytes, runs: Iterable):
         """Walk pagemap ``runs`` (objects with ``vaddr``, ``nr_pages``
@@ -51,21 +58,30 @@ class PageLeaves:
         empty) page slices, which is the verifier's finding to make."""
         self.blob = blob
         self.offsets: Dict[int, int] = {}
+        self.spans: List[Tuple[int, int, int]] = []
         self.digests: Dict[int, str] = {}
         self.parent_run: Optional[int] = None
-        offsets = self.offsets
+        self._manifest: Optional[Dict[int, str]] = None
+        ordered = True
+        end = None
         offset = 0
         for run in runs:
             if run.in_parent:
                 if self.parent_run is None:
                     self.parent_run = run.vaddr
                 continue
-            vaddr = run.vaddr
-            for _ in range(run.nr_pages):
-                offsets[vaddr] = offset
-                vaddr += PAGE_SIZE
-                offset += PAGE_SIZE
+            vaddr, size = run.vaddr, max(run.nr_pages, 0) * PAGE_SIZE
+            ordered = (ordered and size > 0 and vaddr % PAGE_SIZE == 0
+                       and (end is None or vaddr > end))
+            end = vaddr + size
+            self.spans.append((vaddr, offset, size // PAGE_SIZE))
+            self.offsets.update(zip(range(vaddr, end, PAGE_SIZE),
+                                    range(offset, offset + size,
+                                          PAGE_SIZE)))
+            offset += size
         self.data_bytes = offset
+        self.ordered = (ordered and self.parent_run is None
+                        and len(blob) == offset)
 
     def page(self, vaddr: int) -> Optional[bytes]:
         """The page's bytes, or ``None`` when the blob carries no data
@@ -75,15 +91,20 @@ class PageLeaves:
             return None
         return self.blob[offset:offset + PAGE_SIZE]
 
-    def digest(self, vaddr: int) -> str:
-        """The page's digest, hashed on first request (``KeyError`` for
-        an address with no data here)."""
-        digest = self.digests.get(vaddr)
-        if digest is None:
-            offset = self.offsets[vaddr]
-            digest = self.digests[vaddr] = page_digest(
-                self.blob[offset:offset + PAGE_SIZE])
-        return digest
+    def manifest(self) -> Dict[int, str]:
+        """``vaddr -> digest`` of every page, in pagemap order: the one
+        per-page pass over this blob's digests, hashing only the pages
+        no one asked for yet, and remembered with the leaves (so for as
+        long as the blob is the one they describe). Shared: read it,
+        never change it."""
+        if self._manifest is None:
+            offsets, digests, blob = self.offsets, self.digests, self.blob
+            for vaddr in offsets.keys() - digests.keys():
+                offset = offsets[vaddr]
+                digests[vaddr] = page_digest(blob[offset:offset + PAGE_SIZE])
+            self._manifest = dict(zip(offsets,
+                                      map(digests.__getitem__, offsets)))
+        return self._manifest
 
     def unchanged(self, vaddr: int, store) -> Optional[str]:
         """The known digest of the page at ``vaddr`` if the live page

@@ -235,10 +235,9 @@ class CheckpointStore:
                 if name != _PAGES_FILE}
 
         leaves = images.page_leaves()
-        blob = leaves.blob
+        blob, digests = leaves.blob, leaves.manifest()
         pages: List[List] = [
-            [vaddr, _ensure(blob[offset:offset + PAGE_SIZE],
-                            leaves.digest(vaddr))]
+            [vaddr, _ensure(blob[offset:offset + PAGE_SIZE], digests[vaddr])]
             for vaddr, offset in leaves.offsets.items()]
         pages.sort(key=lambda item: item[0])
 
@@ -361,18 +360,23 @@ class CheckpointStore:
 
     def adopt_manifest(self, manifest_blob: bytes) -> str:
         """Register a manifest whose chunks are already present (the
-        receive side of a delta transfer). Idempotent."""
-        digest, _created = self.chunks.ensure(manifest_blob)
-        if digest in self._checkpoints:
+        receive side of a delta transfer). Idempotent. The blob is
+        stored only once the manifest is admitted, so a refused one
+        leaves no orphan chunk behind."""
+        digest = chunk_digest(manifest_blob)
+        known = digest in self._checkpoints
+        if not known:
+            try:
+                manifest = json.loads(manifest_blob)
+            except ValueError as exc:
+                raise StoreError(f"manifest {digest[:12]} is not JSON: "
+                                 f"{exc}") from exc
+            _refs, problems = self._admit(digest, manifest)
+            if problems:
+                raise StoreError(problems[0])
+        self.chunks.ensure(manifest_blob, digest)
+        if known:
             return digest
-        try:
-            manifest = json.loads(manifest_blob)
-        except ValueError as exc:
-            raise StoreError(f"manifest {digest[:12]} is not JSON: "
-                             f"{exc}") from exc
-        _refs, problems = self._admit(digest, manifest)
-        if problems:
-            raise StoreError(problems[0])
         if self.durable:
             txn = self.wal.begin("adopt", cid=digest)
             self._persist_refs(digest, manifest)

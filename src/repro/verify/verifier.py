@@ -77,6 +77,11 @@ class _Layout:
         index = bisect_right(self.starts, addr) - 1
         return index >= 0 and addr < self.ends[index]
 
+    def overlaps(self, start: int, end: int) -> bool:
+        """Whether any range meets ``[start, end)``."""
+        index = bisect_right(self.ends, start)
+        return index < len(self.starts) and self.starts[index] < end
+
     def uncovered(self, start: int, end: int) -> Iterator[int]:
         """Page addresses of ``[start, end)`` outside every range: the
         run is split at range edges, so a covered run costs one
@@ -472,18 +477,20 @@ class ImageVerifier:
                             report: VerifyReport) -> None:
         """Per-page divergence against the sender's manifest digests —
         each mismatch names the repair source pass 3 will use. The
-        arrived pages' digests come from the set's leaves: hashed by
-        the content-digest check above (whose root folds them) or here,
-        unless these very bytes were hashed before (the same
-        ``ImageSet`` the sender fingerprinted), and kept for the
-        restore and the next dump either way."""
-        check = self._tick(report)
-        leaves = images.page_leaves()
+        arrived pages' digests are the set's leaves' manifest: folded
+        by the content-digest check above or built here, unless these
+        very bytes were hashed before (the same ``ImageSet`` the sender
+        fingerprinted), and kept for the restore and the next dump
+        either way. One check per arrived page; equal manifests are one
+        dict compare, and only a mismatch walks the pages."""
+        arrived = images.page_leaves().manifest()
+        report.checks += len(arrived)
+        if arrived == self.page_digests:
+            return
         text = _Layout(v for v in mm.vmas if v.file_backed)
-        for base in leaves.offsets:
+        for base, digest in arrived.items():
             want = self.page_digests.get(base)
-            check()
-            if want is None or leaves.digest(base) == want:
+            if want is None or digest == want:
                 continue
             repair = None
             if (self.store is not None
@@ -570,25 +577,31 @@ class ImageVerifier:
                           report: VerifyReport) -> None:
         """Dumped file-backed (execution-context) pages must equal the
         linked binary's bytes: code is never legitimately written at
-        runtime, so any divergence is corruption — and repairable."""
+        runtime, so any divergence is corruption — and repairable. Only
+        the runs that reach into a file-backed VMA are walked."""
         check = self._tick(report)
         text = _Layout(v for v in mm.vmas if v.file_backed)
         leaves = images.page_leaves()
         blob = leaves.blob
-        for base, offset in leaves.offsets.items():
-            if base not in text:
+        for vaddr, offset, count in leaves.spans:
+            end = vaddr + count * PAGE_SIZE
+            if not text.overlaps(vaddr, end):
                 continue
-            check()
-            # bytes against bytes: a memoryview slice would compare
-            # element by element.
-            if blob[offset:offset + PAGE_SIZE] != _binary_page(
-                    self.binary, base):
-                report.add(Finding(
-                    PASS_SEMANTIC, "text-page",
-                    f"execution-context page {base:#x} differs "
-                    f"from the linked binary's .text",
-                    severity=REPAIRABLE, vaddr=base,
-                    repair=("binary", base)))
+            for base in range(vaddr, end, PAGE_SIZE):
+                if base not in text:
+                    continue
+                check()
+                at = offset + base - vaddr
+                # bytes against bytes: a memoryview slice would compare
+                # element by element.
+                if blob[at:at + PAGE_SIZE] != _binary_page(
+                        self.binary, base):
+                    report.add(Finding(
+                        PASS_SEMANTIC, "text-page",
+                        f"execution-context page {base:#x} differs "
+                        f"from the linked binary's .text",
+                        severity=REPAIRABLE, vaddr=base,
+                        repair=("binary", base)))
 
     def _check_stacks(self, images: ImageSet, cores, mm,
                       report: VerifyReport) -> None:
@@ -665,8 +678,9 @@ def _binary_page(binary: DelfBinary, base: int) -> bytes:
 
 def image_page_digests(images: ImageSet) -> Dict[int, str]:
     """vaddr -> chunk digest for every data page: the sender-side
-    manifest a receiving verifier checks the arrived bytes against.
-    Hashes only the pages the set's leaves do not know yet."""
+    manifest a receiving verifier checks the arrived bytes against —
+    the set's leaves' one manifest, shared and read-only. Hashes only
+    the pages the leaves do not know yet."""
     return images.page_digests()
 
 

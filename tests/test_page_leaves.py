@@ -31,7 +31,7 @@ from repro.core.migration import (MigrationPipeline, exe_path_for,
 from repro.core.rewriter import ImageMemory, ProcessRewriter
 from repro.core.runtime import DapperRuntime
 from repro.criu.dump import dump_process
-from repro.criu.images import ImageSet, PagemapImage
+from repro.criu.images import ImageSet, PagemapEntry, PagemapImage
 from repro.criu.lazy import dump_process_lazy, restore_process_lazy
 from repro.errors import ImageFormatError, MigrationRollback
 from repro.isa import ARM_ISA, X86_ISA
@@ -408,6 +408,178 @@ class TestHashOncePerChange:
             b"x", digest_size=16).hexdigest()
 
 
+class DigestReads:
+    """Counts page-digest passes: a leaves' manifest is the one reader of
+    its page digests, and each build reads every page once (a memoised
+    manifest read again costs nothing)."""
+
+    def __init__(self, monkeypatch):
+        self.reads = self.builds = 0
+        reads = self
+        manifest = PageLeaves.manifest
+
+        def counted_manifest(leaves):
+            if leaves._manifest is None:
+                reads.builds += 1
+                reads.reads += len(leaves.offsets)
+            return manifest(leaves)
+
+        monkeypatch.setattr(PageLeaves, "manifest", counted_manifest)
+
+
+class TestOnePassPerPageTable:
+    def test_plain_pingpong_reads_each_digest_once(self, resident_program,
+                                                   monkeypatch):
+        """The sender's content digest, its manifest, the guard's root
+        and the guard's per-page compare all read the one manifest of
+        the sent set's leaves (before: four passes, 4 x pages reads)."""
+        pingpong = PingPong(resident_program, RESIDENT_FILL_STEPS)
+        pingpong.hop(RESIDENT_ROUND_STEPS)
+        reads = DigestReads(monkeypatch)
+        for _ in range(4):
+            reads.reads = reads.builds = 0
+            result = pingpong.hop(RESIDENT_ROUND_STEPS)
+            pages = result.images.pagemap().data_pages()
+            assert pages >= RESIDENT_PAGES
+            assert (reads.builds, reads.reads) == (1, pages)
+
+    def test_untouched_flush_keeps_the_image(self, arrival):
+        images = _paused_dump(arrival)
+        pages, leaves = images.pages(), images.page_leaves()
+        pagemap = images.files["pagemap.img"]
+        memory = ImageMemory(images)
+        assert memory.read(_heap_page(arrival.process), 64)   # reads copy
+        memory.flush()
+        assert images.pages() is pages
+        assert images.page_leaves() is leaves
+        assert images.files["pagemap.img"] is pagemap
+
+
+def _reference_pages(images: ImageSet):
+    """``vaddr -> bytes`` of every data page, walked from the encoded
+    pagemap without ``PageLeaves``."""
+    pages, offset = {}, 0
+    blob = images.files["pages-1.img"]
+    for entry in PagemapImage.from_bytes(images.files["pagemap.img"]).entries:
+        for i in range(entry.nr_pages):
+            vaddr = entry.vaddr + i * PAGE_SIZE
+            pages[vaddr] = blob[offset:offset + PAGE_SIZE]
+            offset += PAGE_SIZE
+    return pages
+
+
+def _reference_files(pages):
+    """The two files a page-by-page flush writes for ``pages``."""
+    entries = []
+    for base in sorted(pages):
+        if entries and entries[-1][0] + entries[-1][1] * PAGE_SIZE == base:
+            entries[-1][1] += 1
+        else:
+            entries.append([base, 1])
+    pagemap = PagemapImage([PagemapEntry(base, count)
+                            for base, count in entries]).to_bytes()
+    return pagemap, b"".join(pages[base] for base in sorted(pages))
+
+
+def _split_runs(images: ImageSet, reverse: bool) -> ImageSet:
+    """The same pages under a pagemap no flush writes: one run per page
+    (adjacent runs), optionally in descending address order."""
+    pages = _reference_pages(images)
+    order = sorted(pages, reverse=reverse)
+    odd = ImageSet(dict(images.files))
+    odd.set_pagemap(PagemapImage([PagemapEntry(base, 1) for base in order]))
+    odd.set_pages(b"".join(pages[base] for base in order))
+    return odd
+
+
+class TestFlushEqualsPageByPage:
+    @pytest.mark.parametrize("layout", ["dumped", "split", "reversed"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_edits(self, arrival, layout, seed):
+        """Random writes (inside and across pages, into pages the dump
+        lacks), ``add_page`` and ``drop_page``: the flushed files equal a
+        reference built page by page, and every page no edit touched
+        keeps its digest, which equals a fresh hash."""
+        import random
+        rng = random.Random(seed)
+        images = _paused_dump(arrival)
+        if layout != "dumped":
+            images = _split_runs(images, reverse=layout == "reversed")
+        images.page_digests()                   # every leaf known
+        ref = {base: bytearray(data)
+               for base, data in _reference_pages(images).items()}
+        bases = sorted(ref)
+        untouched = set(bases)
+        memory = ImageMemory(images)
+        for _ in range(rng.randrange(0, 12)):
+            op = rng.random()
+            base = rng.choice(bases) + rng.choice((0, 0, 0, PAGE_SIZE * 97))
+            if op < 0.5:
+                addr = base + rng.randrange(PAGE_SIZE)
+                data = bytes(rng.randrange(256)
+                             for _ in range(rng.choice((1, 8, 300, 5000))))
+                memory.write(addr, data)
+                cursor = addr
+                for byte in data:
+                    page = cursor - cursor % PAGE_SIZE
+                    store = ref.setdefault(page, bytearray(PAGE_SIZE))
+                    store[cursor - page] = byte
+                    untouched.discard(page)
+                    cursor += 1
+            elif op < 0.75:
+                data = bytes([rng.randrange(256)]) * PAGE_SIZE
+                memory.add_page(base, data)
+                ref[base] = bytearray(data)
+                untouched.discard(base)
+            else:
+                memory.drop_page(base)
+                ref.pop(base, None)
+                untouched.discard(base)
+        memory.flush()
+        pagemap, pages = _reference_files(
+            {base: bytes(data) for base, data in ref.items()})
+        assert images.files["pagemap.img"] == pagemap
+        assert images.pages() == pages
+        digests = images.page_leaves().digests
+        assert set(digests) == untouched & set(ref)
+        for vaddr, digest in digests.items():
+            assert digest == page_digest(bytes(ref[vaddr]))
+        assert_memo_is_fresh(images)
+
+
+class TestGuardFastPath:
+    def _verify(self, images, page_digests, **kwargs):
+        return ImageVerifier(page_digests=page_digests, **kwargs) \
+            .verify(images)
+
+    def test_one_wrong_digest_names_that_page(self, arrival):
+        images = _paused_dump(arrival)
+        binary = arrival.pipes["x86_64"].program.binary(
+            arrival.process.isa.name)
+        pages = images.pagemap().data_pages()
+        text = next(v for v in images.mm().vmas if v.file_backed)
+        code_page = next(base for base in images.page_leaves().offsets
+                         if text.start <= base < text.end)
+        heap_page = _heap_page(arrival.process)
+        store = CheckpointStore()
+        store.put(images)
+        stored = images.page_digests()[heap_page + PAGE_SIZE]
+        bare = self._verify(images, None, binary=binary).checks
+        clean = self._verify(images, images.page_digests(), binary=binary)
+        assert clean.ok and clean.checks == bare + pages
+        for victim, wrong, kwargs, repair in (
+                (heap_page, "0" * 32, {}, None),
+                (code_page, "0" * 32, {}, ("binary", code_page)),
+                (heap_page, stored, {"store": store},
+                 ("store", heap_page, stored))):
+            sent = dict(images.page_digests())
+            sent[victim] = wrong
+            report = self._verify(images, sent, binary=binary, **kwargs)
+            assert [(f.code, f.vaddr, f.repair) for f in report.findings] \
+                == [("page-digest", victim, repair)]
+            assert report.checks == bare + pages
+
+
 # -- memo == fresh ---------------------------------------------------------------
 
 
@@ -782,9 +954,11 @@ class TestLayering:
             (0x2000, 3 * PAGE_SIZE)
         assert leaves.page(0x2000) is None and leaves.page(0xA000)[0:1] == b"c"
         assert leaves.digests == {}
-        assert leaves.digest(0x9000) == page_digest(b"b" * PAGE_SIZE)
+        assert leaves.unchanged(0x1000, bytearray(b"a" * PAGE_SIZE)) is None
+        assert leaves.manifest() == {
+            vaddr: page_digest(leaves.page(vaddr)) for vaddr in leaves.offsets}
+        assert leaves.manifest()[0x9000] == page_digest(b"b" * PAGE_SIZE)
         assert leaves.unchanged(0x9000, bytearray(b"b" * PAGE_SIZE)) == \
             leaves.digests[0x9000]
         assert leaves.unchanged(0x9000, bytearray(b"x" * PAGE_SIZE)) is None
-        assert leaves.unchanged(0x1000, bytearray(b"a" * PAGE_SIZE)) is None
         assert list(leaves.offsets) == [0x1000, 0x9000, 0xA000]

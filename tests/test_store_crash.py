@@ -316,6 +316,17 @@ class TestOneAdmissionRule:
         store._checkpoints[cid] = manifest
         assert str(exc.value) in store.verify()
 
+    @pytest.mark.parametrize("blob", [b"{}", b"[]", b"not json"])
+    def test_refused_adopt_leaves_no_orphan(self, blob):
+        """Admission runs before the blob is stored: a refused manifest
+        is not a chunk, not a put and not an orphan for gc to find."""
+        store = CheckpointStore()
+        with pytest.raises(StoreError):
+            store.adopt_manifest(blob)
+        assert len(store.chunks) == 0
+        assert store.chunks.orphans() == []
+        assert store.chunks.puts == 0
+
 
 # ---------------------------------------------------------------------------
 # reopening a store that nothing changed writes nothing
