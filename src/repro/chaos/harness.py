@@ -166,6 +166,8 @@ class ChaosHarness:
             problems.append("source store still holds page-server pins")
         if not source.exited:
             problems.append("source process still alive after completion")
+        if pipeline.dst_machine.tmpfs.listdir(f"/images/{source.pid}"):
+            problems.append("destination image tree not removed")
         return problems
 
     def _audit_rollback(self, pipeline: MigrationPipeline,

@@ -2,13 +2,16 @@
 
 One :class:`MigrationPipeline` owns a source and a destination machine
 (with both architectures' binaries installed, as in the paper's cluster)
-and executes the four stages the paper measures:
+and executes these stages:
 
 1. **checkpoint** — pause at equivalence points + CRIU dump into tmpfs,
 2. **recode** — rewrite the image set with the cross-ISA policy (the
    paper notes the rewrite can run on either node; the recode node is
    configurable and defaults to the source),
-3. **scp** — copy the transformed images over the network link,
+3. **transfer** — ``scp`` copies the image files, or (``use_store``)
+   the set is put into the source chunk store (the ``store`` stage) and
+   ``ship`` sends only the chunks the destination lacks; either way the
+   arrived set lands once in the destination's ``/images/<pid>``,
 4. **verify** — the restore guard: the arrived image set runs the
    multi-pass :class:`~repro.verify.ImageVerifier` against the
    destination binary and the sender's per-page digest manifest;
@@ -18,23 +21,23 @@ and executes the four stages the paper measures:
    migration rolls back to the source,
 5. **restore** — vanilla or post-copy (lazy) restoration on the target.
 
-Each stage reports a simulated wall-clock latency from the calibrated
-cost model, driven by the *measured* image sizes / frame counts / page
-counts of the run.
+Each stage reports a simulated latency from the calibrated cost model,
+driven by the *measured* image sizes / frame counts / page counts.
 
-**Transactional semantics.** With a chaos ``injector`` attached,
-``migrate`` becomes a staged transaction: every stage retries under a
-deterministic exponential backoff when an injected fault (or an
-integrity failure it provokes) fires, arriving images are re-verified
-against the source content digest, a post-copy page-server death
-degrades gracefully to a pre-copy of the remaining pages, and an
-exhausted retry budget **rolls back to the source** — the destination's
-partial state is swept (image tree removed, orphan store chunks GC'd)
-and the paused source process resumes as if the migration was never
-attempted. The source is only torn down *after* a successful restore,
-so at every instant exactly one runnable copy of the process exists.
-Without an injector none of this machinery runs and the pipeline is
-byte-identical to the fault-free fast path.
+**Two endings.** *Commit* kills the source and removes the destination's
+``/images/<pid>``. *Undo* kills a restored destination copy if any,
+removes the same files, deletes a checkpoint adopted into the
+destination store (GC'ing its orphan chunks) and resumes the paused
+source at the cut. ``migrate`` commits at once; ``hold_source=True``
+keeps both until ``commit`` or ``abort``. With a chaos ``injector``
+attached, ``migrate`` is a staged transaction: every stage retries
+under a deterministic exponential backoff when an injected fault (or an
+integrity failure it provokes) fires, arrivals are checked against the
+source content digest, a post-copy page-server death degrades to a
+pre-copy of the remaining pages, and an exhausted retry budget **rolls
+back to the source** through undo. So at every instant exactly one
+runnable copy of the process exists. Without an injector none of this
+runs and the pipeline is byte-identical to the fault-free fast path.
 """
 
 from __future__ import annotations
@@ -100,16 +103,16 @@ class MigrationResult:
         self.output_before = output_before
         self.page_server = page_server
         self.lazy = lazy
-        #: hold_source=True migrations keep the paused source alive
-        #: until MigrationPipeline.commit/abort decides its fate
-        self.held_runtime = None
+        #: hold_source=True migrations keep the paused source (and the
+        #: destination's image files) until MigrationPipeline.commit/
+        #: abort decides their fate
         self.held_ctx: Optional[Dict] = None
 
     @property
     def held(self) -> bool:
         """True while the source is still paused awaiting commit/abort
         (two-phase group migrations)."""
-        return self.held_runtime is not None
+        return self.held_ctx is not None
 
     @property
     def total_seconds(self) -> float:
@@ -235,15 +238,14 @@ class MigrationPipeline:
 
     # -- transactional machinery -------------------------------------------------
 
-    def _txn_stage(self, stage: str, txn: Dict, ctx: Dict, fn,
-                   cleanup=None):
+    def _txn_stage(self, stage: str, txn: Dict, ctx: Dict, fn):
         """Run one stage under the retry budget.
 
         Without an injector this is a plain call — the fault-free path
         carries no transaction bookkeeping at all. With one, a retryable
-        failure triggers ``cleanup`` (sweep partial destination state),
-        a deterministic exponential backoff, and another attempt; an
-        exhausted budget rolls the whole migration back to the source.
+        failure triggers a deterministic exponential backoff and another
+        attempt; an exhausted budget rolls the whole migration back to
+        the source.
         """
         if self.injector is None:
             return fn()
@@ -257,13 +259,11 @@ class MigrationPipeline:
                 # The verifier's verdict is a pure function of the image
                 # bytes — retrying cannot succeed, so an unrepairable
                 # image rolls back immediately (the quarantined copy and
-                # its diagnosis survive the destination sweep).
+                # its diagnosis survive the undo).
                 txn["errors"].append(f"{stage}#{attempts}: {exc}")
                 self._rollback(stage, attempts, txn, ctx, exc)
             except RETRYABLE as exc:
                 txn["errors"].append(f"{stage}#{attempts}: {exc}")
-                if cleanup is not None:
-                    cleanup()
                 if attempts >= self.retry_budget:
                     self._rollback(stage, attempts, txn, ctx, exc)
                 backoff = self.backoff_base_s * (2 ** (attempts - 1))
@@ -271,20 +271,13 @@ class MigrationPipeline:
 
     def _rollback(self, stage: str, attempts: int, txn: Dict, ctx: Dict,
                   exc: BaseException) -> None:
-        """Undo the half-migration and resume the source.
-
-        The destination's image tree is removed, a checkpoint this
-        migration adopted into the destination store is deleted and its
-        now-orphaned chunks GC'd, and the paused source process is
-        resumed — it continues exactly where it stopped. Raises
-        :class:`MigrationRollback` carrying the transaction record.
-        """
+        """Undo the half-migration (:meth:`_undo`) and raise
+        :class:`MigrationRollback` carrying the transaction record."""
         txn["rolled_back"] = True
         txn["rollback_stage"] = stage
-        freed = self._sweep_destination(ctx)
+        freed = self._undo(ctx)
         if freed is not None:
             txn["gc"] = {"chunks": freed[0], "bytes": freed[1]}
-        ctx["runtime"].resume()
         if self.injector is not None:
             self.injector.note("rollback", stage,
                                f"after {attempts} attempt(s)", a=attempts)
@@ -293,20 +286,39 @@ class MigrationPipeline:
             f"attempt(s); rolled back to source ({exc})",
             stage=stage, attempts=attempts, txn=txn) from exc
 
-    def _sweep_destination(self, ctx: Dict) -> Optional[Tuple[int, int]]:
-        """Remove the destination's images and the checkpoint this
-        migration adopted there; returns the store GC's ``(chunks,
-        bytes)``, ``None`` without a destination store."""
+    # -- the two endings ---------------------------------------------------------
+
+    def _commit(self, ctx: Dict) -> None:
+        """End a restored migration: kill the source and remove the
+        destination's image files, which nothing reads once the process
+        runs from its own address space."""
+        ctx["runtime"].kill_source()
         dst_fs = self.dst_machine.tmpfs
-        for path in list(dst_fs.listdir(ctx["dst_prefix"])):
+        for path in dst_fs.listdir(ctx["dst_prefix"]):
             dst_fs.remove(path)
-        if self.dst_store is None:
-            return None
-        cid = ctx.get("dst_checkpoint")
-        if (cid is not None and not ctx.get("dst_had_checkpoint")
-                and cid in self.dst_store):
-            self.dst_store.delete(cid)
-        return self.dst_store.gc()
+
+    def _undo(self, ctx: Dict) -> Optional[Tuple[int, int]]:
+        """End a migration the other way: kill a restored destination
+        copy if there is one, remove the destination's image files,
+        delete a checkpoint this migration adopted into the destination
+        store and GC, then resume the paused source at the cut. Returns
+        the GC's ``(chunks, bytes)``, ``None`` without a destination
+        store."""
+        restored = ctx.get("restored")
+        if restored is not None and not restored.exited:
+            self.dst_machine.kill(restored)
+        dst_fs = self.dst_machine.tmpfs
+        for path in dst_fs.listdir(ctx["dst_prefix"]):
+            dst_fs.remove(path)
+        freed = None
+        if self.dst_store is not None:
+            cid = ctx["dst_checkpoint"]
+            if (cid is not None and not ctx["dst_had_checkpoint"]
+                    and cid in self.dst_store):
+                self.dst_store.delete(cid)
+            freed = self.dst_store.gc()
+        ctx["runtime"].resume()
+        return freed
 
     # -- the pipeline ------------------------------------------------------------
 
@@ -318,11 +330,11 @@ class MigrationPipeline:
         With ``hold_source=True`` the pipeline stops one step short of
         done: the process is restored on the destination but the paused
         source is **not** torn down — the caller must settle the
-        transaction with :meth:`commit` (kill the source) or
-        :meth:`abort` (kill the destination copy, sweep its images, and
-        resume the source at the cut). This is the per-member building
-        block of two-phase group migrations: no source dies until every
-        member of the group has restored.
+        transaction with :meth:`commit` or :meth:`abort`, the two
+        endings described in the module docstring; until then the
+        destination keeps its ``/images/<pid>`` files. This is the
+        per-member building block of two-phase group migrations: no
+        source dies until every member of the group has restored.
         """
         if process.machine is not self.src_machine:
             raise MigrationError("process does not run on the source machine")
@@ -396,13 +408,8 @@ class MigrationPipeline:
         # 3. transfer — plain scp of the images, or (use_store) a
         # content-addressed delta: put into the source store, ship only
         # the chunks missing at the destination, materialize there.
-        if self.use_store:
-            images = self._store_transfer(process, images, page_server,
-                                          stage_seconds, scaled, stats,
-                                          txn, ctx)
-        else:
-            images = self._plain_transfer(process, images, stage_seconds,
-                                          scaled, txn, ctx)
+        images = self._transfer(process, images, page_server,
+                                stage_seconds, scaled, stats, txn, ctx)
 
         # 4. verify — nothing restores until the arrived set passes the
         # multi-pass restore guard (repairing what it can on the way).
@@ -426,11 +433,12 @@ class MigrationPipeline:
                 return restore_process_lazy(self.dst_machine, images,
                                             page_server, verify=False)
             return restore_process(self.dst_machine, images, verify=False)
-        restored = self._txn_stage("restore", txn, ctx, _restore)
+        restored = ctx["restored"] = self._txn_stage("restore", txn, ctx,
+                                                     _restore)
         stage_seconds["restore"] = self.cost_model.restore_seconds(
             scaled(images.total_bytes()), threads)
         if not hold_source:
-            runtime.kill_source()
+            self._commit(ctx)
 
         if fallback:
             self._arm_precopy_fallback(restored, page_server, txn)
@@ -445,91 +453,135 @@ class MigrationPipeline:
             stats=stats, output_before=output_before,
             page_server=page_server, lazy=lazy)
         if hold_source:
-            result.held_runtime = runtime
             result.held_ctx = ctx
         return result
 
     # -- two-phase settlement (hold_source=True) ----------------------------------
 
     def commit(self, result: MigrationResult) -> None:
-        """Settle a held-open migration: tear down the source. After
-        this the destination copy is the only one, exactly as a plain
-        ``migrate`` would have left things."""
-        if not result.held:
-            raise MigrationError(
-                "migration was not held open (hold_source=False) or "
-                "is already settled")
-        result.held_runtime.kill_source()
-        result.held_runtime = None
-        result.held_ctx = None
+        """Settle a held-open migration: tear down the source and remove
+        the destination's image files. After this the destination copy
+        is the only one, exactly as a plain ``migrate`` would have left
+        things."""
+        self._commit(self._take_held(result))
 
     def abort(self, result: MigrationResult) -> None:
-        """Settle a held-open migration the other way: kill the restored
-        destination copy, sweep its images, drop any checkpoint this
-        migration adopted into the destination store (GC'ing the orphan
-        chunks), and resume the paused source at the cut — the mirror of
-        :meth:`_rollback` for a migration that had already restored."""
+        """Settle a held-open migration the other way (:meth:`_undo`):
+        kill the restored destination copy, remove its image files, drop
+        any checkpoint this migration adopted into the destination store
+        and resume the paused source at the cut."""
+        self._undo(self._take_held(result))
+
+    @staticmethod
+    def _take_held(result: MigrationResult) -> Dict:
         if not result.held:
             raise MigrationError(
                 "migration was not held open (hold_source=False) or "
                 "is already settled")
-        if not result.process.exited:
-            self.dst_machine.kill(result.process)
-        self._sweep_destination(result.held_ctx)
-        result.held_runtime.resume()
-        result.held_runtime = None
-        result.held_ctx = None
+        ctx, result.held_ctx = result.held_ctx, None
+        return ctx
 
-    # -- stage 3 variants --------------------------------------------------------
+    # -- stages 3 and 4 ------------------------------------------------------------
 
-    def _plain_transfer(self, process: Process, images: ImageSet,
-                        stage_seconds: Dict[str, float], scaled,
-                        txn: Dict, ctx: Dict) -> ImageSet:
-        """Plain-scp stage 3: link first, bytes second, verify on arrival."""
+    def _transfer(self, process: Process, images: ImageSet,
+                  page_server: Optional[PageServer],
+                  stage_seconds: Dict[str, float], scaled, stats: Dict,
+                  txn: Dict, ctx: Dict) -> ImageSet:
+        """Stage 3: returns the arrived set the destination restores
+        from. Only the carry differs between scp and ``use_store``; the
+        link is consulted before a byte moves, the set lands in
+        ``ctx["dst_prefix"]``, and (with an injector) the one arrival
+        check compares it with ``ctx["sent_digest"]``. A retried ship
+        re-plans, so chunks that landed before a fault are not resent;
+        chunks a rollback strands are unreferenced and GC'd."""
         injector = self.injector
-        prefix = ctx["dst_prefix"]
         dst_fs = self.dst_machine.tmpfs
+        prefix = ctx["dst_prefix"]
+        site = "ship" if self.use_store else "scp"
+        full_bytes = images.total_bytes()
+        if self.use_store:
+            put = self.src_store.put(images)
+            ctx["dst_checkpoint"] = put.checkpoint_id
+            ctx["dst_had_checkpoint"] = put.checkpoint_id in self.dst_store
+            # Chunking + hashing runs at checkpoint-write speed on the
+            # source node; it replaces writing the image files out twice.
+            stage_seconds["store"] = self.cost_model.store_seconds(
+                scaled(full_bytes))
 
-        def _sweep_partial():
-            for path in list(dst_fs.listdir(prefix)):
-                dst_fs.remove(path)
-
-        def _transfer():
-            # The link — and any injected drop / partition / latency —
-            # is consulted before a single byte lands at the target.
+        def _carry():
             factor = 1.0
             if injector is not None:
                 factor = injector.link_fault(self.src_machine.name,
                                              self.dst_machine.name,
-                                             site="scp")
-            images.save(dst_fs, prefix)
-            if injector is not None and injector.corrupt_roll("scp"):
-                # Flip the tail byte of the largest arrived file (the
-                # pages image) — the arrival digest check must catch it.
-                victim = max(dst_fs.listdir(prefix), key=dst_fs.size)
-                blob = bytearray(dst_fs.read(victim))
-                blob[-1] ^= 0xFF
-                dst_fs.write(victim, bytes(blob))
-            if injector is not None:
+                                             site=site)
+            plan = None
+            if self.use_store:
+                plan = plan_transfer(self.src_store, self.dst_store,
+                                     put.checkpoint_id, self.link)
+                sent = ship(self.src_store, self.dst_store, plan,
+                            injector=injector)
+                arrived = self.dst_store.materialize(put.checkpoint_id)
+            else:
+                sent, arrived = full_bytes, images
+            arrived.save(dst_fs, prefix)
+            if injector is None:
+                return arrived, plan, sent, factor
+            if not self.use_store:
+                if injector.corrupt_roll("scp"):
+                    # Flip the tail byte of the largest arrived file
+                    # (the pages image).
+                    victim = max(dst_fs.listdir(prefix), key=dst_fs.size)
+                    blob = bytearray(dst_fs.read(victim))
+                    blob[-1] ^= 0xFF
+                    dst_fs.write(victim, bytes(blob))
+                # The destination restores from what actually arrived.
                 try:
                     arrived = ImageSet.load(dst_fs, prefix)
-                    ok = arrived.content_digest() == images.content_digest()
                 except ReproError as exc:
                     raise IntegrityError(
                         f"arrived images unreadable: {exc}") from exc
-                if self.arrival_check and not ok:
-                    raise IntegrityError(
-                        "arrived image digest does not match source")
-                # The destination restores from what actually arrived;
-                # with arrival_check off, corrupt bytes flow on to the
-                # verify stage instead of being silently re-copied.
-                return arrived, factor
-            return images, factor
-        images, factor = self._txn_stage("scp", txn, ctx, _transfer,
-                                         cleanup=_sweep_partial)
+            if (self.arrival_check
+                    and arrived.content_digest() != ctx["sent_digest"]):
+                raise IntegrityError(
+                    "arrived image digest does not match source")
+            return arrived, plan, sent, factor
+        arrived, plan, sent, factor = self._txn_stage(site, txn, ctx,
+                                                      _carry)
         stage_seconds["scp"] = self.cost_model.transfer_seconds(
-            scaled(images.total_bytes()), factor)
-        return images
+            scaled(sent), factor)
+        if not self.use_store:
+            return arrived
+
+        if page_server is not None:
+            # Post-copy + store: the left-behind pages live in the
+            # source store too, so the page server shares physical
+            # pages with every checkpoint.
+            page_server.move_to(self.src_store.chunks)
+        stats["store"] = {
+            "checkpoint": put.checkpoint_id,
+            "new_chunks": put.new_chunks,
+            "dup_chunks": put.dup_chunks,
+            "chunks_total": plan.chunks_total,
+            "chunks_shipped": len(plan.chunks_needed),
+            "bytes_shipped": sent,
+            "bytes_full_copy": full_bytes,
+            "savings": 1.0 - (sent / full_bytes) if full_bytes else 0.0,
+            "dedup_ratio": self.src_store.stats()["dedup_ratio"],
+        }
+        recorder = getattr(self.src_machine, "recorder", None)
+        if recorder is not None:
+            # Store events are content-derived, hence deterministic:
+            # replayed store-backed migrations journal identically.
+            from ..replay.journal import EV_STORE
+            recorder.on_event(EV_STORE, pid=process.pid,
+                              label=f"put:{put.checkpoint_id[:16]}",
+                              a=put.new_chunks,
+                              b=put.new_physical_bytes)
+            recorder.on_event(EV_STORE, pid=process.pid,
+                              label=(f"plan:{self.src_machine.name}->"
+                                     f"{self.dst_machine.name}"),
+                              a=len(plan.chunks_needed), b=sent)
+        return arrived
 
     def _verify_stage(self, process: Process, images: ImageSet,
                       stage_seconds: Dict[str, float], scaled,
@@ -540,10 +592,9 @@ class MigrationPipeline:
         with everything the pipeline knows — the destination binary, the
         destination chunk store, and the sender's whole-set digest and
         per-page manifest captured right after recode. Repairable
-        divergence (clean pages) is fixed in place and the repaired set
-        re-saved over the corrupt arrival; an unrepairable set is moved
-        to ``/quarantine/<id>`` on the destination with its diagnosis
-        and the migration rolls back to the source.
+        divergence (clean pages) is fixed in place; an unrepairable set
+        is moved to ``/quarantine/<id>`` on the destination with its
+        diagnosis and the migration rolls back to the source.
         """
         injector = self.injector
         verifier = ImageVerifier(
@@ -595,12 +646,10 @@ class MigrationPipeline:
             "checks": verdict.checks,
             "repaired_pages": len(verdict.repaired),
         }
-        if verdict.repaired:
-            images.save(self.dst_machine.tmpfs, ctx["dst_prefix"])
-            if injector is not None:
-                injector.note("repair", "verify",
-                              f"repaired {len(verdict.repaired)} page(s) "
-                              f"in place", a=len(verdict.repaired))
+        if verdict.repaired and injector is not None:
+            injector.note("repair", "verify",
+                          f"repaired {len(verdict.repaired)} page(s) "
+                          f"in place", a=len(verdict.repaired))
         recorder = getattr(self.src_machine, "recorder", None)
         if recorder is not None:
             # Verify events are a pure function of the image bytes, so
@@ -613,86 +662,6 @@ class MigrationPipeline:
                        else "verify:ok@migrate"),
                 a=verdict.checks, b=len(verdict.repaired))
         return images
-
-    def _store_transfer(self, process: Process, images: ImageSet,
-                        page_server: Optional[PageServer],
-                        stage_seconds: Dict[str, float], scaled,
-                        stats: Dict, txn: Dict, ctx: Dict):
-        """Store-backed stage 3. Returns the (materialized) image set
-        the destination restores from; a post-copy ``page_server`` moves
-        onto the source store.
-
-        A retried attempt re-plans the delta: chunks that landed before
-        the fault are already in the destination store, so each retry
-        ships strictly less — the transfer is resumable, and any chunks
-        stranded by a final rollback carry no references until their
-        manifest registers, so the rollback GC reclaims them.
-        """
-        injector = self.injector
-        full_bytes = images.total_bytes()
-        put = self.src_store.put(images)
-        ctx["dst_checkpoint"] = put.checkpoint_id
-        ctx["dst_had_checkpoint"] = put.checkpoint_id in self.dst_store
-        # Chunking + hashing runs at checkpoint-write speed on the
-        # source node; it replaces writing the image files out twice.
-        stage_seconds["store"] = self.cost_model.store_seconds(
-            scaled(full_bytes))
-
-        def _ship():
-            factor = 1.0
-            if injector is not None:
-                factor = injector.link_fault(self.src_machine.name,
-                                             self.dst_machine.name,
-                                             site="ship")
-            plan = plan_transfer(self.src_store, self.dst_store,
-                                 put.checkpoint_id, self.link)
-            shipped = ship(self.src_store, self.dst_store, plan,
-                           injector=injector)
-            images_dst = self.dst_store.materialize(put.checkpoint_id)
-            if (injector is not None
-                    and images_dst.content_digest()
-                    != images.content_digest()):
-                raise IntegrityError(
-                    "materialized checkpoint digest does not match "
-                    "source images")
-            return plan, shipped, images_dst, factor
-        plan, shipped, images_dst, factor = self._txn_stage(
-            "ship", txn, ctx, _ship)
-        stage_seconds["scp"] = self.cost_model.transfer_seconds(
-            scaled(shipped), factor)
-        images_dst.save(self.dst_machine.tmpfs, ctx["dst_prefix"])
-
-        if page_server is not None:
-            # Post-copy + store: the left-behind pages live in the
-            # source store too, so the page server shares physical
-            # pages with every checkpoint.
-            page_server.move_to(self.src_store.chunks)
-
-        stats["store"] = {
-            "checkpoint": put.checkpoint_id,
-            "new_chunks": put.new_chunks,
-            "dup_chunks": put.dup_chunks,
-            "chunks_total": plan.chunks_total,
-            "chunks_shipped": len(plan.chunks_needed),
-            "bytes_shipped": shipped,
-            "bytes_full_copy": full_bytes,
-            "savings": 1.0 - (shipped / full_bytes) if full_bytes else 0.0,
-            "dedup_ratio": self.src_store.stats()["dedup_ratio"],
-        }
-        recorder = getattr(self.src_machine, "recorder", None)
-        if recorder is not None:
-            # Store events are content-derived, hence deterministic:
-            # replayed store-backed migrations journal identically.
-            from ..replay.journal import EV_STORE
-            recorder.on_event(EV_STORE, pid=process.pid,
-                              label=f"put:{put.checkpoint_id[:16]}",
-                              a=put.new_chunks,
-                              b=put.new_physical_bytes)
-            recorder.on_event(EV_STORE, pid=process.pid,
-                              label=(f"plan:{self.src_machine.name}->"
-                                     f"{self.dst_machine.name}"),
-                              a=len(plan.chunks_needed), b=shipped)
-        return images_dst
 
     # -- post-copy degradation ---------------------------------------------------
 

@@ -22,12 +22,14 @@ from repro.cluster import EnergyMeter, EventQueue, Network, SimNode
 from repro.cluster.jobs import JobTemplate
 from repro.cluster.scheduler import EvictionScheduler
 from repro.core.costs import ethernet_link, rpi_profile, xeon_profile
-from repro.core.migration import MigrationPipeline
+from repro.core.migration import (MigrationPipeline, exe_path_for,
+                                  install_program)
 from repro.criu.lazy import PageServer
 from repro.errors import (ClusterError, LazyPageError, LinkDropFault,
                           MigrationRollback, PageServerDead, ReproError,
                           StoreError)
 from repro.isa import get_isa
+from repro.mem.paging import PAGE_SIZE
 from repro.store import CheckpointStore
 from repro.store.transfer import plan_transfer, ship
 from repro.vm import Machine
@@ -389,6 +391,129 @@ class TestTransactionalMigrate:
         trial = harness.run_trial(FaultPlan(2, partition=1.0))
         assert trial.outcome == "rolled-back"
         assert trial.ok, trial.detail
+
+
+# -- a settled migration leaves no image files ----------------------------------
+
+
+def _pingpong_pipelines(program, mode):
+    """There-and-back pipelines over one x86/arm machine pair; ``store``
+    gives each machine one long-lived (so, after a hop, warm) store."""
+    x86 = Machine(get_isa("x86_64"), name="x86")
+    arm = Machine(get_isa("aarch64"), name="arm")
+    stores = {x86: CheckpointStore(), arm: CheckpointStore()}
+    return [MigrationPipeline(src, dst, program, use_store=mode == "store",
+                              src_store=stores[src], dst_store=stores[dst])
+            for src, dst in ((x86, arm), (arm, x86))]
+
+
+class TestSettledMigrationReleasesImages:
+    @pytest.mark.parametrize("mode", ["plain", "store", "lazy"])
+    def test_pingpong_leaves_no_image_files(self, harness, kmeans_program,
+                                            mode):
+        there, back = _pingpong_pipelines(kmeans_program, mode)
+        machines = (there.src_machine, there.dst_machine)
+        process = there.start()
+        there.src_machine.step_all(5000)
+        output = ""
+        for _ in range(4):
+            for pipe in (there, back):
+                result = pipe.migrate(process, lazy=mode == "lazy")
+                for machine in machines:
+                    assert machine.tmpfs.listdir("/images/") == []
+                output += result.output_before
+                process = result.process
+                pipe.dst_machine.step_all(500)
+        process.machine.run_process(process)
+        assert output + process.stdout() == harness.expected_output
+
+    @pytest.mark.parametrize("settle", ["commit", "abort"])
+    def test_held_migration_keeps_its_files_until_settled(
+            self, kmeans_program, settle):
+        pipeline = make_pipeline(kmeans_program)
+        process = pipeline.start()
+        pipeline.src_machine.step_all(5000)
+        result = pipeline.migrate(process, hold_source=True)
+        dst_fs = pipeline.dst_machine.tmpfs
+        assert dst_fs.listdir("/images/") == sorted(
+            f"/images/{process.pid}/{name}" for name in result.images.files)
+        getattr(pipeline, settle)(result)
+        assert dst_fs.listdir("/images/") == []
+        assert pipeline.src_machine.tmpfs.listdir("/images/") == []
+        assert process.exited == (settle == "commit")
+
+
+@pytest.fixture(scope="module")
+def redis_program():
+    """The one registry app whose small dump has heap pages."""
+    return get_app("redis").compile("small")
+
+
+@pytest.fixture(scope="module")
+def redis_output(redis_program):
+    machine = Machine(get_isa("x86_64"), name="native")
+    install_program(machine, redis_program)
+    process = machine.spawn_process(
+        exe_path_for(redis_program.name, "x86_64"))
+    machine.run_process(process)
+    return process.stdout()
+
+
+def _flip_first_materialized_heap_page(monkeypatch):
+    """The first ``CheckpointStore.materialize`` call returns its set
+    with one byte of a heap page flipped; later calls are untouched."""
+    materialize = CheckpointStore.materialize
+    calls = []
+
+    def flipped(store, *args, **kwargs):
+        images = materialize(store, *args, **kwargs)
+        calls.append(1)
+        if len(calls) > 1:
+            return images
+        heap = next(v for v in images.mm().vmas if v.name == "heap")
+        offset = 0
+        for entry in images.pagemap().entries:
+            if heap.start <= entry.vaddr < heap.end:
+                break
+            offset += entry.nr_pages * PAGE_SIZE
+        else:
+            raise AssertionError("no heap page dumped")
+        blob = bytearray(images.pages())
+        blob[offset + 7] ^= 0xA5
+        images.set_pages(bytes(blob))
+        return images
+    monkeypatch.setattr(CheckpointStore, "materialize", flipped)
+
+
+class TestStoreArrivalCheck:
+    """The one arrival rule on the store path: a materialized set that
+    differs from the sent one is re-shipped, or with ``arrival_check``
+    off reaches the restore guard. (No chaos fault makes such a set: a
+    corrupt chunk is refused by the adopt re-hash first.)"""
+
+    def test_mismatch_retries_the_ship(self, redis_program, redis_output,
+                                       monkeypatch):
+        _flip_first_materialized_heap_page(monkeypatch)
+        pipeline = make_pipeline(redis_program, use_store=True,
+                                 injector=FaultInjector(FaultPlan(0)))
+        result = pipeline.run_and_migrate(3000)
+        txn = result.stats["txn"]
+        assert txn["attempts"]["ship"] == 2
+        assert txn["errors"] == [
+            "ship#1: arrived image digest does not match source"]
+        assert result.stats["verify"]["repaired_pages"] == 0
+        assert result.combined_output() == redis_output
+
+    def test_without_arrival_check_the_guard_repairs(
+            self, redis_program, redis_output, monkeypatch):
+        _flip_first_materialized_heap_page(monkeypatch)
+        pipeline = make_pipeline(redis_program, use_store=True,
+                                 arrival_check=False,
+                                 injector=FaultInjector(FaultPlan(0)))
+        result = pipeline.run_and_migrate(3000)
+        assert result.stats["txn"]["attempts"]["ship"] == 1
+        assert result.stats["verify"]["repaired_pages"] == 1
+        assert result.combined_output() == redis_output
 
 
 class TestPrecopyFallback:
