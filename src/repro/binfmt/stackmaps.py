@@ -180,6 +180,14 @@ class StackMapSection:
         self._reindex()
         return point
 
+    def park_point(self, pc: int) -> Optional[EqPoint]:
+        """The entry eqpoint at ``pc`` — where a trapped thread may be
+        parked — or None. The runtime, guard and strict walk ask this."""
+        point = self.by_addr.get(pc)
+        if point is None or point.kind != KIND_ENTRY:
+            return None
+        return point
+
     def entry_for(self, func: str) -> Optional[EqPoint]:
         for point in self.eqpoints:
             if point.kind == KIND_ENTRY and point.func == func:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .. import sysabi
-from ..binfmt.stackmaps import KIND_ENTRY
 from ..criu.dump import dump_process
 from ..criu.images import ImageSet
 from ..criu.lazy import PageServer, dump_process_lazy
@@ -63,8 +62,7 @@ class DapperRuntime:
         stackmaps = self.process.binary.stackmaps
         for tid in tids:
             thread = self.process.threads[tid]
-            point = stackmaps.by_addr.get(thread.pc)
-            if point is None or point.kind != KIND_ENTRY:
+            if stackmaps.park_point(thread.pc) is None:
                 raise NotAtEquivalencePoint(
                     f"thread {tid} parked at {thread.pc:#x}, which is not "
                     f"an equivalence point")

@@ -5,13 +5,25 @@ Frame convention (both ISAs, established by our backends):
 * ``[fp + 8]`` — return address,
 * ``[fp + 0]`` — saved caller frame pointer (0 terminates the chain),
 * slots at negative fp offsets per the binary's ``.frames`` records,
-* on entry to a callee, ``callee.fp == caller.fp - caller.frame_size - 16``.
+* on entry to a callee, ``callee.fp == caller.fp - caller.frame_size - 16``
+  and ``callee.saved_fp == caller.fp`` (the *link* rule).
 
-The unwinder walks the dumped stack outward from the parked thread's
-frame pointer, pairing every frame with its equivalence point: the
-innermost frame resumes at the *entry* eqpoint the checker trapped on;
-every outer frame resumes at the *call-site* eqpoint matching the return
-address stored in its callee's frame.
+One walker, :func:`unwind`, follows the chain outward over any reader
+with ``read``/``read_u64`` (a dump's :class:`ImageMemory`, a live
+address space); :func:`read_live` / :func:`write_live` are the one
+place a live value's location (register, slot or both) is decoded.
+The *strict* walk (:func:`unwind_thread`) raises :class:`RewriteError`
+unless the innermost pc is a park point (``StackMapSection.park_point``),
+every return address is a call-site eqpoint, every link obeys the link
+rule (so fp rises and the walk ends), and the chain ends (saved fp 0) only
+at ``_start`` returning to 0 or at a thread entry returning to
+``__thread_exit``, whose entry-sp (``fp + _ENTRY_SP_TO_FP[arch]``) is
+the thread's first sp, ``thread_stack_top(tid) - 16``. These read no
+more than the two link words. The *tolerant* walk (the debugger) names
+frames by the ``.frames`` record containing the pc, gives each the
+eqpoint of any kind there (None off one), decodes no values, and stops
+quietly at an unknown pc, a zero fp, an unreadable link or 64 frames
+(DAP frame ids are ``thread * 100 + index``).
 
 Re-layout computes destination frame pointers top-of-stack down using the
 destination ISA's frame sizes and prologue displacement, then copies
@@ -27,10 +39,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..binfmt.delf import DelfBinary
 from ..binfmt.frames import RET_ADDR_OFFSET, SAVED_FP_OFFSET
-from ..binfmt.stackmaps import EqPoint, KIND_CALLSITE, KIND_ENTRY
+from ..binfmt.stackmaps import EqPoint, KIND_CALLSITE, LOC_REG, LiveValue
 from ..criu.images import CoreImage
-from ..errors import RewriteError
+from ..errors import ReproError, RewriteError
 from ..isa import get_isa
+from ..sysabi import RT_START, RT_THREAD_EXIT
+from ..vm.kernel import thread_stack_top
 from .rewriter import ImageMemory
 
 #: distance from a function's entry-sp to its fp, per ISA convention
@@ -42,17 +56,20 @@ _FRAME_LINK = 16
 
 
 class UnwoundFrame:
-    """One source frame with its live values read out."""
+    """One frame of a walk. ``eqpoint`` is None off an eqpoint (tolerant
+    walk); ``values`` are read by the strict walk only."""
 
-    __slots__ = ("func", "eqpoint", "fp", "values", "ret_addr", "saved_fp",
-                 "frame_size")
+    __slots__ = ("func", "eqpoint", "pc", "fp", "frame_size", "isa",
+                 "values", "ret_addr", "saved_fp")
 
-    def __init__(self, func: str, eqpoint: EqPoint, fp: int,
-                 frame_size: int):
+    def __init__(self, func: Optional[str], eqpoint: Optional[EqPoint],
+                 pc: int, fp: int, frame_size: int, isa: str):
         self.func = func
         self.eqpoint = eqpoint
+        self.pc = pc
         self.fp = fp
         self.frame_size = frame_size
+        self.isa = isa
         #: value_id -> bytes (slot-sized)
         self.values: Dict[int, bytes] = {}
         self.ret_addr = 0
@@ -60,7 +77,7 @@ class UnwoundFrame:
 
     def __repr__(self) -> str:
         return (f"<UnwoundFrame {self.func} fp={self.fp:#x} "
-                f"eq#{self.eqpoint.eqpoint_id} values={len(self.values)}>")
+                f"pc={self.pc:#x} values={len(self.values)}>")
 
 
 class UnwoundThread:
@@ -72,53 +89,91 @@ class UnwoundThread:
         self.frames = frames
 
 
+def read_live(memory, regs: Dict[int, int], fp: int,
+              live: LiveValue) -> bytes:
+    """One live value's bytes. ``LOC_BOTH`` (a parameter at entry)
+    reads the spill slot, which equals the register at a park point."""
+    if live.loc_type != LOC_REG:
+        return memory.read(fp + live.stack_offset, live.size)
+    value = regs.get(live.dwarf_reg)
+    if value is None:
+        raise RewriteError(f"live value {live.name!r} in unknown "
+                           f"register {live.dwarf_reg}")
+    return (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+
+
+def write_live(memory, regs: Dict[int, int], fp: int, live: LiveValue,
+               raw: bytes) -> None:
+    """Place one live value at every location ``live`` names."""
+    if live.on_stack():
+        memory.write(fp + live.stack_offset, raw)
+    if live.in_register():
+        regs[live.dwarf_reg] = int.from_bytes(raw[:8], "little",
+                                              signed=True)
+
+
+def unwind(memory, binary: DelfBinary, pc: int, fp: int, strict: bool,
+           regs: Optional[Dict[int, int]] = None,
+           tid: int = 0) -> List[UnwoundFrame]:
+    """Walk a stack innermost → outermost. ``regs`` (DWARF number →
+    value) and ``tid`` are the parked thread's, for the strict walk."""
+    stackmaps, records = binary.stackmaps, binary.frames
+    point = stackmaps.park_point(pc) if strict else stackmaps.by_addr.get(pc)
+    if strict and point is None:
+        raise RewriteError(f"thread {tid}: pc {pc:#x} is not an entry "
+                           f"equivalence point")
+    record = records.get(point.func) if strict else records.containing(pc)
+    frames: List[UnwoundFrame] = []
+    while True:
+        frame = UnwoundFrame(record.func if record else None, point, pc, fp,
+                             record.frame_size if record else 0, binary.arch)
+        frames.append(frame)
+        if strict:
+            for live in point.live:
+                frame.values[live.value_id] = read_live(memory, regs, fp, live)
+        elif record is None or fp == 0 or len(frames) == 64:
+            return frames
+        try:
+            frame.saved_fp = memory.read_u64(fp + SAVED_FP_OFFSET)
+            frame.ret_addr = pc = memory.read_u64(fp + RET_ADDR_OFFSET)
+        except ReproError:
+            if strict:
+                raise
+            return frames
+        point = stackmaps.by_addr.get(pc)
+        if not strict:
+            record = records.containing(pc)
+            if pc == 0 or record is None:
+                return frames
+        elif frame.saved_fp == 0:
+            returns_to = (0 if frame.func == RT_START else
+                          binary.symtab.address_of(RT_THREAD_EXIT))
+            if (pc != returns_to or fp + _ENTRY_SP_TO_FP[binary.arch]
+                    != thread_stack_top(tid) - 16):   # its first sp
+                raise RewriteError(
+                    f"thread {tid}: stack ends in {frame.func} at fp "
+                    f"{fp:#x} returning to {pc:#x}, not at _start or a "
+                    f"thread entry on the thread's first sp")
+            return frames
+        elif point is None or point.kind != KIND_CALLSITE:
+            raise RewriteError(f"thread {tid}: return address {pc:#x} "
+                               f"has no call-site stackmap")
+        else:
+            record = records.get(point.func)
+            if frame.saved_fp != fp + record.frame_size + _FRAME_LINK:
+                raise RewriteError(
+                    f"thread {tid}: {frame.func} at fp {fp:#x} links to "
+                    f"{frame.saved_fp:#x}, not to its caller's fp")
+        fp = frame.saved_fp
+
+
 def unwind_thread(memory: ImageMemory, core: CoreImage,
                   binary: DelfBinary) -> UnwoundThread:
-    """Walk one parked thread's stack, innermost → outermost."""
+    """The strict walk of one parked thread's dumped stack."""
     isa = get_isa(core.arch)
-    stackmaps = binary.stackmaps
-    frames_meta = binary.frames
-
-    point = stackmaps.by_addr.get(core.pc)
-    if point is None or point.kind != KIND_ENTRY:
-        raise RewriteError(
-            f"thread {core.tid}: pc {core.pc:#x} is not an entry "
-            f"equivalence point")
     fp = core.regs[isa.dwarf_of(isa.abi.frame_pointer)] & 0xFFFFFFFFFFFFFFFF
-
-    frames: List[UnwoundFrame] = []
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 4096:
-            raise RewriteError("unwind did not terminate (fp chain loop?)")
-        record = frames_meta.get(point.func)
-        frame = UnwoundFrame(point.func, point, fp, record.frame_size)
-        for live in point.live:
-            if live.on_stack():
-                frame.values[live.value_id] = memory.read(
-                    fp + live.stack_offset, live.size)
-            else:
-                value = core.regs.get(live.dwarf_reg)
-                if value is None:
-                    raise RewriteError(
-                        f"{point.func}: live value {live.name!r} in "
-                        f"unknown register {live.dwarf_reg}")
-                frame.values[live.value_id] = \
-                    (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-        frame.saved_fp = memory.read_u64(fp + SAVED_FP_OFFSET)
-        frame.ret_addr = memory.read_u64(fp + RET_ADDR_OFFSET)
-        frames.append(frame)
-        if frame.saved_fp == 0:
-            break
-        caller_point = stackmaps.by_addr.get(frame.ret_addr)
-        if caller_point is None or caller_point.kind != KIND_CALLSITE:
-            raise RewriteError(
-                f"thread {core.tid}: return address {frame.ret_addr:#x} "
-                f"has no call-site stackmap")
-        point = caller_point
-        fp = frame.saved_fp
-    return UnwoundThread(core, frames)
+    return UnwoundThread(core, unwind(memory, binary, core.pc, fp, True,
+                                      core.regs, core.tid))
 
 
 class FrameMap:
@@ -217,17 +272,16 @@ def write_thread(memory: ImageMemory, thread: UnwoundThread,
         # destination ABI (paper: "DAPPER follows the destination
         # architecture's ABI and retains the register-save procedure").
         if index + 1 < len(thread.frames):
-            caller_fp = frame_map.lookup_dst_fp(tid, index + 1)
+            saved_fp = frame_map.lookup_dst_fp(tid, index + 1)
             caller_point = thread.frames[index + 1].eqpoint
-            dst_caller_point = dst_maps.by_id[caller_point.eqpoint_id]
-            memory.write_u64(dst_fp + SAVED_FP_OFFSET, caller_fp)
-            memory.write_u64(dst_fp + RET_ADDR_OFFSET, dst_caller_point.addr)
+            ret_addr = dst_maps.by_id[caller_point.eqpoint_id].addr
         else:
             # Outermost frame: chain terminator + raw return target
             # (symbol addresses are aligned across ISAs, so e.g. the
             # __thread_exit stub address stays valid).
-            memory.write_u64(dst_fp + SAVED_FP_OFFSET, 0)
-            memory.write_u64(dst_fp + RET_ADDR_OFFSET, frame.ret_addr)
+            saved_fp, ret_addr = 0, frame.ret_addr
+        memory.write_u64(dst_fp + SAVED_FP_OFFSET, saved_fp)
+        memory.write_u64(dst_fp + RET_ADDR_OFFSET, ret_addr)
         # Live values.
         src_live_by_id = {lv.value_id: lv for lv in frame.eqpoint.live}
         for live in dst_point.live:
@@ -246,15 +300,11 @@ def write_thread(memory: ImageMemory, thread: UnwoundThread,
                     value = frame_map.remap_pointer(value, src_binary,
                                                     dst_binary)
                 raw = value.to_bytes(8, "little")
-            if live.on_stack():
-                memory.write(dst_fp + live.stack_offset, raw)
-            if live.in_register():
-                if index != 0:
-                    raise RewriteError(
-                        f"{frame.func}: register-resident live value in a "
-                        f"suspended (non-innermost) frame")
-                signed = int.from_bytes(raw[:8], "little", signed=True)
-                new_regs[live.dwarf_reg] = signed
+            if index != 0 and live.in_register():
+                raise RewriteError(
+                    f"{frame.func}: register-resident live value in a "
+                    f"suspended (non-innermost) frame")
+            write_live(memory, new_regs, dst_fp, live, raw)
         if index == 0:
             new_regs[dst_isa.dwarf_of(dst_isa.abi.frame_pointer)] = dst_fp
             dst_record = dst_binary.frames.get(frame.func)

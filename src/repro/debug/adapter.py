@@ -373,11 +373,11 @@ class DebugAdapter:
         start = args.get("startFrame", 0)
         levels = args.get("levels", 0) or len(frames)
         out = []
-        for frame in frames[start:start + levels]:
+        for index, frame in enumerate(frames[start:start + levels], start):
             out.append({
-                "id": _thread_id(ref) * 100 + frame.index,
+                "id": _thread_id(ref) * 100 + index,
                 "name": frame.func or f"{frame.pc:#x}",
-                "line": frame.line or 0,
+                "line": self.session.source_map.line_of(frame.func) or 0,
                 "column": 0,
                 "instructionPointerReference": hex(frame.pc),
                 "source": {"name": self.session.header.get(

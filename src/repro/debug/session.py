@@ -50,8 +50,8 @@ from __future__ import annotations
 import bisect as _bisect
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..binfmt.frames import RET_ADDR_OFFSET, SAVED_FP_OFFSET
 from ..core.migration import install_program
+from ..core.stack_rewrite import UnwoundFrame, read_live, unwind
 from ..errors import (CheckpointError, DebugError, MemoryError_,
                       ReproError)
 from ..isa import get_isa
@@ -115,21 +115,6 @@ class ThreadRef:
     @property
     def key(self) -> Tuple[int, int, int]:
         return (self.machine_index, self.pid, self.tid)
-
-
-class FrameInfo:
-    """One unwound stack frame."""
-
-    __slots__ = ("index", "func", "pc", "fp", "line", "isa")
-
-    def __init__(self, index: int, func: Optional[str], pc: int, fp: int,
-                 line: Optional[int], isa: str):
-        self.index = index
-        self.func = func
-        self.pc = pc
-        self.fp = fp
-        self.line = line
-        self.isa = isa
 
 
 class Variable:
@@ -802,34 +787,13 @@ class DebugSession:
             raise DebugError(f"stale thread reference {ref.key}")
         return machine, process, process.threads[ref.tid]
 
-    def stack_frames(self, ref: ThreadRef,
-                     max_depth: int = 64) -> List[FrameInfo]:
-        """Unwind via the ``.frames`` convention: ``[fp+8]`` return
-        address, ``[fp+0]`` saved caller fp. Decoded against the
-        binary of the machine hosting the process — after a cross-ISA
-        migration that is the destination binary."""
-        machine, process, thread = self._deref(ref)
-        frames_section = process.binary.frames
-        out: List[FrameInfo] = []
-        pc, fp = thread.pc, thread.fp
-        for depth in range(max_depth):
-            record = frames_section.containing(pc)
-            func = record.func if record is not None else None
-            line = (self.source_map.line_of(func)
-                    if func is not None else None)
-            out.append(FrameInfo(depth, func, pc, fp, line,
-                                 machine.isa.name))
-            if record is None or fp == 0:
-                break
-            try:
-                ret = process.aspace.read_u64(fp + RET_ADDR_OFFSET)
-                saved = process.aspace.read_u64(fp + SAVED_FP_OFFSET)
-            except (MemoryError_, ReproError):
-                break
-            if ret == 0 or frames_section.containing(ret) is None:
-                break
-            pc, fp = ret, saved
-        return out
+    def stack_frames(self, ref: ThreadRef) -> List[UnwoundFrame]:
+        """The tolerant :func:`~repro.core.stack_rewrite.unwind` of one
+        thread, against the binary of the machine hosting the process
+        (after a cross-ISA migration, the destination binary)."""
+        _machine, process, thread = self._deref(ref)
+        return unwind(process.aspace, process.binary, thread.pc, thread.fp,
+                      strict=False)
 
     def frame_variables(self, ref: ThreadRef,
                         frame_index: int = 0) -> List[Variable]:
@@ -843,55 +807,38 @@ class DebugSession:
         if frame_index >= len(frames):
             return []
         frame = frames[frame_index]
-        aspace = process.aspace
         isa = machine.isa
         out: List[Variable] = []
-        point = (process.binary.stackmaps.by_addr.get(frame.pc)
-                 if frame_index == 0 else None)
-        if point is not None:
-            for live in point.live:
-                reg_val = stack_val = None
-                addr = None
-                reg_name = None
+        if frame_index == 0 and frame.eqpoint is not None:
+            regs = {reg.dwarf: thread.regs[reg.index]
+                    for reg in isa.registers}
+            for live in frame.eqpoint.live:
+                try:
+                    value = int.from_bytes(
+                        read_live(process.aspace, regs, frame.fp, live),
+                        "little", signed=True)
+                except ReproError:
+                    value = None
+                where, addr = [], None
                 if live.in_register():
-                    try:
-                        index = isa.index_of_dwarf(live.dwarf_reg)
-                        reg_name = isa.reg_name(index)
-                        reg_val = thread.regs[index]
-                    except KeyError:
-                        reg_name = f"dwarf{live.dwarf_reg}"
+                    reg = isa.registers.by_dwarf.get(live.dwarf_reg)
+                    where.append(f"reg {reg.name}" if reg is not None
+                                 else f"reg dwarf{live.dwarf_reg}")
                 if live.on_stack():
+                    where.append(f"fp{live.stack_offset:+d}")
                     addr = frame.fp + live.stack_offset
-                    raw = self._read_raw(process.pid, addr, live.size)
-                    if raw is not None:
-                        stack_val = int.from_bytes(raw, "little",
-                                                   signed=True)
-                if live.loc_type == "both":
-                    location = f"reg {reg_name}+fp{live.stack_offset:+d}"
-                    value = reg_val if reg_val is not None else stack_val
-                elif live.in_register():
-                    location = f"reg {reg_name}"
-                    value = reg_val
-                else:
-                    location = f"fp{live.stack_offset:+d}"
-                    value = stack_val
-                out.append(Variable(live.name, value, location, addr,
-                                    live.size))
+                out.append(Variable(live.name, value, "+".join(where),
+                                    addr, live.size))
             return out
         if frame.func is None:
             return []
         record = process.binary.frames.get(frame.func)
         for slot in record.slots:
             addr = frame.fp + slot.offset
-            if slot.size <= 8:
-                raw = self._read_raw(process.pid, addr, slot.size)
-                value = (int.from_bytes(raw, "little", signed=True)
-                         if raw is not None else None)
-            else:
-                # arrays/aggregates: first word as the scalar preview
-                raw = self._read_raw(process.pid, addr, 8)
-                value = (int.from_bytes(raw, "little", signed=True)
-                         if raw is not None else None)
+            # arrays/aggregates: first word as the scalar preview
+            raw = self._read_raw(process.pid, addr, min(slot.size, 8))
+            value = (int.from_bytes(raw, "little", signed=True)
+                     if raw is not None else None)
             out.append(Variable(slot.name, value,
                                 f"fp{slot.offset:+d} ({slot.kind})",
                                 addr, slot.size))

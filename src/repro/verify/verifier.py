@@ -33,7 +33,6 @@ from bisect import bisect_right
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..binfmt.delf import DelfBinary
-from ..binfmt.stackmaps import KIND_ENTRY
 from ..core.tlsmod import tls_block_address
 from ..criu.images import ImageSet
 from ..errors import ImageFormatError, ReproError, RewriteError, VerifyError
@@ -609,7 +608,6 @@ class ImageVerifier:
         from ..core.stack_rewrite import unwind_thread
         add, check = report.add, self._tick(report)
         layout = _Layout(mm.vmas)
-        stackmaps = self.binary.stackmaps
         try:
             memory = ImageMemory(images)
         except (RewriteError, ImageFormatError) as exc:
@@ -617,8 +615,7 @@ class ImageVerifier:
             return
         for core in cores:
             check()
-            point = stackmaps.by_addr.get(core.pc)
-            if point is None or point.kind != KIND_ENTRY:
+            if self.binary.stackmaps.park_point(core.pc) is None:
                 add(Finding(PASS_SEMANTIC, "eqpoint",
                             f"core-{core.tid} pc {core.pc:#x} is not an "
                             f"entry equivalence point of the binary",
@@ -635,11 +632,9 @@ class ImageVerifier:
                 for live in frame.eqpoint.live:
                     if not live.is_pointer or live.size != 8:
                         continue
-                    raw = frame.values.get(live.value_id)
-                    if raw is None:
-                        continue
                     check()
-                    value = int.from_bytes(raw[:8], "little")
+                    value = int.from_bytes(frame.values[live.value_id],
+                                           "little")
                     if value and value not in layout:
                         # Advisory, not fatal: the rewriter legally
                         # passes non-address pointer values through

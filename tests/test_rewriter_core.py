@@ -7,13 +7,18 @@ from repro.core.migration import exe_path_for, install_program
 from repro.core.policies.cross_isa import CrossIsaPolicy
 from repro.core.rewriter import ImageMemory, ProcessRewriter
 from repro.core.runtime import DapperRuntime
-from repro.core.stack_rewrite import unwind_thread
+from repro.core.stack_rewrite import unwind, unwind_thread
 from repro.core.tlsmod import tls_block_address, translate_tls_base
 from repro.criu.images import ImageSet
+from repro.debug import DebugSession, SourceMap
+from repro.debug.session import ThreadRef
 from repro.errors import RewriteError
 from repro.isa import ARM_ISA, X86_ISA
 from repro.mem.paging import PAGE_SIZE
+from repro.verify import verify_images
 from repro.vm import Machine
+
+from conftest import COUNTER_SOURCE, THREADED_SOURCE
 
 
 @pytest.fixture
@@ -182,6 +187,91 @@ class TestUnwinding:
         core.pc = 0x400001   # not an eqpoint
         with pytest.raises(RewriteError):
             unwind_thread(memory, core, counter_program.binary("x86_64"))
+
+    @pytest.mark.parametrize("corrupt", [
+        "fp-zero", "fp-unmapped", "fp-minus-64", "saved-fp-flipped"])
+    def test_garbage_frame_pointer_rejected(self, checkpoint,
+                                            counter_program, corrupt):
+        """Unmapped stack reads as zeros, so a garbage fp used to end
+        the chain at the innermost frame and pass for a whole stack.
+        The link and outermost-frame rules reject every such walk."""
+        binary = counter_program.binary("x86_64")
+        core = checkpoint.cores()[0]
+        frames = unwind_thread(ImageMemory(checkpoint), core, binary).frames
+        assert len(frames) == 3
+        fp_reg = X86_ISA.dwarf_of(X86_ISA.abi.frame_pointer)
+        if corrupt == "saved-fp-flipped":
+            memory = ImageMemory(checkpoint)
+            memory.write_u64(frames[1].fp, frames[1].saved_fp ^ 0x10)
+            memory.flush()
+        else:
+            core.regs[fp_reg] = {"fp-zero": 0,
+                                 "fp-unmapped": 0xdeadbeef000,
+                                 "fp-minus-64": frames[0].fp - 64}[corrupt]
+            checkpoint.set_core(core)
+        with pytest.raises(RewriteError):
+            unwind_thread(ImageMemory(checkpoint), checkpoint.cores()[0],
+                          binary)
+        report = verify_images(checkpoint, binary=binary,
+                               raise_on_fail=False)
+        assert "stack-walk" in {f.code for f in report.findings}
+        assert not report.ok
+
+
+def _parked(program, isa, steps=2000):
+    machine = Machine(isa)
+    install_program(machine, program)
+    process = machine.spawn_process(exe_path_for(program.name, isa.name))
+    machine.step_all(steps)
+    runtime = DapperRuntime(machine, process)
+    runtime.pause_at_equivalence_points()
+    return machine, process, runtime
+
+
+class TestOneWalker:
+    """The debugger's tolerant walk over a live address space and the
+    rewriter's strict walk over the dump see the same stack."""
+
+    @pytest.fixture(params=["counter", "threaded"])
+    def program(self, request, counter_program, threaded_program):
+        return {"counter": (counter_program, COUNTER_SOURCE),
+                "threaded": (threaded_program, THREADED_SOURCE)}[
+            request.param]
+
+    @pytest.mark.parametrize("isa", [X86_ISA, ARM_ISA], ids=["x86", "arm"])
+    def test_walks_and_decodes_agree(self, program, isa):
+        program, source = program
+        machine, process, runtime = _parked(program, isa)
+        binary = program.binary(isa.name)
+        images = runtime.checkpoint()
+        memory = ImageMemory(images)
+        # a session over this live world: frame_variables reads only
+        # the machines and the source map
+        session = DebugSession.__new__(DebugSession)
+        session.machines, session.source_map = [machine], SourceMap(source)
+        exit_stub = binary.symtab.address_of("__thread_exit")
+        cores = images.cores()
+        assert len(cores) == len(process.live_threads())
+        for core in cores:
+            strict = unwind_thread(memory, core, binary).frames
+            thread = process.threads[core.tid]
+            tolerant = unwind(process.aspace, binary, thread.pc, thread.fp,
+                              strict=False)
+            shape = [(f.func, f.fp, f.ret_addr) for f in strict]
+            assert [(f.func, f.fp, f.ret_addr)
+                    for f in tolerant[:len(strict)]] == shape
+            # past a spawned thread's entry the debugger also shows the
+            # exit stub it returns into
+            tail = [(f.func, f.pc, f.fp) for f in tolerant[len(strict):]]
+            assert tail in ([], [("__thread_exit", exit_stub, 0)])
+            assert tolerant[0].eqpoint is strict[0].eqpoint
+            ref = ThreadRef(0, process.pid, core.tid, isa.name, "trapped")
+            shown = {v.name: v.value
+                     for v in session.frame_variables(ref, 0)}
+            decoded = {live.name: int.from_bytes(
+                strict[0].values[live.value_id], "little", signed=True)
+                for live in strict[0].eqpoint.live}
+            assert shown == decoded
 
 
 class TestRegisterMapping:

@@ -3,10 +3,15 @@
 import pytest
 
 from repro import sysabi
+from repro.binfmt.stackmaps import KIND_CALLSITE
 from repro.compiler import compile_source
 from repro.core.migration import exe_path_for, install_program
+from repro.core.rewriter import ImageMemory
 from repro.core.runtime import DapperRuntime
-from repro.isa import X86_ISA
+from repro.core.stack_rewrite import unwind_thread
+from repro.errors import NotAtEquivalencePoint, RewriteError
+from repro.isa import ARM_ISA, X86_ISA
+from repro.verify import verify_images
 from repro.vm import Machine
 from repro.vm.cpu import ThreadStatus
 
@@ -77,6 +82,57 @@ class TestPausing:
         from repro.core.rewriter import ImageMemory
         memory = ImageMemory(images)
         assert memory.read_u64(flag_addr) == 0
+
+
+class TestParkPoint:
+    """One rule — the pc is an entry eqpoint — at all three places that
+    ask: the runtime after the trap, the restore guard and the strict
+    stack walk. Each answers in its own error."""
+
+    @pytest.fixture(params=[X86_ISA, ARM_ISA], ids=["x86", "arm"])
+    def parked(self, request, counter_program):
+        isa = request.param
+        machine = Machine(isa)
+        install_program(machine, counter_program)
+        process = machine.spawn_process(
+            exe_path_for(counter_program.name, isa.name))
+        machine.step_all(2000)
+        runtime = DapperRuntime(machine, process)
+        tid, = runtime.pause_at_equivalence_points()
+        return counter_program.binary(isa.name), runtime, process, tid
+
+    @pytest.mark.parametrize("where", ["entry", "callsite", "entry+1"])
+    def test_runtime_guard_and_walk_agree(self, parked, monkeypatch, where):
+        binary, runtime, process, tid = parked
+        thread = process.threads[tid]
+        callsite = next(p.addr for p in binary.stackmaps.eqpoints
+                        if p.kind == KIND_CALLSITE)
+        pc = {"entry": thread.pc, "callsite": callsite,
+              "entry+1": thread.pc + 1}[where]
+        accepted = where == "entry"
+        assert (binary.stackmaps.park_point(pc) is not None) == accepted
+
+        monkeypatch.setattr(thread, "pc", pc)
+        if accepted:
+            runtime._verify_at_equivalence_points([tid])
+        else:
+            with pytest.raises(NotAtEquivalencePoint):
+                runtime._verify_at_equivalence_points([tid])
+        monkeypatch.undo()
+
+        images = runtime.checkpoint()
+        core, = images.cores()
+        core.pc = pc
+        images.set_core(core)
+        report = verify_images(images, binary=binary, raise_on_fail=False)
+        assert report.ok == accepted
+        assert ("eqpoint" in {f.code for f in report.findings}) \
+            == (not accepted)
+        if accepted:
+            assert unwind_thread(ImageMemory(images), core, binary).frames
+        else:
+            with pytest.raises(RewriteError):
+                unwind_thread(ImageMemory(images), core, binary)
 
 
 class TestLockInteraction:
