@@ -178,19 +178,24 @@ class DelfBinary:
                               f"{decoded.get('version')}")
         extra_raw = _EXTRA_SCHEMA.decode(decoded.get("extra_sections", b""))
         extra = dict(zip(extra_raw["name"], extra_raw["data"]))
-        return cls(
-            arch=decoded["arch"],
-            entry=decoded["entry"],
-            source_name=decoded.get("source_name", ""),
-            text=decoded["text"],
-            data=decoded["data"],
-            symtab=SymbolTable.from_bytes(decoded["symtab"]),
-            stackmaps=StackMapSection.from_bytes(decoded["stackmaps"]),
-            frames=FrameSection.from_bytes(decoded["frames"]),
-            tls_template=decoded.get("tls_template", b""),
-            segments=[Segment.from_dict(s) for s in decoded["segments"]],
-            extra_sections=extra,
-        )
+        try:
+            return cls(
+                arch=decoded["arch"],
+                entry=decoded["entry"],
+                source_name=decoded.get("source_name", ""),
+                text=decoded["text"],
+                data=decoded["data"],
+                symtab=SymbolTable.from_bytes(decoded["symtab"]),
+                stackmaps=StackMapSection.from_bytes(decoded["stackmaps"]),
+                frames=FrameSection.from_bytes(decoded["frames"]),
+                tls_template=decoded.get("tls_template", b""),
+                segments=[Segment.from_dict(s) for s in decoded["segments"]],
+                extra_sections=extra,
+            )
+        except KeyError as exc:
+            # The sections raise their own typed errors; what is left
+            # is a required field missing from the container itself.
+            raise LoaderError(f"DELF without field {exc}") from None
 
     def __repr__(self) -> str:
         return (f"<DelfBinary {self.source_name} [{self.arch}] "

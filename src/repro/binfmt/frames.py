@@ -191,4 +191,8 @@ class FrameSection:
     @classmethod
     def from_bytes(cls, data: bytes) -> "FrameSection":
         decoded = _SECTION_SCHEMA.decode(data)
-        return cls([FrameRecord.from_dict(d) for d in decoded["frames"]])
+        try:
+            return cls([FrameRecord.from_dict(d) for d in decoded["frames"]])
+        except KeyError as exc:
+            raise ImageFormatError(
+                f"frame record without field {exc}") from None

@@ -207,4 +207,8 @@ class StackMapSection:
     @classmethod
     def from_bytes(cls, data: bytes) -> "StackMapSection":
         decoded = _SECTION_SCHEMA.decode(data)
-        return cls([EqPoint.from_dict(d) for d in decoded["eqpoints"]])
+        try:
+            return cls([EqPoint.from_dict(d) for d in decoded["eqpoints"]])
+        except KeyError as exc:
+            raise ImageFormatError(
+                f"stackmap record without field {exc}") from None

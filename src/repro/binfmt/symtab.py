@@ -111,4 +111,7 @@ class SymbolTable:
     @classmethod
     def from_bytes(cls, data: bytes) -> "SymbolTable":
         decoded = _TABLE_SCHEMA.decode(data)
-        return cls([Symbol.from_dict(d) for d in decoded["symbols"]])
+        try:
+            return cls([Symbol.from_dict(d) for d in decoded["symbols"]])
+        except KeyError as exc:
+            raise LinkError(f"symbol without field {exc}") from None

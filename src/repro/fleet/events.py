@@ -80,9 +80,10 @@ class ShardedEventCore:
 
         The action contract: it may read and write its own node's
         state, update commutative global counters, call
-        :meth:`schedule_node` for the **same** node, and :meth:`post`
-        messages — it must not touch another node directly, or the
-        trace stops being shard-invariant.
+        :meth:`schedule_node` for the **same** node (or schedule straight
+        onto that node's shard queue, as the storm's traffic tick does),
+        and :meth:`post` messages — it must not touch another node
+        directly, or the trace stops being shard-invariant.
         """
         self.queues[self.shard_of(node_id)].schedule(when, action, label)
 

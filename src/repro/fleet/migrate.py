@@ -177,11 +177,11 @@ class FleetMigrationScheduler:
         waiting for a sibling the cap keeps out."""
         admitted = 0
         retry: List[Tuple[int, str, Optional[int]]] = []
-
-        def active() -> int:
-            return sum(1 for m in self.in_flight.values()
-                       if m.state == "active")
-        while self.pending and active() < self.spec.max_in_flight:
+        # Counted once: a start adds exactly one active migration and
+        # nothing else in this loop changes a migration's state.
+        active = sum(1 for m in self.in_flight.values()
+                     if m.state == "active")
+        while self.pending and active + admitted < self.spec.max_in_flight:
             sid, reason, gid = self.pending.popleft()
             if gid is not None and self.groups[gid]["aborted"]:
                 # A sibling already aborted the group while this member
@@ -358,10 +358,10 @@ class FleetMigrationScheduler:
         service = self.services[migration.sid]
         src = self.nodes[migration.src]
         dst = self.nodes[migration.dst]
-        src.services.discard(migration.sid)
+        src.remove_service(migration.sid)
         self.placement.reindex(src)
         dst.reserved -= 1
-        dst.services.add(migration.sid)
+        dst.add_service(migration.sid)
         self.placement.reindex(dst)
         service.node = dst.id
         if dst.alive:

@@ -4,7 +4,7 @@ calibrated paper profiles.
 A :class:`FleetNode` is deliberately *not* a
 :class:`~repro.cluster.node.SimNode` — the cluster simulation models a
 four-machine testbed with per-slot job objects, while the fleet needs
-thousands of nodes whose per-barrier cost is a couple of integer reads.
+thousands of nodes whose per-barrier cost is a couple of attribute reads.
 What carries over unchanged is the calibration: every fleet node prices
 compute, power, dollars and migration stages through the same
 :class:`~repro.core.costs.NodeProfile` instances (and the same
@@ -25,10 +25,17 @@ EDGE_EVERY = 4
 
 
 class FleetNode:
-    """One machine in the fleet: a profile, service slots, liveness."""
+    """One machine in the fleet: a profile, service slots, liveness.
+
+    ``watts`` is the node's current power draw, kept as state rather
+    than queried: it changes only when the node dies or revives or a
+    service arrives or leaves, and each of those goes through a method
+    here that refreshes it. Nothing outside this class mutates
+    ``services`` or ``alive``.
+    """
 
     __slots__ = ("id", "name", "profile", "profile_key", "slots",
-                 "services", "alive", "dark_until", "reserved")
+                 "services", "alive", "dark_until", "reserved", "watts")
 
     def __init__(self, node_id: int, profile: NodeProfile,
                  profile_key: str):
@@ -46,6 +53,7 @@ class FleetNode:
         #: counted as occupied so the placement scheduler cannot
         #: oversubscribe a destination mid-storm
         self.reserved = 0
+        self._refresh_power()
 
     def occupancy(self) -> int:
         return len(self.services) + self.reserved
@@ -56,19 +64,30 @@ class FleetNode:
     def utilization(self) -> float:
         return self.occupancy() / self.slots if self.slots else 1.0
 
-    def power_watts(self) -> float:
-        if not self.alive:
-            return 0.0
-        active = min(len(self.services), self.profile.cores)
-        return self.profile.power_watts(active)
+    def _refresh_power(self) -> None:
+        if self.alive:
+            active = min(len(self.services), self.profile.cores)
+            self.watts = self.profile.power_watts(active)
+        else:
+            self.watts = 0.0
+
+    def add_service(self, sid: int) -> None:
+        self.services.add(sid)
+        self._refresh_power()
+
+    def remove_service(self, sid: int) -> None:
+        self.services.discard(sid)
+        self._refresh_power()
 
     def kill(self, until: float) -> None:
         self.alive = False
         self.dark_until = until
+        self._refresh_power()
 
     def revive(self) -> None:
         self.alive = True
         self.dark_until = 0.0
+        self._refresh_power()
 
     def __repr__(self) -> str:
         state = "up" if self.alive else f"dark<{self.dark_until:.1f}"

@@ -178,6 +178,9 @@ class FleetStorm:
             self.placement, injector=self.injector)
         self.energy_j = 0.0
         self.cost_usd = 0.0
+        #: (node, dollars per barrier of its profile), in node-id order
+        self._meter = [(node, node.profile.cost_usd(spec.barrier_dt))
+                       for node in self.nodes_list]
         self.node_losses = 0
         self._update_submitted = False
         self._draining = False
@@ -197,42 +200,60 @@ class FleetStorm:
             service.node = node_id
             node = self.nodes[node_id]
             node.reserved -= 1          # placement claim becomes a tenant
-            node.services.add(sid)
+            node.add_service(sid)
             self.services[sid] = service
 
     # -- node-local traffic ticks ------------------------------------------
 
-    def _schedule_tick(self, node_id: int, when: float) -> None:
-        self.core.schedule_node(when, node_id,
-                                lambda: self._node_tick(node_id, when),
-                                label=f"tick:{node_id}")
+    def _start_ticks(self, node: FleetNode) -> None:
+        """Schedule the node's first traffic tick. The tick is one
+        action and one label, built here once and rescheduled onto the
+        node's own shard queue every ``tick_dt`` until the horizon; it
+        reads its firing time from that queue's ``now``.
 
-    def _node_tick(self, node_id: int, now: float) -> None:
-        """One traffic tick for every service this node hosts.
-
-        Node-local by contract: it touches the node's own services and
-        the commutative global histograms/counters, nothing else.
+        Each firing ticks every service the node hosts. Node-local by
+        contract: it touches the node's own services and the
+        commutative global histograms/counters, nothing else. Capacity
+        and service time follow :class:`ServiceTemplate`'s formulas,
+        with the per-node and per-tick factors hoisted without changing
+        the order of evaluation, so no value moves by a bit.
         """
-        node = self.nodes[node_id]
+        queue = self.core.queues[self.core.shard_of(node.id)]
+        label = f"tick:{node.id}"
+        services = self.services
+        traffic = self.traffic
+        stride = traffic.SPIKE_STRIDE
+        hist = self.hist
+        window_hist = self.storm_hist
         dt = self.spec.tick_dt
-        hosted = sorted(node.services)
-        in_window = self.traffic.in_window(now)
-        storm_hist = self.storm_hist if in_window else None
-        share = node.slots / len(hosted) if hosted else 0.0
-        for sid in hosted:
-            service = self.services[sid]
-            service.absorb(now, dt,
-                           self.traffic.multiplier(sid, now))
-            if node.alive:
-                capacity = service.template.capacity_rps(node.profile,
-                                                         share)
-                service.drain(
-                    now, dt, capacity,
-                    service.template.service_seconds(node.profile),
-                    self.hist, storm_hist)
-        next_tick = now + dt
-        if next_tick <= self.spec.duration + 1e-9:
-            self._schedule_tick(node_id, next_tick)
+        last = self.spec.duration + 1e-9
+        freq, ipc = node.profile.freq_hz, node.profile.ipc
+        freq_ipc = freq * ipc
+        slots = node.slots
+
+        def tick() -> None:
+            now = queue.now
+            if node.services:
+                hosted = sorted(node.services)
+                in_window = traffic.in_window(now)
+                storm_hist = window_hist if in_window else None
+                spike = traffic.spike_factor if in_window else 1.0
+                alive = node.alive
+                # share * freq * ipc, then / request_instr per service
+                rate = slots / len(hosted) * freq * ipc
+                for sid in hosted:
+                    service = services[sid]
+                    service.absorb(now, dt,
+                                   spike if sid % stride == 0 else 1.0)
+                    if alive:
+                        instr = service.template.request_instr
+                        service.drain(now, dt, rate / instr,
+                                      instr / freq_ipc, hist, storm_hist)
+            next_tick = now + dt
+            if next_tick <= last:
+                queue.schedule(next_tick, tick, label)
+
+        queue.schedule(dt, tick, label)
 
     # -- the barrier controller --------------------------------------------
 
@@ -254,11 +275,15 @@ class FleetStorm:
         if not self._draining and index % REBALANCE_EVERY == 0:
             self._rebalance()
         self.migrations.pump(when)
+        # Summed node by node in id order, as always: a dark node draws
+        # 0.0 W, and adding 0.0 leaves the running sum's bits unchanged.
         dt = self.spec.barrier_dt
-        for node in self.nodes_list:
-            self.energy_j += node.power_watts() * dt
+        energy, cost = self.energy_j, self.cost_usd
+        for node, usd in self._meter:
             if node.alive:
-                self.cost_usd += node.profile.cost_usd(dt)
+                energy += node.watts * dt
+                cost += usd
+        self.energy_j, self.cost_usd = energy, cost
         if self.recorder is not None:
             self.recorder.on_event(jn.EV_BARRIER,
                                    a=int(round(when * 1e6)), b=fired,
@@ -342,7 +367,7 @@ class FleetStorm:
         self._ran = True
         wall_start = time.perf_counter()
         for node in self.nodes_list:
-            self._schedule_tick(node.id, self.spec.tick_dt)
+            self._start_ticks(node)
         self.core.run_until(self.spec.duration)
         # Past the horizon nothing new is admitted; queued-but-never-
         # started requests are withdrawn and every in-flight migration

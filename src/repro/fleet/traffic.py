@@ -24,7 +24,6 @@ import random
 from collections import deque
 from typing import Deque, List, Tuple
 
-from ..core.costs import NodeProfile
 
 #: log2 latency buckets in microseconds: bucket i covers
 #: [2^(i-1), 2^i) µs; bucket 0 is < 1 µs, the last bucket is open-ended
@@ -78,6 +77,13 @@ class ServiceTemplate:
     :class:`~repro.core.costs.MigrationCostModel` so a modeled fleet
     migration of an nginx instance costs what the calibrated pipeline
     says an nginx-sized image costs.
+
+    ``request_instr`` prices one request on a node's
+    :class:`~repro.core.costs.NodeProfile`: it is served in
+    ``request_instr / (freq_hz * ipc)`` seconds, and ``share`` cores'
+    worth of the node serve ``share * freq_hz * ipc / request_instr``
+    requests per second. The storm's node tick evaluates both in
+    exactly this order.
     """
 
     __slots__ = ("name", "arrival_rps", "request_instr", "image_bytes",
@@ -92,14 +98,6 @@ class ServiceTemplate:
         self.image_bytes = image_bytes
         self.frames = frames
         self.threads = threads
-
-    def service_seconds(self, profile: NodeProfile) -> float:
-        return self.request_instr / (profile.freq_hz * profile.ipc)
-
-    def capacity_rps(self, profile: NodeProfile, share: float) -> float:
-        """Requests/s this service can serve from ``share`` cores'
-        worth of the node's compute."""
-        return share * profile.freq_hz * profile.ipc / self.request_instr
 
     def __repr__(self) -> str:
         return f"<ServiceTemplate {self.name} {self.arrival_rps:.0f}rps>"
@@ -209,7 +207,14 @@ class Service:
 
 
 class TrafficModel:
-    """Spike shaping: which services surge, when, and by how much."""
+    """Spike shaping: which services surge, when, and by how much.
+
+    Inside the window, a service whose id is a multiple of
+    ``SPIKE_STRIDE`` arrives ``spike_factor`` times faster; every other
+    service, and every service outside the window, arrives at its
+    template rate. The storm's node tick applies the rule once per tick
+    rather than once per service.
+    """
 
     #: every third service rides the spike — a correlated partial surge,
     #: like one tenant's traffic jumping while the rest stay calm
@@ -223,8 +228,3 @@ class TrafficModel:
 
     def in_window(self, now: float) -> bool:
         return self.spike_start <= now < self.spike_start + self.spike_len
-
-    def multiplier(self, sid: int, now: float) -> float:
-        if self.in_window(now) and sid % self.SPIKE_STRIDE == 0:
-            return self.spike_factor
-        return 1.0

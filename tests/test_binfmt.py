@@ -1,12 +1,16 @@
 """Tests for the DELF container and its metadata sections."""
 
+import random
+
 import pytest
 
+from repro.apps import get_app
+from repro.binfmt import delf, frames, stackmaps, symtab
 from repro.binfmt import (DelfBinary, EqPoint, FrameRecord, FrameSection,
                           LiveValue, LOC_BOTH, LOC_REG, LOC_STACK, Slot,
                           StackMapSection, Symbol, SymbolTable)
 from repro.binfmt.delf import TEXT_BASE
-from repro.errors import ImageFormatError, LinkError, LoaderError
+from repro.errors import ImageFormatError, LinkError, LoaderError, ReproError
 
 
 class TestSymbolTable:
@@ -294,3 +298,58 @@ class TestDecodingEdgeCases:
             assert record.slot_containing(off).name == "wide"
         assert record.slot_containing(-8).name == "lo"
         assert record.slot_containing(-25) is None
+
+
+class TestDecodingIsTotal:
+    """``DelfBinary.from_bytes`` either parses or raises a typed error:
+    a record missing a required field raises its decoder's own error
+    (``LoaderError`` for the container, ``LinkError`` for the symbol
+    table, ``ImageFormatError`` for stackmaps and frames), never a bare
+    ``KeyError``."""
+
+    @pytest.mark.parametrize("decode, blob, error", [
+        (DelfBinary.from_bytes,
+         delf.DELF_MAGIC + delf._BINARY_SCHEMA.encode({"version": 1}),
+         LoaderError),
+        (SymbolTable.from_bytes,
+         symtab._TABLE_SCHEMA.encode({"symbols": [{"addr": 1}]}),
+         LinkError),
+        (StackMapSection.from_bytes,
+         stackmaps._SECTION_SCHEMA.encode({"eqpoints": [{
+             "eqpoint_id": 0, "func": "f", "kind": "entry", "addr": 1,
+             "live": [{"value_id": 0, "name": "n"}]}]}),
+         ImageFormatError),
+        (FrameSection.from_bytes,
+         frames._SECTION_SCHEMA.encode({"frames": [{"func": "f"}]}),
+         ImageFormatError),
+    ], ids=["delf", "symtab", "stackmaps", "frames"])
+    def test_missing_required_field(self, decode, blob, error):
+        with pytest.raises(error, match="without field"):
+            decode(blob)
+
+    def test_seeded_mutation_corpus(self):
+        """2 000 seeded mutations of the kmeans x86 binary — bit flips,
+        truncations and 8-byte overwrites — each parse or raise a
+        ``ReproError``."""
+        blob = get_app("kmeans").compile("small").binary(
+            "x86_64").to_bytes()
+        rng = random.Random(0xDE1F)
+        parsed = 0
+        for case in range(2000):
+            mutant = bytearray(blob)
+            if case % 3 == 0:
+                for _ in range(rng.randint(1, 4)):
+                    bit = rng.randrange(len(mutant) * 8)
+                    mutant[bit // 8] ^= 1 << (bit % 8)
+            elif case % 3 == 1:
+                del mutant[rng.randrange(len(mutant)):]
+            else:
+                at = rng.randrange(len(mutant) - 8)
+                mutant[at:at + 8] = rng.randbytes(8)
+            try:
+                DelfBinary.from_bytes(bytes(mutant))
+                parsed += 1
+            except ReproError:
+                pass
+        # the corpus reaches past the container into the sections
+        assert 0 < parsed < 2000

@@ -39,6 +39,35 @@ class TestEventQueue:
         with pytest.raises(ClusterError):
             queue.schedule(0.5, lambda: None)
 
+    @staticmethod
+    def _traced_queue():
+        """A queue whose events reschedule themselves, with an observer
+        logging ``on_fire`` and each action logging the ``now`` it sees."""
+        queue = EventQueue()
+        trace = []
+        queue.on_fire = lambda when, label: trace.append(
+            ("fire", when, label, queue.now))
+
+        def action(name, left):
+            def run():
+                trace.append(("run", name, queue.now))
+                if left:
+                    queue.schedule_in(0.5, action(name, left - 1), name)
+            return run
+        for name, when in (("b", 1.0), ("a", 1.0), ("c", 0.25)):
+            queue.schedule(when, action(name, 3), name)
+        return queue, trace
+
+    def test_run_until_fires_like_step(self):
+        stepped, expected = self._traced_queue()
+        while not stepped.empty() and stepped.peek_key()[0] <= 2.0:
+            stepped.step()
+        queue, trace = self._traced_queue()
+        assert queue.run_until(2.0, max_events=5) == 5
+        assert queue.run_until(2.0) == len(expected) // 2 - 5
+        assert trace == expected
+        assert queue.now == 2.0
+
     def test_horizon_respected(self):
         queue = EventQueue()
         seen = []
