@@ -38,11 +38,15 @@ Correctness invariants (each one is load-bearing):
   equivalence point stops with ``pc`` exactly at the eqpoint — the
   Dapper runtime's stackmap verification is unchanged.
 * **Scheduling determinism.** A block never executes past the caller's
-  remaining quantum: each generated block also has a *partial* variant
-  that executes at most the first ``m`` ops, leaving ``pc`` mid-trace
-  (the next quantum compiles a block from there). Round-robin
-  interleaving is therefore instruction-for-instruction identical to
-  the per-step engine — the cross-ISA migration tests rely on that.
+  remaining quantum: each generated block also has a *metered* variant
+  that enters the trace at op ``K`` and stops before op ``m``, leaving
+  ``pc`` mid-trace. The parked pc is registered as op ``K`` of the
+  trace in ``Process.resume_points``, so the next slice re-enters the
+  same generated code there (see :func:`run_thread`) instead of
+  decoding a duplicate trace one phase over; tier 0 parks and resumes
+  the same way. Round-robin interleaving is therefore
+  instruction-for-instruction identical to the per-step engine — the
+  cross-ISA migration tests and the flight recorder rely on that.
   The tickless scheduler's undivided sole-thread slice keeps this: a
   second schedulable entity can only be created by a kernel entry,
   kernel entries only execute on tier 0, and tier 0 re-checks after
@@ -50,9 +54,9 @@ Correctness invariants (each one is load-bearing):
   per-step loop does (``Machine.slice_boundary``).
 * **Invalidation.** The cache is keyed by pc and versioned by
   ``Process.code_version``; ``Process.invalidate_code`` (hooked to every
-  privileged ``write_code``) bumps the version and drops all blocks, so
-  stack-shuffle and live-update code rewrites can never execute stale
-  superblocks.
+  privileged ``write_code``) bumps the version and drops all blocks and
+  resume points, so stack-shuffle and live-update code rewrites can
+  never execute stale superblocks.
 
 Generated closures capture ``aspace``/``aspace._pages`` — safe because
 ``Process.aspace`` is never rebound, and because the live kernel only
@@ -83,7 +87,7 @@ if TYPE_CHECKING:
 #: Upper bound on predecoded ops per trace. Long traces are split; the
 #: tail compiles as its own block on first execution. Kept at half the
 #: scheduler quantum (64) so a typical trace executes whole on the
-#: one-call specialized path rather than the partial variant.
+#: one-call specialized path rather than the metered variant.
 MAX_BLOCK_INSTRS = 32
 
 #: Full executions of a block before it is specialized by
@@ -145,7 +149,7 @@ class Block:
 
     __slots__ = ("pc", "version", "pcs", "cost_prefix", "body_len",
                  "full", "instrs", "term_instr", "term_cost", "formation",
-                 "fn", "pfn", "heat", "chain", "chain_m",
+                 "fn", "mfn", "heat", "chain", "chain_m",
                  "chain_epoch", "plan_epoch", "chain_key",
                  "chain_web", "succ_pcs", "demoted")
 
@@ -164,7 +168,7 @@ class Block:
         self.term_cost = term_cost
         self.formation = formation         # shared [chain heat, relink_at]
         self.fn: Optional[Handler] = None  # specialized: whole trace
-        self.pfn = None                    # specialized: first <= m ops
+        self.mfn = None                    # specialized: metered, ops K..m-1
         self.heat = 0                      # tier-0 executions so far
         self.chain = None                  # tier-3 chain (or NO_CHAIN)
         self.chain_m = None                # (run, metered label) pair
@@ -195,19 +199,32 @@ def run_thread(machine: "Machine", process: "Process",
     tier-0 stepping, which is where those transitions can happen. The
     scheduler-visible behaviour is identical to checking before every
     instruction, as the per-step engine does.
+
+    A slice that ends inside a trace leaves ``pc`` there and registers
+    it in ``process.resume_points`` as ``(block, K)``: op ``K`` of that
+    block's trace. The next slice to start at that pc, if no block
+    heads it, resumes the trace at op ``K`` — in its chain's metered
+    arm, its tier-2 metered variant, or on tier 0 — instead of decoding
+    a duplicate trace one phase over. Only a slice start consults a
+    tier-2 or tier-0 resume point: control that reaches the pc
+    mid-slice (a branch to it) makes the pc a block head as usual, so
+    a loop head inside a longer trace still becomes its own block and
+    can join a chain. A chain's resume points are consulted at every
+    dispatch, as they always were.
     """
     running = ThreadStatus.RUNNING
     if (thread.status != running or process.stopped or process.exited):
         return 0
     count = 0
     cache = process.block_cache
+    resume = process.resume_points
     step = interp.step
     execute = interp.execute
     regs = thread.regs
     version = process.code_version
     chains_on = machine.chain_engine
     no_chain = chains.NO_CHAIN
-    eget = process.chain_entries.get
+    rget = resume.get
     cget = cache.get
     # A slice longer than the scheduling quantum is the tickless
     # scheduler's sole-thread slice (Machine.step_all): it must end on
@@ -215,23 +232,31 @@ def run_thread(machine: "Machine", process: "Process",
     undivided = quantum > machine.quantum
     while count < quantum:
         pc = thread.pc
+        at = 0                             # op index the trace is entered at
         if chains_on:
             # A pc inside a chained trace (a quantum boundary parked
             # there last slice) resumes through the chain's metered
             # arm — never by decoding a duplicate trace one phase
-            # over. Entries are cleared with the block cache, so a
-            # hit is always current.
-            ce = eget(pc)
-            if ce is not None:
-                run, lab, k = ce
-                count += run(thread, regs, quantum - count, lab, k)
+            # over. Resume points are cleared with the block cache, so
+            # a hit is always current.
+            rp = rget(pc)
+            if rp is not None and rp[0].chain_m is not None:
+                block, at = rp
+                run, lab = block.chain_m
+                count += run(thread, regs, quantum - count, lab, at)
                 continue
         block = cget(pc)
         if block is None or block.version != version:
-            block = compile_block(process, pc)
-            cache[pc] = block
+            # A slice that starts where an earlier one parked mid-trace
+            # re-enters that trace at op `at`.
+            rp = None if count else rget(pc)
+            if rp is None:
+                block = compile_block(process, pc)
+                cache[pc] = block
+            else:
+                block, at = rp
         fn = block.fn
-        if fn is None and not block.demoted:
+        if fn is None and not block.demoted and not at:
             heat = block.heat
             if heat >= HOT_THRESHOLD:
                 fn = block.fn = codegen(process, block)
@@ -253,7 +278,7 @@ def run_thread(machine: "Machine", process: "Process",
                 block.heat = heat + 1
         remaining = quantum - count
         if fn is not None:
-            if block.full <= remaining:
+            if block.full <= remaining and not at:
                 # Tier 3: a block that keeps coming back hot gets linked
                 # with its hot compiled successors into one chain
                 # function that transfers control internally (including
@@ -279,20 +304,27 @@ def run_thread(machine: "Machine", process: "Process",
                 # already positioned at the faulting op.
                 count += fn(thread, regs)
                 continue
-            # The quantum may end inside this trace. A chained block
-            # finishes the quantum through its metered arm (which
-            # parks pc mid-trace at exactly `remaining` retired);
-            # otherwise the tier-2 partial variant does the same.
+            # The quantum ends inside this trace, or this slice starts
+            # inside it. A chained block runs its metered arm, which
+            # enters at op `at` and parks pc mid-trace at exactly
+            # `remaining` retired; otherwise the tier-2 metered variant
+            # does the same. A resume counts as a dispatch of its
+            # trace, so a slice grid too fine for whole traces still
+            # warms their chains.
             if chains_on:
                 chain = block.chain
+                if at and block.chain_epoch != process.hot_epoch:
+                    chain = chains.link_chain(process, block, cache)
                 if chain is not None and chain is not no_chain:
                     run, lab = block.chain_m
-                    count += run(thread, regs, remaining, lab)
+                    count += run(thread, regs, remaining, lab, at)
                     continue
-            pfn = block.pfn
-            if pfn is None:
-                pfn = block.pfn = codegen(process, block, partial=True)
-            count += pfn(thread, regs, remaining)
+            mfn = block.mfn
+            if mfn is None:
+                mfn = block.mfn = codegen(process, block, metered=True)
+            done = mfn(thread, regs, at + remaining, at)
+            count += done
+            _park(resume, block, at + done, thread.pc)
             continue
         # Tier 0 is the per-step engine minus the fetch: while pc stays
         # on the trace it executes the ops the trace already decoded
@@ -303,14 +335,14 @@ def run_thread(machine: "Machine", process: "Process",
         # — always the way to a syscall or trap. Status is checked
         # after every instruction, so every transition is observed.
         full = block.full
-        k = full or 1
+        k = (full - at) or 1
         if k > remaining:
             k = remaining
         body_len = block.body_len
         pcs = block.pcs
         instrs = block.instrs
         cp = block.cost_prefix
-        j = 0
+        j = at
         while k > 0:
             if j < full and thread.pc != pcs[j]:
                 try:
@@ -341,7 +373,17 @@ def run_thread(machine: "Machine", process: "Process",
                 if k > quantum - count:
                     k = quantum - count
         version = process.code_version
+        if 0 < j < full and block.version == version:
+            _park(resume, block, j, thread.pc)
     return count
+
+
+def _park(resume: dict, block: Block, j: int, pc: int) -> None:
+    """Register ``pc`` as op ``j`` of ``block``'s trace when a run of
+    it stopped there mid-trace. A chain's resume point already at that
+    pc is kept: it serves every dispatch, not only slice starts."""
+    if 0 < j < block.full and block.pcs[j] == pc and pc not in resume:
+        resume[pc] = (block, j)
 
 
 # -- block compilation ---------------------------------------------------------
@@ -602,9 +644,9 @@ def _store_miss(aspace, addr: int, value: int, base, store) -> tuple:
     return addr - (addr & _PAGE_MASK), page
 
 
-def _factory_key(isa_name: str, block: Block, partial: bool) -> tuple:
+def _factory_key(isa_name: str, block: Block, metered: bool) -> tuple:
     term = block.term_instr
-    return (isa_name, partial, tuple(block.pcs),
+    return (isa_name, metered, tuple(block.pcs),
             tuple((i.op, i.rd, i.rn, i.rm, i.imm, i.cond, i.target)
                   for i in block.instrs),
             None if term is None else
@@ -612,21 +654,27 @@ def _factory_key(isa_name: str, block: Block, partial: bool) -> tuple:
             block.term_cost)
 
 
-def codegen(process: "Process", block: Block, partial: bool = False,
+def codegen(process: "Process", block: Block, metered: bool = False,
             bind_only: bool = False) -> Optional[Handler]:
     """Emit the specialized function for ``block``; None if some op has
     no template (the block then stays on tier 0 forever).
 
-    With ``partial=True`` the generated function takes an extra ``m``
-    and executes at most the first ``m`` ops — an inline ``if m == k:
-    account; return k`` is threaded between ops, which is what lets a
-    quantum boundary land mid-trace without falling off the generated
-    tier. The ``ret`` terminator is never part of a partial run.
+    With ``metered=True`` it emits the *metered* variant ``run(thread,
+    regs, m, K=0)``: it enters the trace at op ``K`` and runs ops
+    ``K..m-1``, and the terminator too when ``m`` reaches it (``m >=
+    full``). Each op sits under ``if K <= k:``, and an inline ``if m ==
+    k: return PX(...)`` between ops parks ``pc`` at op ``k``, which is
+    what lets a quantum boundary land mid-trace, and the next slice
+    resume there, without falling off the generated tier. Side exits,
+    parks, the division fault and the ``SegmentationFault`` handler
+    account ``k - K`` instructions and ``CP[k] - CP[K]`` cycles, the
+    chain metered arm's pre-subtraction in closed form; the return
+    value is the count retired.
 
     With ``bind_only=True``, only bind an already-cached factory (a
     cheap closure call); return None rather than generate anything new.
     """
-    key = _factory_key(process.isa.name, block, partial)
+    key = _factory_key(process.isa.name, block, metered)
     factory = _FACTORY_CACHE.lookup(key)
     if factory is not None:
         if factory is _NO_FACTORY:
@@ -685,12 +733,15 @@ def codegen(process: "Process", block: Block, partial: bool = False,
             f"    {p}, {s} = SM(AS, a, {value}, {p}, {s})",
         ])
 
-    def account(indent: str, instrs_done: int, cycles_done: int) -> None:
-        body.extend([
-            f"{indent}thread.instr_count += {instrs_done}",
-            f"{indent}process.instr_total += {instrs_done}",
-            f"{indent}process.cycle_total += {cycles_done}",
-        ])
+    def since(instrs_done) -> str:
+        # Ops 0..k-1 retired, less the K a metered run skipped.
+        return f"{instrs_done} - K" if metered else str(instrs_done)
+
+    def accounting(indent: str, instrs_done, cycles_done) -> List[str]:
+        cycles = f"{cycles_done} - CK" if metered else str(cycles_done)
+        return [f"{indent}thread.instr_count += {since(instrs_done)}",
+                f"{indent}process.instr_total += {since(instrs_done)}",
+                f"{indent}process.cycle_total += {cycles}"]
 
     def wrap_assign(dest: str, expr: str) -> None:
         body.append(f"v = {expr}")
@@ -710,23 +761,24 @@ def codegen(process: "Process", block: Block, partial: bool = False,
         return None
 
     for k, instr in enumerate(block.instrs):
-        if partial and k:
+        start = len(body)
+        if metered and k:
             # The quantum boundary may land here: account the executed
-            # prefix and stop with pc at the next op (never past m).
-            body.append(f"if m == {k}: return PX(thread, {k})")
+            # ops and stop with pc at this one (never past m).
+            body.append(f"if m == {k}: return PX(thread, {k}, K)")
         op = instr.op
         rd, rn, rm = instr.rd, instr.rn, instr.rm
         imm = instr.imm if instr.imm is not None else 0
         if op in ("nop", "b"):             # extension b: pc baked in pcs
-            continue
+            pass
         elif op == "bcc":
             # Side exit: taken, the trace ends here — account the exact
             # prefix (this bcc included) and return its pc and count.
             sym = _COND_SYMS[instr.cond]
             body.append(f"if thread.flags {sym} 0:")
             body.append(f"    thread.pc = {instr.target}")
-            account("    ", k + 1, cp[k + 1])
-            body.append(f"    return {k + 1}")
+            body.extend(accounting("    ", k + 1, cp[k + 1]))
+            body.append(f"    return {since(k + 1)}")
         elif op == "mov":
             body.append(f"regs[{rd}] = regs[{rn}]")
         elif op in ("movi", "movi_full"):
@@ -789,8 +841,8 @@ def codegen(process: "Process", block: Block, partial: bool = False,
             body.append(f"x = regs[{rn}]")
             body.append(f"y = regs[{rm}]")
             body.append("if y == 0:")
-            if k:
-                account("    ", k, cp[k])
+            if k or metered:
+                body.extend(accounting("    ", k, cp[k]))
             body.append(f"    thread.pc = {pcs[k]}")
             body.append(f"    raise CpuFault(thread, {msg!r})")
             if op == "sdiv":
@@ -805,12 +857,21 @@ def codegen(process: "Process", block: Block, partial: bool = False,
             emit_call(k, instr)
         else:
             return fail()
+        if metered and len(body) > start:
+            # Op k runs only when the run entered the trace at or
+            # before it.
+            body[start:] = [f"if K <= {k}:"] + [
+                "    " + line for line in body[start:]]
 
     total = n
     cycles = cp[n]
     term = block.term_instr
     tail_pc: Optional[int] = pcs[n]
-    if not partial and term is not None:   # ret or backward b/bcc
+    if term is not None:                   # ret or backward b/bcc
+        if metered and n:
+            # The budget may end right before the terminator; it is
+            # never skipped (K < full), so it needs no guard.
+            body.append(f"if m == {n}: return PX(thread, {n}, K)")
         tail_pc = None
         if term.op == "b":
             body.append(f"thread.pc = {term.target}")
@@ -834,41 +895,39 @@ def codegen(process: "Process", block: Block, partial: bool = False,
            " CpuFault, SegmentationFault):"]
     if hots:
         src.append("    " + " = ".join(hots) + " = None")
-    if partial:
+    if metered:
         src.extend([
-            "    def PX(thread, k):",
-            "        thread.instr_count += k",
-            "        process.instr_total += k",
-            "        process.cycle_total += CP[k]",
+            "    def PX(thread, k, K):",
+            "        thread.instr_count += k - K",
+            "        process.instr_total += k - K",
+            "        process.cycle_total += CP[k] - CP[K]",
             "        thread.pc = PCS[k]",
-            "        return k",
+            "        return k - K",
+            "    def run(thread, regs, m, K=0):",
         ])
-    src.append("    def run(thread, regs"
-               + (", m):" if partial else "):"))
+    else:
+        src.append("    def run(thread, regs):")
     if hots:
         src.append("        nonlocal " + ", ".join(hots))
     src.append("        i = 0")
+    if metered:
+        src.append("        CK = CP[K]")
     src.append("        try:")
     if body:
         src.extend("            " + line for line in body)
     else:
         src.append("            pass")
+    src.append("        except SegmentationFault as exc:")
+    src.extend(accounting("            ", "i", "CP[i]"))
     src.extend([
-        "        except SegmentationFault as exc:",
-        "            if i:",
-        "                thread.instr_count += i",
-        "                process.instr_total += i",
-        "                process.cycle_total += CP[i]",
         "            thread.pc = PCS[i]",
         "            raise CpuFault(thread, str(exc)) from exc",
     ])
     if tail_pc is not None:
         src.append(f"        thread.pc = {tail_pc}")
+    src.extend(accounting("        ", total, cycles))
     src.extend([
-        f"        thread.instr_count += {total}",
-        f"        process.instr_total += {total}",
-        f"        process.cycle_total += {cycles}",
-        f"        return {total}",
+        f"        return {since(total)}",
         "    return run",
     ])
     text = "\n".join(src)

@@ -41,12 +41,14 @@ Four mechanisms carry the speedup:
   leaving ``pc`` mid-trace. Chains therefore consume the quantum
   **exactly**: a boundary that lands mid-trace is taken inside the
   chain (metered exit), and the next quantum re-enters the chain at
-  that op (metered entry) via ``Process.chain_entries`` — the
-  per-process map from every interior trace pc to its ``(run, label,
-  K)`` resume point. Without this, every quantum boundary would seed a
-  fresh overlapping trace one phase over (the quantum *drifts* through
-  the loop), and the block cache fills with near-duplicate traces that
-  fragment the webs and churn the chain caches.
+  that op (metered entry) via ``Process.resume_points`` — the
+  per-process map from every interior trace pc to its ``(block, K)``
+  resume point, which a chained block resumes through ``chain_m``.
+  Without this, every quantum boundary would seed a fresh overlapping
+  trace one phase over (the quantum *drifts* through the loop), and
+  the block cache fills with near-duplicate traces that fragment the
+  webs and churn the chain caches. Tier 2 resumes its unchained traces
+  through the same map (:func:`~.blocks.run_thread`).
 * **Cheap value representation + inline-cached memory.** Chain locals
   hold registers as *canonical u64* (the architectural ``regs`` list
   holds signed i64). That kills the per-op sign-fix: ``add`` is one
@@ -127,7 +129,7 @@ Correctness invariants, each inherited from tier-2 and preserved:
   scheduling invariants of tier-2 carry over unchanged.
 * **Invalidation.** A chain hangs off its :class:`~.blocks.Block` in
   ``process.block_cache``, and its resume points live in
-  ``process.chain_entries``; every invalidation that drops blocks
+  ``process.resume_points``; every invalidation that drops blocks
   (``invalidate_code`` version bumps, dirty-tracking epochs) clears
   both, and the shared chain *factory* cache is keyed by full segment
   content (absolute pcs, decoded ops, terminators), so a rewritten
@@ -467,8 +469,8 @@ def _plan_chain(process: "Process", head: "Block", cache: dict):
     in another member's ``pcs[1:]``) and refused rather than given a
     private near-duplicate chain: they keep executing on tier-2 and
     control re-enters the web's chain at the next real boundary
-    (usually immediately, through the member's ``chain_entries``
-    resume point at this very pc).
+    (usually immediately, through the member's resume point at this
+    very pc in ``process.resume_points``).
     """
     segs = _collect_web(cache, process.code_version, head, MAX_CHAIN_BLOCKS)
     if len(segs) > 1:
@@ -514,15 +516,16 @@ def _bind_chain(process: "Process", head: "Block", segs, entry):
     """Bind ``entry``'s factory to ``process`` and hand every segment
     block its own entry handler into the one compiled trampoline;
     returns ``head``'s. Every *interior* pc of every segment is
-    registered in ``process.chain_entries`` as a metered resume point,
+    registered in ``process.resume_points`` as a metered resume point,
     so a quantum boundary parked mid-trace re-enters the chain instead
-    of seeding a duplicate trace."""
+    of seeding a duplicate trace. A tier-2 resume point already there
+    is overwritten: the chain serves it from now on."""
     factory, (fpcs, foff, fcoff, segcp) = entry
     chain_stats["bound"] += 1
     run = factory(process, *_miss_paths(process.aspace),
                   fpcs, foff, fcoff, segcp, CpuFault, SegmentationFault)
     epoch = process.hot_epoch
-    entries = process.chain_entries
+    entries = process.resume_points
     nsegs = len(segs)
     web = tuple(blk.pc for blk in segs)
     debt = RELINK_DISPATCHES_PER_SEGMENT * nsegs   # see link_chain
@@ -546,7 +549,7 @@ def _bind_chain(process: "Process", head: "Block", segs, entry):
         pcs = blk.pcs
         lim = blk.body_len + (1 if blk.term_instr is not None else 0)
         for k in range(1, lim):
-            entries[pcs[k]] = (run, nsegs + j, k)
+            entries[pcs[k]] = (blk, k)
     return result
 
 
@@ -999,7 +1002,7 @@ def _emit_chain(isa, segs) -> Tuple[str, tuple]:
     # are labels [0, nsegs), metered arms [nsegs, 2 * nsegs) — so a
     # transition costs ~log2 compares instead of a linear label scan.
     # Leaves carry no equality test: every label reaching the loop top
-    # (entry handlers, transitions, chain_entries resume points) is a
+    # (entry handlers, transitions, resume points) is a
     # valid arm index, so the range pins the arm exactly.
     def emit_dispatch(lo: int, hi: int, depth: int) -> None:
         if hi - lo == 1:

@@ -52,11 +52,13 @@ class Process:
         self.cycle_total = 0
         self.decode_cache: Dict[int, tuple] = {}
         self.block_cache: Dict[int, "blocks.Block"] = {}
-        # Mid-trace resume points into compiled tier-3 chains:
-        # pc -> (chain run, metered label, op index). Cleared together
-        # with block_cache — a stale entry could skip dirty-tracking's
-        # first-touch writes or execute pre-rewrite code.
-        self.chain_entries: Dict[int, tuple] = {}
+        # Mid-trace resume points: pc -> (block, op index K), where a
+        # slice may re-enter that block's trace — through its tier-3
+        # chain's metered arm, its tier-2 metered variant or tier 0
+        # (see blocks.run_thread). Cleared together with block_cache —
+        # a stale entry could skip dirty-tracking's first-touch writes
+        # or execute pre-rewrite code.
+        self.resume_points: Dict[int, tuple] = {}
         self.code_version = 0
         # Bumped whenever a block tiers up to a compiled trace; a
         # tier-3 chain stamped with an older epoch is stale (still
@@ -95,15 +97,15 @@ class Process:
         self.drop_code_caches()
 
     def drop_code_caches(self) -> None:
-        """Forget every predecoded instruction, superblock and chain
-        resume point. Also how a finished process lets go of its
+        """Forget every predecoded instruction, superblock and resume
+        point. Also how a finished process lets go of its
         generated code: block and chain closures hold the process and
         the process holds them through these maps, so without this a
         dead process (closures, chain locals, page views and all) is
         cyclic garbage only a generation-2 collection reclaims."""
         self.decode_cache.clear()
         self.block_cache.clear()
-        self.chain_entries.clear()
+        self.resume_points.clear()
 
     def release(self) -> None:
         """The process is dead (killed or exited): besides the code
@@ -130,7 +132,7 @@ class Process:
         """
         self.aspace.start_dirty_tracking()
         self.block_cache.clear()
-        self.chain_entries.clear()
+        self.resume_points.clear()
 
     def stop_dirty_tracking(self) -> None:
         self.aspace.stop_dirty_tracking()
@@ -139,7 +141,7 @@ class Process:
         """Dirty pages since tracking started; begins a fresh epoch."""
         dirty = self.aspace.harvest_dirty()
         self.block_cache.clear()
-        self.chain_entries.clear()
+        self.resume_points.clear()
         return dirty
 
     def tls_disable_addr(self, thread: ThreadContext) -> int:

@@ -1,10 +1,15 @@
 """Tests over the benchmark application suite."""
 
+from collections import Counter
+
 import pytest
 
 from repro.apps import all_apps, apps_by_category, get_app
+from repro.binfmt.delf import TEXT_BASE
+from repro.binfmt.stackmaps import (KIND_CALLSITE, KIND_ENTRY, LOC_BOTH,
+                                    LOC_STACK)
 from repro.core.migration import MigrationPipeline
-from repro.isa import ARM_ISA, X86_ISA
+from repro.isa import ARM_ISA, X86_ISA, get_isa
 from repro.testing import lockstep
 from repro.vm import Machine
 
@@ -40,6 +45,53 @@ class TestRegistry:
     def test_parsec_apps_are_threaded(self):
         for spec in apps_by_category("parsec"):
             assert spec.threads > 1
+
+
+def _spills_before_trap(binary, isa, point):
+    """``(register index, fp offset)`` of every store to the frame that
+    the code from the start of ``point``'s function up to its checker's
+    trap makes."""
+    fp = isa.reg(isa.abi.frame_pointer)
+    addr = binary.symtab.address_of(point.func)
+    spills = set()
+    while addr < point.trap_addr:
+        instr = isa.decode(binary.text, addr - TEXT_BASE, addr)
+        if instr.op == "store" and instr.rn == fp:
+            spills.add((instr.rd, instr.imm))
+        elif instr.op == "stp":            # pairs address off fp
+            spills.add((instr.rd, instr.imm))
+            spills.add((instr.rm, instr.imm + 8))
+        addr += instr.size
+    return spills
+
+
+class TestNoRegisterIsLiveAtAParkPoint:
+    """DESIGN.md deviation 2 as the registry's default builds hold it:
+    every call-site live value is in a frame slot only, and an entry
+    value named in its argument register too (``LOC_BOTH``) has been
+    spilled to its slot before the checker can trap, so no register
+    carries a live value across a park point."""
+
+    @pytest.mark.parametrize("arch", ["x86_64", "aarch64"])
+    def test_live_values_sit_in_frame_slots(self, arch):
+        isa = get_isa(arch)
+        where = Counter()
+        for spec in all_apps():
+            binary = spec.compile("small").binary(arch)
+            for point in binary.stackmaps.eqpoints:
+                where.update((point.kind, value.loc_type)
+                             for value in point.live)
+                both = [value for value in point.live
+                        if value.loc_type == LOC_BOTH]
+                if both:
+                    spills = _spills_before_trap(binary, isa, point)
+                    for value in both:
+                        assert (isa.index_of_dwarf(value.dwarf_reg),
+                                value.stack_offset) in spills, (
+                            spec.name, point.func, value)
+        assert set(where) == {(KIND_CALLSITE, LOC_STACK),
+                              (KIND_ENTRY, LOC_STACK),
+                              (KIND_ENTRY, LOC_BOTH)}
 
 
 @pytest.mark.parametrize("name", APP_NAMES)

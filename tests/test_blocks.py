@@ -7,7 +7,7 @@ Covers the engine's three safety-critical contracts:
    must actually execute;
 2. eqpoint boundaries — a block never spans an equivalence-point
    checker, so a parked thread's pc equals the eqpoint pc exactly;
-3. parity — the generated tier (forced hot, including the partial
+3. parity — the generated tier (forced hot, including the metered
    quantum-boundary variant) is bit-identical to the per-step engine.
 """
 
@@ -57,12 +57,12 @@ def _run_to_exit(machine, process):
     def spy():
         if process.exited:
             found.append((dict(process.block_cache),
-                          dict(process.chain_entries)))
+                          dict(process.resume_points)))
         drop()
 
     process.drop_code_caches = spy
     machine.run_process(process)
-    assert process.block_cache == {} and process.chain_entries == {}
+    assert process.block_cache == {} and process.resume_points == {}
     return found[0]
 
 
@@ -214,17 +214,26 @@ class TestEngineParity:
                                                   counter_program,
                                                   monkeypatch):
         """Tiny quanta end inside nearly every trace, exercising the
-        partial (quantum-boundary) variant; results must still be
-        bit-identical to per-step execution at the same quantum."""
+        metered (quantum-boundary) variant and the resumes that enter
+        it mid-trace; results must still be bit-identical to per-step
+        execution at the same quantum. A recorder keeps a sole thread
+        on the quantum grid."""
         monkeypatch.setattr(blocks, "HOT_THRESHOLD", 0)
-        assert _run_engine(counter_program, "x86_64", quantum, "chains") \
-            == _run_engine(counter_program, "x86_64", quantum, "interp")
+        assert _run_sliced(counter_program, "x86_64", quantum, "chains") \
+            == _run_sliced(counter_program, "x86_64", quantum, "interp")
 
 
 def _run_engine(program, arch, quantum, engine):
     """One run to the end under the named tier; returns everything
     observable (``lockstep.Track.step``), a fault message included."""
     return Track(program, arch, engine, quantum).step(lockstep.MAX_STEPS)
+
+
+def _run_sliced(program, arch, quantum, engine):
+    """:func:`_run_engine` with a recorder attached, which keeps even a
+    sole thread on the quantum grid, so slices park mid-trace."""
+    return Track(program, arch, engine, quantum,
+                 sliced=True).step(lockstep.MAX_STEPS)
 
 
 def _force_chains(monkeypatch):
@@ -255,23 +264,24 @@ class TestChainParity:
         a chain must really be built and entered."""
         _force_chains(monkeypatch)
         machine, process = _spawn(counter_program, arch)
-        block_cache, chain_entries = _run_to_exit(machine, process)
+        block_cache, resume_points = _run_to_exit(machine, process)
         bound = [b for b in block_cache.values()
                  if b.chain is not None and b.chain is not chains.NO_CHAIN]
         assert bound, "no chain was ever linked"
         # Loop-closing webs register interior pcs as metered resume
         # points for quantum boundaries that park mid-trace.
-        assert chain_entries
+        assert resume_points
 
     @pytest.mark.parametrize("quantum", [1, 3, 7, 13])
     def test_chain_parity_at_odd_quanta(self, quantum, counter_program,
                                         monkeypatch):
         """Tiny quanta park inside nearly every trace: every slice ends
-        in a metered arm and most resume through chain_entries."""
-        ref = _run_engine(counter_program, "x86_64", quantum, "interp")
+        in a metered arm and most resume through resume_points. A
+        recorder keeps a sole thread on the quantum grid."""
+        ref = _run_sliced(counter_program, "x86_64", quantum, "interp")
         _force_chains(monkeypatch)
-        got = _run_engine(counter_program, "x86_64", quantum, "chains")
-        assert got == ref
+        assert _run_sliced(counter_program, "x86_64", quantum,
+                           "chains") == ref
 
     @pytest.mark.parametrize("arch", ARCHES)
     @pytest.mark.parametrize("source,name", [
@@ -341,11 +351,11 @@ class TestChainParity:
         machine, process = _spawn(counter_program, "x86_64")
         machine.step_all(2500)
         assert not process.exited
-        assert process.chain_entries
+        assert process.resume_points
         thread = next(iter(process.threads.values()))
         process.aspace.write_code(thread.pc, b"\x06" * 16)
         assert process.block_cache == {}
-        assert process.chain_entries == {}
+        assert process.resume_points == {}
 
 
 def _cold_code_caches(monkeypatch):
@@ -648,10 +658,10 @@ class TestDemotion:
 
         real_codegen = blocks.codegen
 
-        def refusing(process, block, partial=False, bind_only=False):
+        def refusing(process, block, metered=False, bind_only=False):
             if block.pc == target and not bind_only:
                 return None
-            return real_codegen(process, block, partial=partial,
+            return real_codegen(process, block, metered=metered,
                                 bind_only=bind_only)
 
         monkeypatch.setattr(blocks, "codegen", refusing)
@@ -972,27 +982,199 @@ class TestTierZeroRunsTheTrace:
                                                              monkeypatch):
         """A live update written over the running text between two
         slices: v1 doubles, v2 triples, and the two texts differ in one
-        byte. Tier 0 must run the new code from the next slice on."""
+        byte. Tier 0 must run the new code from the next slice on, and
+        so must tier 2: no slice resumes at a resume point registered
+        before the write."""
         v1 = compile_source(V1_SOURCE, "doubler")
         v2_text = compile_source(V2_SOURCE, "doubler").binary(arch).text
+        resumes = {}
 
         def sliced(engine):
             track = Track(v1, arch, engine)
             machine, process = track.machine, track.process
+            spy = process.resume_points = _ResumeSpy()
             digests = []
             while not process.exited:
                 if len(digests) == 40:
+                    resumes["before"] = spy.found
+                    spy.found = []
                     process.aspace.write_code(TEXT_BASE, v2_text)
+                    assert spy == {}
                 machine.step_all(64)
                 digests.append(machine_digest([machine]))
+            resumes["after"] = spy.found
             return digests, process.stdout()
+
+        def resumed_only_current_code():
+            before, after = resumes["before"], resumes["after"]
+            assert before and after
+            assert all(block.version == 0 for block, _k in before)
+            assert all(block.version == 1 for block, _k in after)
 
         ref = sliced("interp")
         seen = _tier0_only(monkeypatch)
         assert sliced("blocks") == ref
         assert seen["trace"] > 0
+        resumed_only_current_code()
+        monkeypatch.setattr(blocks, "HOT_THRESHOLD", 0)
+        assert sliced("blocks") == ref
+        resumed_only_current_code()
         values = [int(line) for line in ref[1].splitlines()]
         assert values[0] == 2 and values[-1] == 600
+
+
+#: Tier-0 instructions (``interp.execute`` calls: ``interp.step`` makes
+#: one too) of a warm recorded run on x86_64 with ``engine="blocks"``,
+#: quantum 64 and a digest every slice. While a slice that parked
+#: mid-trace made the next one decode a new trace at that pc, which ran
+#: on tier 0, these read kmeans 10 435, redis 14 642 and swaptions
+#: 7 669; 6 751 of swaptions' are its syscalls, which only tier 0 runs.
+RECORDED_TIER0 = {"kmeans": 2500, "redis": 1000, "swaptions": 7669}
+
+#: Blocks the same runs create (``compile_block`` calls): at most half
+#: of the 505 (kmeans) and 585 (redis) one per parked pc came to.
+RECORDED_BLOCKS = {"kmeans": 505 // 2, "redis": 585 // 2}
+
+#: Recordings that bring the code caches of a cold node to the steady
+#: state the pins are measured in (a trace bound from a cached factory
+#: on first dispatch moves where later slices park, for two runs).
+WARM_RECORDINGS = 3
+
+
+class _ResumeSpy(dict):
+    """A process's ``resume_points`` that logs every entry a dispatch
+    finds (``run_thread`` reads the map through ``get``)."""
+
+    def __init__(self):
+        super().__init__()
+        self.found = []
+
+    def get(self, pc, default=None):
+        entry = dict.get(self, pc, default)
+        if entry is not None:
+            self.found.append(entry)
+        return entry
+
+
+def _resumed_faults(monkeypatch):
+    """Wrap every tier-2 metered variant codegen emits; returns the list
+    the wrappers append ``K`` to when a run entered mid-trace (``K >
+    0``) ends in a fault."""
+    seen = []
+    real_codegen = blocks.codegen
+
+    def spying(process, block, metered=False, bind_only=False):
+        fn = real_codegen(process, block, metered=metered,
+                          bind_only=bind_only)
+        if not metered or fn is None:
+            return fn
+
+        def metered(thread, regs, m, K=0):
+            try:
+                return fn(thread, regs, m, K)
+            except CpuFault:
+                if K:
+                    seen.append(K)
+                raise
+        return metered
+
+    monkeypatch.setattr(blocks, "codegen", spying)
+    return seen
+
+
+class TestRecordingAtTierSpeed:
+    """A recording keeps the 64-instruction slice grid, and a slice
+    that parks mid-trace resumes that trace at its op K — in generated
+    code once the trace is hot — instead of decoding a new trace at the
+    parked pc. Counts, not timings."""
+
+    @pytest.mark.parametrize("app", sorted(RECORDED_TIER0))
+    def test_warm_recorded_run_stays_off_tier0(self, app, monkeypatch):
+        _cold_code_caches(monkeypatch)
+        source = get_app(app).source("small")
+
+        def recorded():
+            return record_run(source, app, arch="x86_64", engine="blocks",
+                              quantum=64, digest_every=1)
+
+        for _ in range(WARM_RECORDINGS):
+            recorded()
+        seen = {"tier0": 0, "blocks": 0}
+        execute, compile_block = interp.execute, blocks.compile_block
+
+        def counting_execute(*args):
+            seen["tier0"] += 1
+            return execute(*args)
+
+        def counting_compile(*args):
+            seen["blocks"] += 1
+            return compile_block(*args)
+
+        monkeypatch.setattr(interp, "execute", counting_execute)
+        monkeypatch.setattr(blocks, "compile_block", counting_compile)
+        result = recorded()
+        assert result.exit_code == 0
+        assert seen["tier0"] <= RECORDED_TIER0[app]
+        if app in RECORDED_BLOCKS:
+            assert seen["blocks"] <= RECORDED_BLOCKS[app]
+
+
+class TestResumedTraceIsExact:
+    """A trace resumed at op K retires exactly what per-step execution
+    does from the same pc: faults, side exits and accounting included."""
+
+    @pytest.mark.parametrize("arch", ARCHES)
+    @pytest.mark.parametrize("source,name", [
+        ("WILDLOAD", "wildload"), ("WILD", "wild"), ("DIVZERO", "divzero")])
+    def test_fault_after_a_resume_matches_per_step(self, arch, source,
+                                                   name, monkeypatch):
+        """Every slice length from 2 to 40 instructions, so some slice
+        parks inside the faulting trace before the faulting op and the
+        next one resumes it there: the fault text, ``pc``,
+        ``instr_count``, ``instr_total`` and ``cycle_total`` equal the
+        per-step engine's (``Track.step`` returns all of them)."""
+        program = compile_source(globals()[source + "_SOURCE"], name)
+        resumed = _resumed_faults(monkeypatch)
+        monkeypatch.setattr(blocks, "HOT_THRESHOLD", 0)
+        for quantum in range(2, 41):
+            ref = _run_sliced(program, arch, quantum, "interp")
+            assert isinstance(ref[0], str)       # the fault really fired
+            assert _run_sliced(program, arch, quantum, "blocks") == ref
+        assert resumed
+
+    @pytest.mark.parametrize("arch", ARCHES)
+    def test_a_dirty_tracking_epoch_drops_resume_points(
+            self, arch, counter_program, monkeypatch):
+        """Each epoch begins with no resume point, so a resumed trace's
+        first store to a page in the epoch reaches ``write_u64`` and the
+        harvested sets equal the per-step engine's."""
+        def tracked(engine):
+            track = Track(counter_program, arch, engine)
+            machine, process = track.machine, track.process
+            spy = process.resume_points = _ResumeSpy()
+
+            def slices():
+                for _ in range(30):
+                    machine.step_all(61)    # parks all over the loop
+                if engine != "interp":
+                    assert spy and spy.found
+
+            slices()
+            process.start_dirty_tracking()
+            assert spy == {}
+            epochs = []
+            for _ in range(3):
+                slices()
+                epochs.append(process.harvest_dirty_pages())
+                assert spy == {}
+            assert all(epochs) and not process.exited
+            return (epochs, process.instr_total, process.cycle_total,
+                    sorted((t.pc, t.instr_count, tuple(t.regs))
+                           for t in process.threads.values()))
+
+        ref = tracked("interp")
+        monkeypatch.setattr(blocks, "HOT_THRESHOLD", 0)
+        assert tracked("blocks") == ref
 
 
 DIVZERO_SOURCE = """

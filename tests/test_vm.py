@@ -566,7 +566,7 @@ class TestFinishedProcessReleasesItsCode:
         side = Track(program, "x86_64", "chains")
         side.machine.step_all(4000)
         process = side.process
-        assert not process.exited and process.chain_entries
+        assert not process.exited and process.resume_points
         fn = next(b.fn for b in process.block_cache.values()
                   if b.fn is not None)
         chain = next(b.chain for b in process.block_cache.values()
@@ -582,7 +582,7 @@ class TestFinishedProcessReleasesItsCode:
             finish(side)
             assert side.process.exited
             assert side.process.block_cache == {}
-            assert side.process.chain_entries == {}
+            assert side.process.resume_points == {}
             assert side.process.decode_cache == {}
             return fn_ref() is None and chain_ref() is None
         finally:
