@@ -268,12 +268,17 @@ def run_thread(machine: "Machine", process: "Process",
                 # First dispatch: if this trace shape was already
                 # specialized anywhere (another process, an earlier
                 # run), binding the cached factory is nearly free —
-                # tier up immediately instead of re-warming.
+                # tier up immediately instead of re-warming. When the
+                # node has chained it, its known web binds with it, and
+                # a block inside a chain grows no web: the hot epoch
+                # moves only for a block left outside every chain.
                 block.heat = 1
                 fn = codegen(process, block, bind_only=True)
                 if fn is not None:
                     block.fn = fn
-                    process.hot_epoch += 1
+                    if not (chains_on and chains.bind_known_web(
+                            process, block, cache)):
+                        process.hot_epoch += 1
             else:
                 block.heat = heat + 1
         remaining = quantum - count
@@ -286,11 +291,11 @@ def run_thread(machine: "Machine", process: "Process",
                 # boundary, an unlinked exit, or a fault. A chain (or a
                 # no-linkable-successor verdict) is stamped with the
                 # hot epoch it was formed at; tier-up of any block
-                # bumps the epoch, and a chain stamped with an older
-                # one goes through link_chain, which decides whether
-                # growing the web is worth a compile yet — until then
-                # the stale chain keeps serving (it only exits at the
-                # once-cold edges).
+                # left outside a chain bumps the epoch, and a chain
+                # stamped with an older one goes through link_chain,
+                # which decides whether growing the web is worth a
+                # compile yet — until then the stale chain keeps
+                # serving (it only exits at the once-cold edges).
                 if chains_on:
                     chain = block.chain
                     if block.chain_epoch != process.hot_epoch:

@@ -102,11 +102,18 @@ compiler off that path:
   dispatches per segment of the web just bound, so the compile work a
   region attracts is proportional to the dispatches it serves.
 
-And one exemption, **bind before build**: planning a web (a graph walk
-over memoized keys) is cheap, and when the planned web's factory is
-already cached — a fresh process on a warm node, a restored process —
-it is bound at once whatever the member owes and whatever its heat,
-with zero compiles, exactly as tier-2's ``bind_only`` path does.
+And one exemption, **bind before build**: a bind compiles nothing, so
+neither heat nor debt gates it. Every bind records the web it bound as
+each member's *known web* (``_KNOWN_WEBS``, keyed like the trace
+records), and a fresh or restored process of the same code binds that
+web whole — each member's cached tier-2 code, then the cached chain
+factory — the first time any member is dispatched
+(:func:`bind_known_web`): no plan, no compile, and no ``hot_epoch``
+bump, so the chains it already holds are not re-planned either. Code
+without a content key, and a head whose known web cannot bind, plan
+instead; a planned web whose factory is already cached is bound at
+once, whatever the member owes, exactly as tier-2's ``bind_only`` path
+does.
 
 Correctness invariants, each inherited from tier-2 and preserved:
 
@@ -234,8 +241,9 @@ RELINK_DISPATCHES_PER_SEGMENT = 16
 #: stored on ``Block.chain``.
 NO_CHAIN = object()
 
-#: ``Block.plan_epoch`` of a head that has made both of its plans below
-#: ``CHAIN_THRESHOLD`` (see :func:`link_chain`); hot epochs are >= 0.
+#: ``Block.plan_epoch`` of a head that has made both of its tries to
+#: bind below ``CHAIN_THRESHOLD`` (see :func:`link_chain`); hot epochs
+#: are >= 0.
 _PLANNED_TWICE = -2
 
 _U64M = 0xFFFFFFFFFFFFFFFF
@@ -278,8 +286,18 @@ _LS = LAST_U64_SLOT
 #: is not kept anywhere: the key is already a complete description.
 _CHAIN_FACTORY_CACHE = _b.LruCache()
 
+#: (trace content key, pc) -> (web pcs, chain factory key): the web the
+#: chain through ``pc`` was last bound over on this node, for every
+#: member of every web :func:`_bind_chain` binds in a process whose
+#: code has a content key. A new process of the same code binds that
+#: web the first time one of its members is dispatched
+#: (:func:`bind_known_web`) instead of re-planning it after every
+#: tier-up. Bytes, ints, strings and tuples only: an entry keeps no
+#: process, block or factory alive.
+_KNOWN_WEBS = _b.LruCache()
+
 #: Counters for the bench harness (see ``chain_cache_info``).
-chain_stats = {"built": 0, "bound": 0, "unlinked": 0,
+chain_stats = {"built": 0, "bound": 0, "planned": 0, "unlinked": 0,
                "segments_emitted": 0, "lines_emitted": 0,
                "relinks_deferred": 0}
 
@@ -288,9 +306,9 @@ def chain_cache_info() -> dict:
     """Chain-compiler statistics, exposed for benchmarks and tests:
     chains compiled (``built``, with the ``segments_emitted`` and
     generated ``lines_emitted`` they cost), factory bindings
-    (``bound``), refused heads (``unlinked``), rebuilds put off by the
-    relink rule (``relinks_deferred``), and the factory cache's size
-    and LRU ``evictions``."""
+    (``bound``), web plans (``planned``), refused heads (``unlinked``),
+    rebuilds put off by the relink rule (``relinks_deferred``), and the
+    factory cache's size and LRU ``evictions``."""
     info = dict(chain_stats)
     info["factories"] = len(_CHAIN_FACTORY_CACHE)
     info["evictions"] = _CHAIN_FACTORY_CACHE.evictions
@@ -386,9 +404,12 @@ def link_chain(process: "Process", head: "Block", cache: dict):
     since become hot. Rebuilding it is therefore an investment, not an
     obligation, and is made in the cheapest way that offers itself:
 
+    * the head has no chain yet and the node knows its web — bind that
+      web whole (:func:`bind_known_web`), no plan, no compile;
     * the web did not grow — restamp the epoch, keep the chain;
-    * the planned web's factory is already cached (a fresh process on
-      a warm node, a restored process) — bind it at once, no compile;
+    * the planned web's factory is already cached (a web that grows
+      as this process warms, code without a content key) — bind it at
+      once, no compile;
     * otherwise compile it, but only once ``head`` has served
       ``RELINK_DISPATCHES_PER_SEGMENT`` stale dispatches for every
       segment of the web it was last bound into (``relink_at``). Until
@@ -404,13 +425,16 @@ def link_chain(process: "Process", head: "Block", cache: dict):
     Both counts are the code's, not the process's (``Block.formation``
     is shared through the trace record). A head with no chain yet and
     still below ``CHAIN_THRESHOLD`` never compiles, but a bind costs no
-    compile whatever the heat: it plans on its first dispatch in this process
-    and once more after the hot epoch has moved, and binds a cached
-    factory if either plan finds one. The second plan is for webs of
-    several traces: at the head's first dispatch the rest of its loop
-    has not run in this process yet, and one trip round it brings every
-    trace of a cached web to tier 2 (each binds its cached tier-2 code
-    on first dispatch, ``codegen(bind_only=True)``).
+    compile whatever the heat. On its first dispatch in this process,
+    and once more after the hot epoch has moved, such a head binds its
+    known web; only code without a content key, which has no known
+    webs, plans instead, and binds a cached factory if either plan
+    finds one. Its second plan is for webs of several traces: at the
+    head's first dispatch the rest of its loop has not run in this
+    process yet, and one trip round it brings every trace of a cached
+    web to tier 2 (each binds its cached tier-2 code on first dispatch,
+    ``codegen(bind_only=True)``). A known web needs no such trip: it
+    brings its members to tier 2 itself.
     """
     formation = head.formation
     heat = formation[0] = formation[0] + 1
@@ -421,13 +445,19 @@ def link_chain(process: "Process", head: "Block", cache: dict):
         if planned == epoch or planned == _PLANNED_TWICE:
             return None
         head.plan_epoch = epoch if planned == -1 else _PLANNED_TWICE
+        if _b._content_key(process) is not None:
+            return bind_known_web(process, head, cache)
         plan = _plan_chain(process, head, cache)
         entry = plan and _CHAIN_FACTORY_CACHE.lookup(plan[1])
-        return _bind_chain(process, head, plan[0], entry) if entry else None
+        return _bind_chain(process, head, *plan, entry) if entry else None
     owing = heat < formation[1]
     if owing and head.plan_epoch == epoch:
         return chain
     head.plan_epoch = epoch
+    if chain is None:
+        chain = bind_known_web(process, head, cache)
+        if chain is not None:
+            return chain
     plan = _plan_chain(process, head, cache)
     if plan is None:
         chain_stats["unlinked"] += 1
@@ -447,7 +477,52 @@ def link_chain(process: "Process", head: "Block", cache: dict):
             chain_stats["relinks_deferred"] += 1
             return chain
         entry = _compile_chain(process.isa, segs, key)
-    return _bind_chain(process, head, segs, entry)
+    return _bind_chain(process, head, segs, key, entry)
+
+
+def bind_known_web(process: "Process", head: "Block", cache: dict):
+    """Bind the web the node last bound ``head`` into, as it stands —
+    no plan, no compile — and return ``head``'s entry handler; None if
+    the process's code has no content key, the node knows no web
+    through ``head``, or any part of that web is not ready to bind: the
+    chain factory, a member's trace record or tier-2 factory is not
+    cached, or a member is demoted here. Members not yet in ``cache``
+    come from the shared trace records (``compile_block``, a cache hit)
+    and bind their cached tier-2 code (``codegen(bind_only=True)``).
+    Nothing is bound unless everything can be."""
+    ck = _b._content_key(process)
+    known = ck is not None and _KNOWN_WEBS.lookup((ck, head.pc))
+    if not known:
+        return None
+    web, key = known
+    entry = _CHAIN_FACTORY_CACHE.lookup(key)
+    if entry is None:
+        return None
+    version = process.code_version
+    traces = _b._GLOBAL_TRACES
+    segs = []
+    for pc in web:
+        blk = cache.get(pc)
+        if blk is None or blk.version != version:
+            if (ck, pc) not in traces:
+                return None
+            blk = None
+        elif blk.demoted:
+            return None
+        segs.append(blk)
+    fns = []
+    for j, pc in enumerate(web):
+        blk = segs[j]
+        if blk is None:
+            blk = segs[j] = cache[pc] = _b.compile_block(process, pc)
+        if blk.fn is None:
+            fn = _b.codegen(process, blk, bind_only=True)
+            if fn is None:
+                return None
+            fns.append((blk, fn))
+    for blk, fn in fns:
+        blk.fn = fn
+    return _bind_chain(process, head, segs, key, entry)
 
 
 def _plan_chain(process: "Process", head: "Block", cache: dict):
@@ -472,6 +547,7 @@ def _plan_chain(process: "Process", head: "Block", cache: dict):
     (usually immediately, through the member's resume point at this
     very pc in ``process.resume_points``).
     """
+    chain_stats["planned"] += 1
     segs = _collect_web(cache, process.code_version, head, MAX_CHAIN_BLOCKS)
     if len(segs) > 1:
         for blk in segs:
@@ -512,14 +588,16 @@ def _compile_chain(isa, segs, key):
     return entry
 
 
-def _bind_chain(process: "Process", head: "Block", segs, entry):
+def _bind_chain(process: "Process", head: "Block", segs, key, entry):
     """Bind ``entry``'s factory to ``process`` and hand every segment
     block its own entry handler into the one compiled trampoline;
     returns ``head``'s. Every *interior* pc of every segment is
     registered in ``process.resume_points`` as a metered resume point,
     so a quantum boundary parked mid-trace re-enters the chain instead
     of seeding a duplicate trace. A tier-2 resume point already there
-    is overwritten: the chain serves it from now on."""
+    is overwritten: the chain serves it from now on. The web, factory
+    ``key`` included, becomes every member's known web
+    (``_KNOWN_WEBS``)."""
     factory, (fpcs, foff, fcoff, segcp) = entry
     chain_stats["bound"] += 1
     run = factory(process, *_miss_paths(process.aspace),
@@ -529,6 +607,8 @@ def _bind_chain(process: "Process", head: "Block", segs, entry):
     nsegs = len(segs)
     web = tuple(blk.pc for blk in segs)
     debt = RELINK_DISPATCHES_PER_SEGMENT * nsegs   # see link_chain
+    ck = _b._content_key(process)
+    known = (web, key)
     result = None
     for j, blk in enumerate(segs):
         enter = run if j == 0 else _entry_handler(run, j)
@@ -543,6 +623,8 @@ def _bind_chain(process: "Process", head: "Block", segs, entry):
         blk.chain_web = web
         formation = blk.formation
         formation[1] = formation[0] + debt
+        if ck is not None:
+            _KNOWN_WEBS.insert((ck, blk.pc), known)
         # Interior pcs (and the terminator's own pc) resume through
         # the metered arm; the successor pc past a trace's end is the
         # next block's business, not a resume point of this one.

@@ -360,8 +360,10 @@ class TestChainParity:
 
 def _cold_code_caches(monkeypatch):
     """Empty process-global code caches, as a fresh interpreter has —
-    the shared trace records included, since tier-3 heat lives there."""
+    the shared trace records included, since tier-3 heat lives there,
+    and the node's known webs."""
     monkeypatch.setattr(chains, "_CHAIN_FACTORY_CACHE", blocks.LruCache())
+    monkeypatch.setattr(chains, "_KNOWN_WEBS", blocks.LruCache())
     monkeypatch.setattr(blocks, "_FACTORY_CACHE", blocks.LruCache())
     monkeypatch.setattr(blocks, "_CODE_CACHE", blocks.LruCache())
     monkeypatch.setattr(blocks, "_GLOBAL_TRACES", blocks.LruCache())
@@ -641,6 +643,116 @@ class TestHeatBelongsToTheCode:
             assert [type(value) for value in formation] == [int, int]
         for block in block_cache.values():
             assert records[id(block.formation)] is block.formation
+
+
+def _run_keeping_webs(program, arch):
+    """One run to exit; returns the process and the webs its chains
+    were bound over when it exited."""
+    machine, process = _spawn(program, arch)
+    block_cache, _entries = _run_to_exit(machine, process)
+    return process, {block.chain_web for block in block_cache.values()
+                     if block.chain not in (None, chains.NO_CHAIN)}
+
+
+#: Runs that take a cold node to each program's final webs at the
+#: default thresholds: counter compiles its one web in its second run,
+#: kmeans/small the last of its three in its seventh.
+WARM_RUNS = {"counter": 3, "kmeans": 7}
+
+#: Chains the steady_compute app set (dhrystone medium, kmeans, redis
+#: and nginx small, on both ISAs) compiles in passes 4-8 of one
+#: interpreter started on cold code caches, by app. Each is the first
+#: build of a web whose head has just served ``CHAIN_THRESHOLD``
+#: dispatches: nginx's 64-segment web in pass 4, and kmeans' nested
+#: loops one enclosing level at a time (4 -> 8 and 12 -> 17 segments in
+#: passes 4 and 5), then its 4-segment initialisation loop in pass 7.
+STEADY_LATE_BUILDS = {"dhrystone": 0, "kmeans": 8, "redis": 0, "nginx": 2}
+
+
+class TestWarmNodeBindsKnownWebs:
+    """A process on a warm node binds every web the node has converged
+    on once, when the first of its members is dispatched
+    (``chains.bind_known_web``), instead of re-planning after every
+    tier-up and binding intermediate webs on the way there."""
+
+    @pytest.mark.parametrize("arch", ARCHES)
+    @pytest.mark.parametrize("name", sorted(WARM_RUNS))
+    def test_fresh_process_binds_each_web_once(self, name, arch,
+                                               counter_program,
+                                               monkeypatch):
+        """Counts: one bind per web the process keeps to exit, and no
+        more plans than binds. Before the known webs a fresh kmeans
+        process bound 6 chains for its 3 webs and planned 81 times; a
+        counter process planned 17 times for its one."""
+        _cold_code_caches(monkeypatch)
+        program = (counter_program if name == "counter"
+                   else get_app(name).compile("small"))
+        for _ in range(WARM_RUNS[name]):
+            reference, _webs = _run_keeping_webs(program, arch)
+        (process, webs), spent = _chain_counters(
+            lambda: _run_keeping_webs(program, arch))
+        assert spent["built"] == 0 and webs
+        assert spent["bound"] == len(webs)
+        assert spent["planned"] <= spent["bound"]
+        assert _fingerprint(process) == _fingerprint(reference)
+
+    def test_known_web_never_binds_through_a_refused_member(
+            self, counter_program, monkeypatch):
+        """A member whose tier-2 code codegen refuses (a cached
+        ``_NO_FACTORY``) is demoted to tier 0 here, so the known web is
+        not bound through it: the process falls back to planning, and
+        no chain it binds contains that member."""
+        _cold_code_caches(monkeypatch)
+        for _ in range(WARM_RUNS["counter"]):
+            reference, webs = _run_keeping_webs(counter_program, "x86_64")
+        (web,) = webs
+        machine, process = _spawn(counter_program, "x86_64")
+        refused = web[-1]
+        key = blocks._factory_key(
+            "x86_64", blocks.compile_block(process, refused), False)
+        blocks._FACTORY_CACHE.insert(key, blocks._NO_FACTORY)
+        block_cache, _entries = _run_to_exit(machine, process)
+        assert block_cache[refused].demoted
+        chained = [block for block in block_cache.values()
+                   if block.chain not in (None, chains.NO_CHAIN)]
+        assert chained
+        assert all(refused not in block.chain_web for block in chained)
+        assert _fingerprint(process) == _fingerprint(reference)
+
+    def test_steady_set_builds_only_first_builds_late(self, monkeypatch):
+        """Eight passes of the steady_compute app set in one interpreter.
+        In passes 4-8 no web is compiled twice, the chains compiled are
+        exactly ``STEADY_LATE_BUILDS``, and every process that compiles
+        nothing binds each web it keeps once, with no more plans than
+        binds."""
+        _cold_code_caches(monkeypatch)
+        table = [(app, arch, get_app(app).compile(size))
+                 for app, size in (("dhrystone", "medium"),
+                                   ("kmeans", "small"), ("redis", "small"),
+                                   ("nginx", "small"))
+                 for arch in ARCHES]
+        keys = []
+        compile_chain = chains._compile_chain
+
+        def counting_compile(isa, segs, key):
+            keys.append(key)
+            return compile_chain(isa, segs, key)
+
+        monkeypatch.setattr(chains, "_compile_chain", counting_compile)
+        late = dict.fromkeys(STEADY_LATE_BUILDS, 0)
+        for index in range(1, 9):
+            for app, arch, program in table:
+                (process, webs), spent = _chain_counters(
+                    lambda: _run_keeping_webs(program, arch))
+                assert process.exit_code == 0
+                if index < 4:
+                    continue
+                late[app] += spent["built"]
+                if not spent["built"]:
+                    assert spent["bound"] == len(webs), (index, app, arch)
+                    assert spent["planned"] <= spent["bound"]
+        assert len(set(keys)) == len(keys)
+        assert late == STEADY_LATE_BUILDS
 
 
 class TestDemotion:
